@@ -1,46 +1,12 @@
 #include "analyze/diagnostic.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "util/json.hpp"
 
 namespace corebist {
 
 namespace {
-
-/// Minimal JSON string escape (quotes, backslash, control chars). Kept local
-/// so the analyze layer stays free of session-layer includes.
-std::string escaped(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void appendNetArray(std::ostringstream& os, const char* key,
                     const std::vector<NetId>& nets) {
@@ -106,16 +72,16 @@ std::string LintReport::summary() const {
 // Float-audit note: severities, rules and net lists only — no
 // floating-point fields, so no finite guard is needed here. Any future
 // float (e.g. a confidence score) must go through corebist::jsonFinite
-// (core/session_report.hpp) to keep inf/NaN out of the artifact.
+// (util/json.hpp) to keep inf/NaN out of the artifact.
 std::string LintReport::toJson() const {
   std::ostringstream os;
-  os << "{\n  \"netlist\": \"" << escaped(netlist) << "\",\n"
+  os << "{\n  \"netlist\": \"" << jsonEscaped(netlist) << "\",\n"
      << "  \"diagnostics\": [\n";
   for (std::size_t i = 0; i < diagnostics.size(); ++i) {
     const Diagnostic& d = diagnostics[i];
     os << "    {\"severity\": \"" << severityName(d.severity)
-       << "\", \"rule\": \"" << escaped(d.rule) << "\", \"message\": \""
-       << escaped(d.message) << "\", ";
+       << "\", \"rule\": \"" << jsonEscaped(d.rule) << "\", \"message\": \""
+       << jsonEscaped(d.message) << "\", ";
     appendNetArray(os, "nets", d.nets);
     os << ", ";
     appendNetArray(os, "witness", d.witness);

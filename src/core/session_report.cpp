@@ -1,46 +1,9 @@
 #include "core/session_report.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
 namespace corebist {
-
-double jsonFinite(double v) noexcept { return std::isfinite(v) ? v : 0.0; }
-
-std::string jsonEscaped(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04X",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string_view coreVerdictName(CoreVerdict v) {
   switch (v) {

@@ -15,6 +15,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json.hpp"  // jsonEscaped / jsonFinite for report emitters
+
 namespace corebist {
 
 /// Signature comparison for one module of a core (one MISR upload).
@@ -42,21 +44,6 @@ enum class CoreVerdict : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view coreVerdictName(CoreVerdict v);
-
-/// JSON string-literal escaping, applied to every string field the report
-/// exporters emit: `"` and `\` get a backslash, control characters become
-/// \n/\t/\r/\uXXXX. Without it a core or TAM named `say "hi"\now` would
-/// serialize to invalid JSON (and could smuggle keys into the report).
-[[nodiscard]] std::string jsonEscaped(std::string_view s);
-
-/// Finite-guard companion to jsonEscaped, applied to every double the JSON
-/// emitters format with printf: `%f` serializes inf/NaN as `inf`/`nan`,
-/// which is not JSON. A zero-wall-time campaign (coarse clock, trivial
-/// plan) or a zero-duration bench ratio otherwise poisons the whole
-/// artifact; non-finite values clamp to 0.0. (LintReport and ResilienceLog
-/// emit no floating-point fields — audited; route any future ones through
-/// this guard too.)
-[[nodiscard]] double jsonFinite(double v) noexcept;
 
 /// Complete record of one core's campaign entry (all attempts).
 struct CoreReport {

@@ -4,9 +4,7 @@
 #include <string>
 
 #include "fault/comb_fsim.hpp"
-#include "fault/parallel_fsim.hpp"
-#include "fault/process_fsim.hpp"
-#include "fault/resilient_fsim.hpp"
+#include "fault/sharded_fsim.hpp"
 
 namespace corebist {
 
@@ -34,35 +32,8 @@ FsimBackend parseFsimBackend(std::string_view name) {
 
 std::unique_ptr<FaultSim> makeOrchestrator(const FaultSim& prototype,
                                            const FsimBackendOptions& opts) {
-  switch (opts.backend) {
-    case FsimBackend::kSerial:
-      return prototype.clone();
-    case FsimBackend::kThreaded: {
-      ParallelFsimOptions p;
-      p.num_threads = opts.num_workers;
-      p.shard_faults = opts.shard_faults;
-      return std::make_unique<ParallelFaultSim>(prototype, p);
-    }
-    case FsimBackend::kProcess: {
-      ProcessFsimOptions p;
-      p.num_workers = opts.num_workers;
-      p.shard_faults = opts.shard_faults;
-      p.timeout_ms = opts.timeout_ms;
-      return std::make_unique<ProcessFaultSim>(prototype, p);
-    }
-    case FsimBackend::kResilient: {
-      ResilientFsimOptions r;
-      r.num_workers = opts.num_workers;
-      r.shard_faults = opts.shard_faults;
-      r.timeout_ms = opts.timeout_ms;
-      r.max_shard_retries = opts.max_shard_retries;
-      r.backoff_base_ms = opts.backoff_base_ms;
-      r.deadline_ms = opts.deadline_ms;
-      r.degrade_on_failure = opts.degrade_on_failure;
-      return std::make_unique<ResilientFaultSim>(prototype, r);
-    }
-  }
-  return prototype.clone();
+  if (opts.backend == FsimBackend::kSerial) return prototype.clone();
+  return std::make_unique<ShardedFaultSim>(prototype, opts);
 }
 
 std::unique_ptr<FaultSim> makeCombFaultSim(const Netlist& nl,

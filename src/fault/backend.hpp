@@ -5,11 +5,16 @@
 // execution backend per campaign instead of hard-coding an engine class:
 //
 //   kSerial    - the prototype engine itself (one process, one thread)
-//   kThreaded  - ParallelFaultSim fault sharding across worker threads
-//   kProcess   - ProcessFaultSim fault sharding across forked processes
-//   kResilient - ResilientFaultSim: the process protocol under a
-//                supervisor with shard retry/backoff and a degradation
-//                ladder (process -> threaded -> serial)
+//   kThreaded  - ShardedFaultSim's thread executor: fault shards graded on
+//                worker-thread engine clones, unsupervised
+//   kProcess   - ShardedFaultSim's fork executor: fault shards graded in
+//                forked workers; the first worker failure throws
+//   kResilient - the fork executor under the supervision policy: shard
+//                retry with backoff, then the degradation ladder
+//                (process -> threaded -> serial)
+//
+// The three sharded backends are one orchestrator (fault/sharded_fsim.hpp)
+// with one sharding loop; they differ only in executor and policy.
 //
 // Orthogonally, makeCombFaultSim() picks the lane width of the PPSFP kernel
 // (64/128/256/512 pattern lanes per pass) at runtime from the same options
@@ -56,14 +61,14 @@ struct FsimBackendOptions {
   /// deadline; see ProcessFsimOptions::timeout_ms).
   int timeout_ms = 120'000;
   /// kResilient only: re-dispatches one shard gets before the supervisor
-  /// leaves the process rung (ResilientFsimOptions::max_shard_retries).
+  /// leaves the process rung (kProcess always uses 0).
   int max_shard_retries = 3;
-  /// kResilient only: exponential-backoff base before a worker respawn.
+  /// kResilient only: exponential-backoff base before a worker respawn
+  /// (backoffMs in fault/failpoint.hpp; capped at kMaxBackoffMs).
   int backoff_base_ms = 1;
-  /// kResilient only: overall retry deadline budget in ms (0 = unbounded).
-  int deadline_ms = 0;
   /// kResilient only: after the retry budget, step down the ladder
-  /// (process -> threaded -> serial) instead of throwing.
+  /// (process -> threaded -> serial) instead of throwing (kProcess always
+  /// throws).
   bool degrade_on_failure = true;
 };
 
@@ -75,8 +80,9 @@ struct FsimBackendOptions {
     std::span<const NetId> observed, const FsimBackendOptions& opts = {});
 
 /// Wrap an existing prototype engine (combinational or sequential) in the
-/// requested orchestrator. kSerial returns a plain clone, so callers can
-/// treat all three uniformly; the prototype may die before the result.
+/// requested orchestrator: a ShardedFaultSim for every sharded backend, a
+/// plain clone for kSerial, so callers can treat them all uniformly; the
+/// prototype may die before the result.
 [[nodiscard]] std::unique_ptr<FaultSim> makeOrchestrator(
     const FaultSim& prototype, const FsimBackendOptions& opts);
 

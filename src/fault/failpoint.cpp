@@ -2,6 +2,7 @@
 
 #include <time.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -240,6 +241,13 @@ void failpointSleepMs(int ms) noexcept {
   struct timespec ts {ms / 1000, (ms % 1000) * 1'000'000L};
   while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
   }
+}
+
+int backoffMs(int base_ms, int attempt) noexcept {
+  if (base_ms <= 0) return 0;
+  const int shift = std::clamp(attempt - 1, 0, 20);
+  return static_cast<int>(std::min<std::int64_t>(
+      static_cast<std::int64_t>(base_ms) << shift, kMaxBackoffMs));
 }
 
 }  // namespace corebist

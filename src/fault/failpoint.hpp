@@ -1,7 +1,7 @@
 // Deterministic fault injection for the campaign-execution layers.
 //
 // A *failpoint* is a named site compiled into an infrastructure hot path —
-// the ProcessFaultSim dispatch loop, the worker request/reply protocol, the
+// the ShardedFaultSim dispatch loop, the worker request/reply protocol, the
 // SessionChannel attempt machinery — where a test (or a chaos CI job) can
 // arm a failure action: kill the executing worker, stall a reply past the
 // watchdog, truncate or bit-flip a frame, force partial pipe writes, or
@@ -172,6 +172,14 @@ class FailpointRegistry {
 
 /// Sleep helper for kDelay (EINTR-safe nanosleep loop).
 void failpointSleepMs(int ms) noexcept;
+
+/// Cap on one retry's backoff sleep.
+inline constexpr int kMaxBackoffMs = 250;
+
+/// Exponential backoff shared by fault-sim shard retries and session
+/// channel retries: retry `attempt` (1-based) waits
+/// min(base_ms << (attempt - 1), kMaxBackoffMs); base_ms <= 0 disables it.
+[[nodiscard]] int backoffMs(int base_ms, int attempt) noexcept;
 
 }  // namespace corebist
 

@@ -5,9 +5,10 @@
 // the paper-table benches — is the same shape: a fault universe graded
 // against a stream of test patterns, with per-fault detection records and
 // optional fault dropping. `FaultSim` is the seam where the engines
-// (pattern-parallel combinational, fault-parallel sequential) and the
-// orchestration layers (ParallelFaultSim sharding, future SoC sessions)
-// meet, so consumers write one loop instead of three.
+// (pattern-parallel combinational, fault-parallel sequential) and the one
+// sharding orchestrator (ShardedFaultSim, whose thread and fork executors
+// back every FsimBackend but kSerial) meet, so consumers write one loop
+// instead of three.
 //
 //   * `PatternSource` abstracts the stimulus: a recorded per-cycle word
 //     stream (ALFSR output), a synthesized random stream, or anything else
@@ -16,8 +17,9 @@
 //   * `FaultSim::run` grades a fault list against a source and returns
 //     per-fault first-detection indices plus the optional window / MISR /
 //     dictionary records the diagnosis flows need.
-//   * `FaultSim::clone` hands each worker thread a private engine with its
-//     own scratch state over the same shared (read-only) netlist.
+//   * `FaultSim::clone` hands each worker thread (or forked worker) a
+//     private engine with its own scratch state over the same shared
+//     (read-only) netlist.
 #ifndef COREBIST_FAULT_FAULT_SIM_HPP_
 #define COREBIST_FAULT_FAULT_SIM_HPP_
 
@@ -245,7 +247,7 @@ class CyclePatternSource final : public PatternSource {
 /// append-only accumulator that serves standard 64-lane blocks, so
 /// deterministic tests (PODEM candidates, LOS pair batches, debug vectors)
 /// grade through the same `FaultSim::run` campaigns — fault dropping, wide
-/// lanes, ParallelFaultSim sharding — as recorded or random stimulus,
+/// lanes, sharded backends — as recorded or random stimulus,
 /// instead of hand-rolled per-fault detect() loops.
 ///
 /// Patterns are stored column-major (one 64-lane word column per input per

@@ -1,26 +1,11 @@
-// Multi-threaded fault-simulation orchestration over the FaultSim seam.
-//
-// The fault list is sharded into work units (one fault-parallel machine
-// group each by default); N worker threads pull shards from a shared queue,
-// each grading its shard on a thread-local clone of the prototype engine.
-// Campaigns with fault dropping run as a geometric pattern-budget ladder:
-// after every stage the workers' detections are folded into the shared
-// result and only the surviving faults are re-sharded for the longer next
-// stage — cross-shard dropping, so faults detected anywhere stop being
-// simulated everywhere.
-//
-// Results are byte-identical to the serial engines under any thread count
-// and shard size: every per-fault record is a function of (fault, pattern
-// stream) alone, shards partition the fault list, and detection is monotone
-// in the pattern budget (tests/parallel_fsim_test.cpp enforces this).
+// Thread-sharded fault simulation: ShardedFaultSim on its thread executor
+// (FsimBackend::kThreaded), configured by thread count and shard size. See
+// fault/sharded_fsim.hpp for the sharding, the stage ladder and the
+// byte-identity argument (tests/parallel_fsim_test.cpp enforces it).
 #ifndef COREBIST_FAULT_PARALLEL_FSIM_HPP_
 #define COREBIST_FAULT_PARALLEL_FSIM_HPP_
 
-#include <memory>
-#include <span>
-#include <vector>
-
-#include "fault/fault_sim.hpp"
+#include "fault/sharded_fsim.hpp"
 
 namespace corebist {
 
@@ -32,29 +17,14 @@ struct ParallelFsimOptions {
   int shard_faults = 63;
 };
 
-class ParallelFaultSim final : public FaultSim {
+class ParallelFaultSim final : public ShardedFaultSim {
  public:
-  /// Clones `prototype` once per worker thread at run time; the prototype
-  /// itself is cloned (not referenced), so it may die before this object.
   explicit ParallelFaultSim(const FaultSim& prototype,
-                            ParallelFsimOptions popts = {});
-
-  [[nodiscard]] const Netlist& netlist() const noexcept override;
-  [[nodiscard]] FaultSimResult run(std::span<const Fault> faults,
-                                   const PatternSource& patterns,
-                                   const FaultSimOptions& opts) override;
-  [[nodiscard]] std::unique_ptr<FaultSim> clone() const override;
-
- private:
-  std::unique_ptr<FaultSim> proto_;
-  ParallelFsimOptions popts_;
-  /// Worker engine clones, reused across run() calls: batched consumers
-  /// (the ATPG drivers) call run once per batch, and a fresh clone pays a
-  /// full netlist levelization plus per-net scratch allocation. Engines
-  /// reset all per-campaign state at the top of their own run(). One
-  /// consequence: run() is not re-entrant on the same object — use clone()
-  /// per thread, as every orchestrator already does.
-  std::vector<std::unique_ptr<FaultSim>> engines_;
+                            ParallelFsimOptions popts = {})
+      : ShardedFaultSim(prototype,
+                        {.backend = FsimBackend::kThreaded,
+                         .num_workers = popts.num_threads,
+                         .shard_faults = popts.shard_faults}) {}
 };
 
 }  // namespace corebist

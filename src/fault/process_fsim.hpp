@@ -1,52 +1,12 @@
-// Multi-process fault-sharding orchestration over the FaultSim seam.
-//
-// ProcessFaultSim is the process-isolation rung of the backend ladder
-// (serial -> wide lanes -> worker threads -> worker processes): the fault
-// list is sharded exactly like ParallelFaultSim, but each shard is graded
-// in a forked worker process that owns a private clone of the prototype
-// engine. The parent serializes each fault shard plus the scalar slice of
-// `FaultSimOptions` (stage cycles, dropping, window/record/MISR/launch
-// flags) over a request pipe and streams the per-fault `FaultSimResult`
-// slices (first_detect, window_mask, misr_detect, window signatures,
-// recorded detections) back over a response pipe, merging them with the
-// same stage-ladder cross-shard dropping the threaded orchestrator uses.
-// Results are byte-identical to the serial engine at any worker count
-// (tests/process_fsim_test.cpp enforces this).
-//
-// Non-POD campaign state — the pattern sources (including the
-// `FaultSimOptions::launch` pair stream), MISR feed lists, observe sets and
-// the netlist itself — rides the fork-time copy-on-write snapshot instead
-// of the wire: workers are forked inside run() after argument validation,
-// so every immutable input is already in their address space. The pipe
-// protocol carries exactly the per-shard varying part, which is the seam a
-// future remote/multi-machine transport substitutes real serializers into.
-//
-// Why processes when threads exist: a worker process owns its allocator
-// arena and page tables, so big-module campaigns sidestep the shared-heap
-// and page-cache contention that caps ParallelFaultSim in one address
-// space — and a crashed or wedged worker cannot take the campaign down.
-// The parent watches response pipes against per-shard monotonic deadlines
-// and turns worker death, hangs or corrupted frames (FNV-1a payload
-// checksums on every message) into a structured ProcessFsimError (partial
-// accounting, every child killed and reaped — no hangs, no zombies).
-//
-// Failure injection for tests and chaos CI lives in fault/failpoint.hpp:
-// the sites `process.worker.shard`, `process.worker.reply` and
-// `process.request.frame` are compiled into the dispatch path (evaluated
-// in the parent, shipped to workers inside the request frame) and cost one
-// relaxed atomic load when unarmed. ResilientFaultSim supervises this
-// orchestrator with retry/backoff and a degradation ladder
-// (fault/resilient_fsim.hpp).
+// Fork-sharded fault simulation: ShardedFaultSim on its fork executor with
+// no retries and no degradation (FsimBackend::kProcess), so the first
+// worker death, hang or corrupted frame throws a ProcessFsimError. See
+// fault/sharded_fsim.hpp; tests/process_fsim_test.cpp pins the results and
+// the failure paths.
 #ifndef COREBIST_FAULT_PROCESS_FSIM_HPP_
 #define COREBIST_FAULT_PROCESS_FSIM_HPP_
 
-#include <cstddef>
-#include <memory>
-#include <span>
-#include <stdexcept>
-#include <string>
-
-#include "fault/fault_sim.hpp"
+#include "fault/sharded_fsim.hpp"
 
 namespace corebist {
 
@@ -64,76 +24,14 @@ struct ProcessFsimOptions {
   int timeout_ms = 120'000;
 };
 
-/// Structured failure of a multi-process campaign: a worker died (signal,
-/// unexpected exit, pipe corruption) or stopped responding within
-/// `timeout_ms`. By the time this is thrown every worker has been killed
-/// and waitpid()ed — the parent never hangs and never leaks a zombie.
-/// Carries partial accounting of the failing stage for forensics.
-class ProcessFsimError : public std::runtime_error {
+class ProcessFaultSim final : public ShardedFaultSim {
  public:
-  enum class Reason {
-    kWorkerDied,  // EOF / short read on a response pipe, or bad exit status
-    kTimeout,     // no worker response within ProcessFsimOptions::timeout_ms
-    kProtocol,    // malformed message framing
-  };
-
-  ProcessFsimError(Reason reason, int worker, std::size_t shards_completed,
-                   std::size_t shards_total, std::size_t detected_so_far,
-                   const std::string& detail)
-      : std::runtime_error("ProcessFaultSim: " + detail),
-        reason_(reason),
-        worker_(worker),
-        shards_completed_(shards_completed),
-        shards_total_(shards_total),
-        detected_so_far_(detected_so_far) {}
-
-  [[nodiscard]] Reason reason() const noexcept { return reason_; }
-  /// Index of the failing worker, or -1 when unattributable.
-  [[nodiscard]] int worker() const noexcept { return worker_; }
-  /// Shards of the failing stage whose results were merged before the
-  /// failure (partial accounting; the merged rows are complete per fault).
-  [[nodiscard]] std::size_t shardsCompleted() const noexcept {
-    return shards_completed_;
-  }
-  [[nodiscard]] std::size_t shardsTotal() const noexcept {
-    return shards_total_;
-  }
-  /// Faults with a merged detection at failure time (across all stages).
-  [[nodiscard]] std::size_t detectedSoFar() const noexcept {
-    return detected_so_far_;
-  }
-
- private:
-  Reason reason_;
-  int worker_;
-  std::size_t shards_completed_;
-  std::size_t shards_total_;
-  std::size_t detected_so_far_;
-};
-
-class ProcessFaultSim final : public FaultSim {
- public:
-  /// Clones `prototype` once up front; workers fork inside run() and clone
-  /// their private engines from the inherited copy, so the prototype object
-  /// may die before this orchestrator.
   explicit ProcessFaultSim(const FaultSim& prototype,
-                           ProcessFsimOptions popts = {});
-
-  [[nodiscard]] const Netlist& netlist() const noexcept override;
-  /// Grade `faults`; throws ProcessFsimError on worker death or hang. Forks
-  /// per call and reaps every child before returning (success or failure),
-  /// so a failed campaign can simply be retried on the same object.
-  /// Fork-safety: call from a thread that holds no locks other threads
-  /// contend on; glibc keeps malloc consistent across fork, and workers
-  /// only compute and write to their pipe before _exit().
-  [[nodiscard]] FaultSimResult run(std::span<const Fault> faults,
-                                   const PatternSource& patterns,
-                                   const FaultSimOptions& opts) override;
-  [[nodiscard]] std::unique_ptr<FaultSim> clone() const override;
-
- private:
-  std::unique_ptr<FaultSim> proto_;
-  ProcessFsimOptions popts_;
+                           ProcessFsimOptions popts = {})
+      : ShardedFaultSim(prototype, {.backend = FsimBackend::kProcess,
+                                    .num_workers = popts.num_workers,
+                                    .shard_faults = popts.shard_faults,
+                                    .timeout_ms = popts.timeout_ms}) {}
 };
 
 }  // namespace corebist

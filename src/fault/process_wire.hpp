@@ -1,21 +1,25 @@
-// Internal wire protocol + worker plumbing shared by the multi-process
-// fault-sim orchestrators (ProcessFaultSim and ResilientFaultSim).
+// Internal wire protocol + worker plumbing of ShardedFaultSim's fork
+// executor (fault/sharded_fsim.hpp); the service's report stream reuses
+// the framing.
 //
-// Not a public API: this header exists so the plain fork-shard orchestrator
-// and the self-healing one speak the exact same protocol — same frames,
-// same worker loop, same spawn/reap discipline — and so the worker-side
-// failure injections both need are carried *in the frames themselves*.
+// Not a public API: this header holds the frames, the worker loop and the
+// spawn/reap discipline, and carries the worker-side failure injections
+// *in the frames themselves*.
 //
-// Frame format. Every message is a 16-byte header
+// Frame format. Every message is a 20-byte header
 //
-//   {u32 magic, u32 kind_or_status, u32 payload_bytes, u32 fnv1a(payload)}
+//   {u32 magic, u32 kind_or_status, u32 payload_bytes, u32 fnv1a(payload),
+//    u32 fnv1a(the four words before it)}
 //
 // followed by the payload. Both ends are forks of the same binary, so POD
 // fields are memcpy'd without cross-ABI concern; the framing and the FNV-1a
-// payload checksum exist so transport corruption (a failpoint bit-flip
-// today, a flaky remote link tomorrow) is *detected* — a corrupted frame
-// surfaces as a structured protocol error, never as silently wrong grading
-// results.
+// checksums exist so transport corruption (a failpoint bit-flip today, a
+// flaky remote link tomorrow) is *detected* — a corrupted frame surfaces
+// as a structured protocol error, never as silently wrong grading results.
+// The header checksum is verified before the length is trusted, so a
+// flipped length bit is caught at once instead of sizing a buffer and
+// waiting for bytes that never come; kMaxFrameBytes bounds what an intact
+// header may announce.
 //
 // Failpoint transport. Worker-side injections ("kill worker N at shard K",
 // "stall the reply past the watchdog", "truncate/bit-flip the response")
@@ -25,7 +29,7 @@
 // re-runs clean once the entry is spent, which is what makes injected
 // failure schedules deterministic and retry convergence provable.
 //
-// Robustness contract (the pipe-I/O satellite of the resilience PR):
+// Robustness contract:
 //   * writeAll / readAll resume on EINTR and handle short transfers, so a
 //     dribbled or page-split frame reassembles transparently;
 //   * parent-side reads go through readAllDeadline() on a non-blocking fd
@@ -50,7 +54,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <numeric>
 #include <type_traits>
 #include <vector>
 
@@ -65,9 +68,13 @@ constexpr std::uint32_t kMsgShard = 1;
 constexpr std::uint32_t kMsgShutdown = 2;
 constexpr std::uint32_t kStatusOk = 0;
 constexpr std::uint32_t kStatusEngineError = 1;
-constexpr std::size_t kHeaderWords = 4;  // magic, kind, payload_bytes, fnv1a
+// magic, kind, payload_bytes, fnv1a(payload), fnv1a(header words 0-3)
+constexpr std::size_t kHeaderWords = 5;
+constexpr std::size_t kHeaderBytes = kHeaderWords * sizeof(std::uint32_t);
+/// A frame announcing a larger payload is corruption, not a real message.
+constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
 
-// Failpoint site names compiled into the orchestrators. process.* sites
+// Failpoint site names compiled into the fork executor. process.* sites
 // pass FailpointContext{worker index, shard id}.
 inline constexpr const char* kFpWorkerShard = "process.worker.shard";
 inline constexpr const char* kFpWorkerReply = "process.worker.reply";
@@ -238,20 +245,50 @@ struct Cursor {
       ok = false;
       return false;
     }
-    std::memcpy(dst, p, n);
+    if (n > 0) std::memcpy(dst, p, n);  // an empty vector's data() may be null
     p += n;
     return true;
   }
+
+  /// Read `n` elements into `v`; the size is checked against the bytes
+  /// left before anything is allocated.
+  template <typename T>
+  bool getVec(std::vector<T>& v, std::size_t n) {
+    if (!ok || static_cast<std::size_t>(end - p) / sizeof(T) < n) {
+      ok = false;
+      return false;
+    }
+    v.resize(n);
+    return getBytes(v.data(), n * sizeof(T));
+  }
 };
 
-/// Backpatch payload size + checksum into a frame assembled as
-/// [16-byte header][payload].
+/// Start a frame: magic and kind, then header words that sealFrame fills.
+inline void beginFrame(std::vector<std::uint8_t>& out, std::uint32_t magic,
+                       std::uint32_t kind) {
+  out.clear();
+  putPod(out, magic);
+  putPod(out, kind);
+  out.resize(kHeaderBytes);
+}
+
+/// Backpatch payload size and both checksums into a frame assembled as
+/// [header][payload] by beginFrame.
 inline void sealFrame(std::vector<std::uint8_t>& frame) {
-  const std::size_t hdr = kHeaderWords * sizeof(std::uint32_t);
-  const std::uint32_t payload = static_cast<std::uint32_t>(frame.size() - hdr);
-  const std::uint32_t sum = fnv1a(frame.data() + hdr, payload);
-  std::memcpy(frame.data() + 8, &payload, sizeof(payload));
-  std::memcpy(frame.data() + 12, &sum, sizeof(sum));
+  std::uint32_t hdr[kHeaderWords];
+  std::memcpy(hdr, frame.data(), kHeaderBytes);
+  hdr[2] = static_cast<std::uint32_t>(frame.size() - kHeaderBytes);
+  hdr[3] = fnv1a(frame.data() + kHeaderBytes, hdr[2]);
+  hdr[4] = fnv1a(hdr, 4 * sizeof(std::uint32_t));
+  std::memcpy(frame.data(), hdr, kHeaderBytes);
+}
+
+/// True when `hdr` is an intact header of a `magic` frame announcing at
+/// most kMaxFrameBytes: checked before the payload length is used.
+[[nodiscard]] inline bool headerOk(const std::uint32_t (&hdr)[kHeaderWords],
+                                   std::uint32_t magic) {
+  return hdr[4] == fnv1a(hdr, 4 * sizeof(std::uint32_t)) &&
+         hdr[0] == magic && hdr[2] <= kMaxFrameBytes;
 }
 
 /// Worker-side injected action carried inside a shard request (see the
@@ -309,11 +346,7 @@ inline void serializeShardRequest(std::vector<std::uint8_t>& out,
                                   std::uint32_t shard_id,
                                   const WireOptions& wopts,
                                   std::span<const Fault> shard_faults) {
-  out.clear();
-  putPod(out, kReqMagic);
-  putPod(out, kMsgShard);
-  putPod(out, std::uint32_t{0});  // payload size backpatched by sealFrame
-  putPod(out, std::uint32_t{0});  // checksum backpatched by sealFrame
+  beginFrame(out, kReqMagic, kMsgShard);
   putPod(out, shard_id);
   putPod(out, wopts.cycles);
   putPod(out, wopts.windows);
@@ -334,22 +367,14 @@ inline void serializeShardRequest(std::vector<std::uint8_t>& out,
 }
 
 inline void serializeShutdown(std::vector<std::uint8_t>& out) {
-  out.clear();
-  putPod(out, kReqMagic);
-  putPod(out, kMsgShutdown);
-  putPod(out, std::uint32_t{0});
-  putPod(out, std::uint32_t{0});
+  beginFrame(out, kReqMagic, kMsgShutdown);
   sealFrame(out);
 }
 
 inline void serializeResult(std::vector<std::uint8_t>& out,
                             std::uint32_t shard_id, const FaultSimResult& sub,
                             const FaultSimOptions& wopts) {
-  out.clear();
-  putPod(out, kRespMagic);
-  putPod(out, kStatusOk);
-  putPod(out, std::uint32_t{0});
-  putPod(out, std::uint32_t{0});
+  beginFrame(out, kRespMagic, kStatusOk);
   putPod(out, shard_id);
   const std::uint32_t n = static_cast<std::uint32_t>(sub.first_detect.size());
   putPod(out, n);
@@ -383,13 +408,32 @@ inline void serializeResult(std::vector<std::uint8_t>& out,
   sealFrame(out);
 }
 
+/// Inverse of serializeResult past the shard id: decode the reply for a
+/// shard of `n` faults into `sub`. False on a row-count mismatch,
+/// truncation or trailing bytes; no allocation outgrows the payload.
+inline bool parseResult(Cursor& c, std::size_t n, FaultSimResult& sub) {
+  if (c.get<std::uint32_t>() != n) return false;
+  sub.patterns_applied = c.get<std::uint64_t>();
+  c.getVec(sub.first_detect, n);
+  if (c.get<std::uint8_t>() != 0) c.getVec(sub.window_mask, n);
+  if (c.get<std::uint8_t>() != 0) c.getVec(sub.misr_detect, n);
+  sub.sig_words_per_fault = static_cast<int>(c.get<std::uint32_t>());
+  if (sub.sig_words_per_fault > 0) {
+    c.getVec(sub.window_sig,
+             n * static_cast<std::size_t>(sub.sig_words_per_fault));
+  }
+  if (c.get<std::uint8_t>() != 0) {
+    sub.detect_patterns.resize(n);
+    for (auto& list : sub.detect_patterns) {
+      if (!c.getVec(list, c.get<std::uint32_t>())) break;
+    }
+  }
+  return c.ok && c.p == c.end;
+}
+
 inline void serializeEngineError(std::vector<std::uint8_t>& out,
                                  const char* what) {
-  out.clear();
-  putPod(out, kRespMagic);
-  putPod(out, kStatusEngineError);
-  putPod(out, std::uint32_t{0});
-  putPod(out, std::uint32_t{0});
+  beginFrame(out, kRespMagic, kStatusEngineError);
   putBytes(out, what, std::strlen(what));
   sealFrame(out);
 }
@@ -467,8 +511,9 @@ inline bool writeFrameInjected(int fd, const std::vector<std::uint8_t>& frame,
   std::vector<Fault> shard_faults;
   for (;;) {
     std::uint32_t hdr[kHeaderWords];
-    if (!readAll(req_fd, hdr, sizeof hdr)) _exit(1);
-    if (hdr[0] != kReqMagic) _exit(1);
+    if (!readAll(req_fd, hdr, sizeof hdr) || !headerOk(hdr, kReqMagic)) {
+      _exit(1);
+    }
     if (hdr[1] == kMsgShutdown) _exit(0);
     if (hdr[1] != kMsgShard) _exit(1);
     buf.resize(hdr[2]);
@@ -656,132 +701,6 @@ inline bool spawnWorker(std::vector<Worker>& workers, std::size_t i,
   (void)setNonBlocking(resp[0]);
   workers[i] = Worker{pid, req[1], resp[0], -1, Deadline{}};
   return true;
-}
-
-// ---- shared campaign shape ----------------------------------------------
-
-/// Result-skeleton + stage-ladder setup shared by every fork-shard
-/// orchestrator (and mirrored by ParallelFaultSim): short stages retire the
-/// easy majority across all shards before anyone pays the full budget.
-struct CampaignShape {
-  int total_cycles = 0;
-  bool want_windows = false;
-  bool want_misr = false;
-  bool want_record = false;
-  std::vector<int> stages;
-};
-
-inline CampaignShape initCampaign(FaultSimResult& result,
-                                  std::span<const Fault> faults,
-                                  const PatternSource& patterns,
-                                  const FaultSimOptions& opts) {
-  CampaignShape shape;
-  shape.total_cycles = opts.cycles > 0 ? opts.cycles : patterns.patternCount();
-  shape.want_windows = opts.windows > 0;
-  shape.want_misr = opts.misr.has_value();
-  shape.want_record = opts.record_detections > 0;
-
-  result.total = faults.size();
-  result.first_detect.assign(faults.size(), -1);
-  result.patterns_applied = static_cast<std::size_t>(shape.total_cycles);
-  if (shape.want_windows) result.window_mask.assign(faults.size(), 0);
-  if (shape.want_misr) result.misr_detect.assign(faults.size(), 0);
-  if (shape.want_windows && shape.want_misr) {
-    result.sig_words_per_fault = (opts.windows * opts.misr->width + 63) / 64;
-    result.window_sig.assign(
-        faults.size() * static_cast<std::size_t>(result.sig_words_per_fault),
-        0);
-  }
-  if (shape.want_record) result.detect_patterns.assign(faults.size(), {});
-
-  const bool full_length =
-      shape.want_windows || shape.want_misr || shape.want_record;
-  if (!full_length && opts.drop_detected && opts.prepass_cycles > 0 &&
-      opts.prepass_cycles < shape.total_cycles) {
-    for (int c = opts.prepass_cycles; c < shape.total_cycles; c *= 4) {
-      shape.stages.push_back(c);
-    }
-  }
-  shape.stages.push_back(shape.total_cycles);
-  return shape;
-}
-
-/// Decode and merge one OK response payload's slice into `result`. The
-/// caller has consumed shard_id and the row count `n` (validated against
-/// the shard bounds); rows land on disjoint indices because shards
-/// partition `live`. Returns false on any malformed/truncated content.
-inline bool mergeWirePayload(Cursor& c, FaultSimResult& result,
-                             const std::vector<std::uint32_t>& live,
-                             std::size_t lo, std::size_t n,
-                             const CampaignShape& shape, int sig_words) {
-  c.get<std::uint64_t>();  // worker patterns_applied (stage-local)
-  bool ok = true;
-  for (std::size_t j = 0; j < n && ok; ++j) {
-    result.first_detect[live[lo + j]] = c.get<std::int32_t>();
-  }
-  const auto has_window = c.get<std::uint8_t>();
-  if ((has_window != 0) != shape.want_windows) ok = false;
-  if (ok && shape.want_windows) {
-    for (std::size_t j = 0; j < n && ok; ++j) {
-      result.window_mask[live[lo + j]] = c.get<std::uint64_t>();
-    }
-  }
-  const auto has_misr = c.get<std::uint8_t>();
-  if ((has_misr != 0) != shape.want_misr) ok = false;
-  if (ok && shape.want_misr) {
-    for (std::size_t j = 0; j < n && ok; ++j) {
-      result.misr_detect[live[lo + j]] =
-          static_cast<char>(c.get<std::uint8_t>());
-    }
-  }
-  const auto sub_sig_words = c.get<std::uint32_t>();
-  if (static_cast<int>(sub_sig_words) != sig_words) ok = false;
-  if (ok && sig_words > 0) {
-    for (std::size_t j = 0; j < n && ok; ++j) {
-      ok = c.getBytes(
-          result.window_sig.data() +
-              static_cast<std::size_t>(live[lo + j]) *
-                  static_cast<std::size_t>(sig_words),
-          static_cast<std::size_t>(sig_words) * sizeof(std::uint64_t));
-    }
-  }
-  const auto has_record = c.get<std::uint8_t>();
-  if ((has_record != 0) != shape.want_record) ok = false;
-  if (ok && shape.want_record) {
-    for (std::size_t j = 0; j < n && ok; ++j) {
-      const auto cnt = c.get<std::uint32_t>();
-      auto& list = result.detect_patterns[live[lo + j]];
-      list.resize(cnt);
-      ok = c.getBytes(list.data(), cnt * sizeof(std::uint32_t));
-    }
-  }
-  return ok && c.ok;
-}
-
-/// Merge an in-process sub-result (a degraded-rung shard graded on an
-/// engine clone) — the same disjoint-row merge ParallelFaultSim does.
-inline void mergeSubResult(FaultSimResult& result,
-                           const std::vector<std::uint32_t>& live,
-                           std::size_t lo, std::size_t hi,
-                           const FaultSimResult& sub,
-                           const CampaignShape& shape, int sig_words) {
-  for (std::size_t k = lo; k < hi; ++k) {
-    const std::uint32_t gi = live[k];
-    const std::size_t sk = k - lo;
-    result.first_detect[gi] = sub.first_detect[sk];
-    if (shape.want_windows) result.window_mask[gi] = sub.window_mask[sk];
-    if (shape.want_misr) result.misr_detect[gi] = sub.misr_detect[sk];
-    if (sig_words > 0) {
-      std::copy_n(sub.window_sig.begin() +
-                      static_cast<std::ptrdiff_t>(sk) * sig_words,
-                  sig_words,
-                  result.window_sig.begin() +
-                      static_cast<std::ptrdiff_t>(gi) * sig_words);
-    }
-    if (shape.want_record) {
-      result.detect_patterns[gi] = sub.detect_patterns[sk];
-    }
-  }
 }
 
 }  // namespace corebist::fsimwire

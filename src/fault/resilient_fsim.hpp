@@ -1,52 +1,12 @@
-// Self-healing multi-process fault-sharding: ProcessFaultSim's protocol
-// under a supervisor that retries, respawns and degrades instead of dying.
-//
-// ResilientFaultSim is the recovery rung of the backend ladder. It speaks
-// the exact wire protocol of ProcessFaultSim (src/fault/process_wire.hpp)
-// but treats every structured transport failure — worker death, a wedged
-// reply past the monotonic watchdog, a corrupted frame — as a *recoverable*
-// event:
-//
-//   1. the dead/wedged worker is SIGKILLed and reaped,
-//   2. its exact in-flight fault slice goes back on the shard queue,
-//   3. after a bounded exponential backoff (backoff_base_ms doubling up to
-//      backoff_max_ms) a fresh worker is forked into the empty slot and the
-//      shard is re-dispatched.
-//
-// A shard that keeps failing past max_shard_retries (or a campaign that
-// exhausts deadline_ms while retrying) triggers *graceful degradation*:
-// the fleet is killed and the remaining work steps down the ladder —
-// process -> threaded (in-process worker threads over the same shard
-// queue) -> serial (one thread, same shards) — instead of throwing. With
-// `degrade_on_failure = false` the supervisor rethrows the underlying
-// ProcessFsimError after the retry budget, for callers that prefer failing
-// fast over silently losing process isolation.
-//
-// Byte-identity argument: a shard is graded with identical semantics on
-// every rung — same fault slice, same stage cycle budget, prepass=0,
-// num_threads=1, stall_blocks=0 — and merged into disjoint result rows, so
-// *which* rung graded it (first try, Nth retry on a respawned worker, or a
-// degraded in-process run) cannot change a single byte of the merged
-// FaultSimResult. tests/resilience_test.cpp pins this against the serial
-// reference under randomized injected failure schedules. Engine errors
-// (the serial engine rejecting the campaign, e.g. MISR on a comb kernel)
-// are deterministic and are NEVER retried: they surface immediately as the
-// engine's own std::invalid_argument, identical to every other backend.
-//
-// Every recovery decision is recorded in a structured ResilienceLog
-// (readable via lastLog() after run() returns or throws) so campaign
-// services can alert on degradation instead of discovering it in latency
-// graphs.
+// Self-healing fork-sharded fault simulation: ShardedFaultSim on its fork
+// executor under the full supervision policy (FsimBackend::kResilient) —
+// shard retry with backoff, then degradation process -> threaded -> serial
+// or a rethrow. See fault/sharded_fsim.hpp; tests/resilience_test.cpp pins
+// byte-identity under injected failure schedules.
 #ifndef COREBIST_FAULT_RESILIENT_FSIM_HPP_
 #define COREBIST_FAULT_RESILIENT_FSIM_HPP_
 
-#include <cstdint>
-#include <memory>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "fault/fault_sim.hpp"
+#include "fault/sharded_fsim.hpp"
 
 namespace corebist {
 
@@ -61,80 +21,26 @@ struct ResilientFsimOptions {
   /// the process rung (0 = any failure degrades immediately).
   int max_shard_retries = 3;
   /// Exponential backoff before a respawn: attempt k sleeps
-  /// min(backoff_base_ms << (k-1), backoff_max_ms). <= 0 disables sleeping.
+  /// min(backoff_base_ms << (k-1), kMaxBackoffMs). <= 0 disables sleeping.
   int backoff_base_ms = 1;
-  int backoff_max_ms = 250;
-  /// Overall campaign budget in milliseconds; once exceeded the supervisor
-  /// stops retrying and degrades (or rethrows). 0 = unbounded.
-  int deadline_ms = 0;
   /// After the retry budget: true = step down the ladder
   /// (process -> threaded -> serial), false = rethrow the underlying
   /// ProcessFsimError.
   bool degrade_on_failure = true;
 };
 
-/// One recovery decision made by the supervisor.
-struct ResilienceEvent {
-  enum class Kind : std::uint8_t {
-    kRetry,          // shard requeued after a worker failure
-    kRespawn,        // fresh worker forked into a dead slot
-    kDegrade,        // stepped down one ladder rung
-    kStrayShutdown,  // post-campaign cleanup found a non-clean worker exit
-  };
-  Kind kind = Kind::kRetry;
-  /// Ladder rung the event happened on: 0 process, 1 threaded, 2 serial.
-  int rung = 0;
-  int worker = -1;
-  std::int64_t shard = -1;
-  int stage_cycles = 0;
-  /// Retry ordinal for kRetry (1 = first re-dispatch).
-  int attempt = 0;
-  int backoff_ms = 0;
-  std::string detail;
-};
-
-[[nodiscard]] const char* resilienceEventName(ResilienceEvent::Kind k) noexcept;
-[[nodiscard]] const char* resilienceRungName(int rung) noexcept;
-
-/// Structured record of one run()'s recovery activity. `final_rung` is the
-/// deepest ladder rung any shard was graded on (0 = the campaign stayed
-/// fully process-isolated).
-struct ResilienceLog {
-  std::vector<ResilienceEvent> events;
-  int retries = 0;
-  int respawns = 0;
-  int degradations = 0;
-  int final_rung = 0;
-
-  [[nodiscard]] bool clean() const noexcept { return events.empty(); }
-  /// Compact JSON (stable key order) for campaign telemetry.
-  [[nodiscard]] std::string toJson() const;
-};
-
-class ResilientFaultSim final : public FaultSim {
+class ResilientFaultSim final : public ShardedFaultSim {
  public:
   explicit ResilientFaultSim(const FaultSim& prototype,
-                             ResilientFsimOptions ropts = {});
-
-  [[nodiscard]] const Netlist& netlist() const noexcept override;
-  /// Grade `faults` with recovery. Throws only for deterministic engine
-  /// errors (std::invalid_argument), for transport failures after the
-  /// retry budget when degrade_on_failure is false (ProcessFsimError), or
-  /// on resource exhaustion spawning the very first fleet. Every child is
-  /// reaped before returning, success or failure.
-  [[nodiscard]] FaultSimResult run(std::span<const Fault> faults,
-                                   const PatternSource& patterns,
-                                   const FaultSimOptions& opts) override;
-  [[nodiscard]] std::unique_ptr<FaultSim> clone() const override;
-
-  /// Recovery record of the most recent run() on THIS object (clones start
-  /// clean). Valid after run() returns or throws.
-  [[nodiscard]] const ResilienceLog& lastLog() const noexcept { return log_; }
-
- private:
-  std::unique_ptr<FaultSim> proto_;
-  ResilientFsimOptions ropts_;
-  ResilienceLog log_;
+                             ResilientFsimOptions ropts = {})
+      : ShardedFaultSim(prototype,
+                        {.backend = FsimBackend::kResilient,
+                         .num_workers = ropts.num_workers,
+                         .shard_faults = ropts.shard_faults,
+                         .timeout_ms = ropts.timeout_ms,
+                         .max_shard_retries = ropts.max_shard_retries,
+                         .backoff_base_ms = ropts.backoff_base_ms,
+                         .degrade_on_failure = ropts.degrade_on_failure}) {}
 };
 
 }  // namespace corebist

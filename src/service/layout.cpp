@@ -497,11 +497,7 @@ CoreReport testCoreResilient(Soc& soc, std::unique_ptr<SessionChannel>& ch,
         observer->onChannelFailure(entry.core_index, failures, will_retry);
       }
       if (will_retry) {
-        if (entry.backoff_base_ms > 0) {
-          const int shift = std::min(failures - 1, 20);
-          failpointSleepMs(std::min<std::int64_t>(
-              static_cast<std::int64_t>(entry.backoff_base_ms) << shift, 250));
-        }
+        failpointSleepMs(backoffMs(entry.backoff_base_ms, failures));
         continue;
       }
       if (!entry.degrade_on_failure.value_or(true)) throw;

@@ -10,20 +10,15 @@
 namespace corebist {
 namespace {
 
-using fsimwire::kHeaderWords;
-
-/// Assemble one frame: header with backpatched size/checksum, then
+/// Assemble one frame: header with backpatched size/checksums, then
 /// [u64 campaign_id][json bytes].
 std::vector<std::uint8_t> buildFrame(StreamEventKind kind,
                                      std::uint64_t campaign_id,
                                      const std::string& json) {
   std::vector<std::uint8_t> frame;
-  frame.reserve(kHeaderWords * sizeof(std::uint32_t) + sizeof(campaign_id) +
-                json.size());
-  fsimwire::putPod(frame, kReportStreamMagic);
-  fsimwire::putPod(frame, static_cast<std::uint32_t>(kind));
-  fsimwire::putPod(frame, std::uint32_t{0});  // payload size (sealFrame)
-  fsimwire::putPod(frame, std::uint32_t{0});  // checksum (sealFrame)
+  frame.reserve(fsimwire::kHeaderBytes + sizeof(campaign_id) + json.size());
+  fsimwire::beginFrame(frame, kReportStreamMagic,
+                       static_cast<std::uint32_t>(kind));
   fsimwire::putPod(frame, campaign_id);
   fsimwire::putBytes(frame, json.data(), json.size());
   fsimwire::sealFrame(frame);
@@ -143,8 +138,8 @@ bool readStreamEvent(int fd, StreamEvent& out) {
       got += static_cast<std::size_t>(k);
     }
   }
-  if (hdr[0] != kReportStreamMagic) {
-    throw std::runtime_error("report stream: bad frame magic");
+  if (!fsimwire::headerOk(hdr, kReportStreamMagic)) {
+    throw std::runtime_error("report stream: corrupt frame header");
   }
   if (hdr[1] < 1 ||
       hdr[1] > static_cast<std::uint32_t>(StreamEventKind::kCampaignFinish)) {

@@ -8,10 +8,10 @@
 // today, a socket tomorrow).
 //
 // Frames reuse the exact shape of the process-backend wire protocol
-// (fault/process_wire.hpp): a 16-byte header
+// (fault/process_wire.hpp): a 20-byte header
 //
 //   {u32 magic = 0xC0B15703, u32 event kind, u32 payload_bytes,
-//    u32 fnv1a(payload)}
+//    u32 fnv1a(payload), u32 fnv1a(the four words before it)}
 //
 // followed by the payload: a u64 campaign id, then the event's JSON text.
 // The campaign id rides in every frame because one fd may carry interleaved

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <random>
 #include <span>
+#include <stdexcept>
 
 #include "fault/comb_fsim.hpp"
 #include "fault/fault.hpp"
@@ -184,6 +185,38 @@ TEST_P(ParallelEquivalence, WindowedMisrRecordsMatchSerial) {
   EXPECT_EQ(r.misr_detect, ref.misr_detect);
   EXPECT_EQ(r.sig_words_per_fault, ref.sig_words_per_fault);
   EXPECT_EQ(r.window_sig, ref.window_sig);
+}
+
+TEST(ParallelFaultSimErrors, EngineErrorPropagatesAndEnginesSurviveIt) {
+  // MISR compaction is invalid on the comb kernel: every worker's engine
+  // rejects its first shard. The error must reach the caller after the
+  // join, and the same object's reused engine clones must then grade a
+  // valid campaign exactly like the serial engine.
+  const Netlist nl = randomComb(55, 10, 60);
+  const FaultUniverse u = enumerateStuckAt(nl);
+  const RandomPatternSource patterns(0x5EED, nl.primaryInputs().size(), 256);
+  ParallelFsimOptions popts;
+  popts.num_threads = 4;
+  popts.shard_faults = 4;
+  ParallelFaultSim psim(
+      CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
+
+  FaultSimOptions bad;
+  bad.cycles = 256;
+  bad.misr = MisrSpec{};
+  EXPECT_THROW((void)psim.run(u.faults, patterns, bad),
+               std::invalid_argument);
+
+  FaultSimOptions opts;
+  opts.cycles = 256;
+  opts.prepass_cycles = 64;
+  CombFaultSim serial(nl, nl.primaryInputs(), nl.primaryOutputs());
+  const FaultSimResult ref = serial.run(u.faults, patterns, opts);
+  const FaultSimResult r = psim.run(u.faults, patterns, opts);
+  EXPECT_EQ(r.first_detect, ref.first_detect);
+  EXPECT_EQ(r.detected, ref.detected);
+  EXPECT_EQ(r.patterns_applied, ref.patterns_applied);
+  EXPECT_EQ(r.total, ref.total);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalence,

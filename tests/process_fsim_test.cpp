@@ -16,6 +16,7 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "atpg/atpg.hpp"
@@ -460,6 +461,58 @@ TEST_F(ProcessFsimFailure, DribbledRequestWritesAreAbsorbedByteIdentically) {
   expectSameResult(ref, r, "short-write process vs serial");
   EXPECT_GT(FailpointRegistry::instance().firedCount("process.request.frame"),
             0u);
+  EXPECT_TRUE(noZombies());
+}
+
+/// A process-backend run that arms one bit-flip at `site` and returns the
+/// structured error it must raise, plus the wall time it took. Bit 84 is
+/// bit 20 of the frame's length word: a header flip must be caught by the
+/// header checksum at once, not by a watchdog (timeout_ms is 60 s here).
+std::pair<ProcessFsimError::Reason, double> runWithHeaderFlip(
+    const char* site) {
+  const Netlist nl = randomComb(19, 10, 70);
+  const FaultUniverse u = enumerateStuckAt(nl);
+  const RandomPatternSource patterns(8, nl.primaryInputs().size(), 192);
+  FaultSimOptions o;
+  o.cycles = 192;
+  o.prepass_cycles = 0;
+  ProcessFsimOptions popts;
+  popts.num_workers = 2;
+  popts.shard_faults = 16;
+  popts.timeout_ms = 60'000;
+  FailpointAction flip;
+  flip.kind = FailpointAction::Kind::kBitflip;
+  flip.arg = 84;
+  FailpointRegistry::instance().arm(site, flip);
+  ProcessFaultSim psim(
+      CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
+  const auto t0 = std::chrono::steady_clock::now();
+  ProcessFsimError::Reason reason = ProcessFsimError::Reason::kTimeout;
+  try {
+    (void)psim.run(u.faults, patterns, o);
+    ADD_FAILURE() << "expected ProcessFsimError";
+  } catch (const ProcessFsimError& e) {
+    reason = e.reason();
+  }
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return {reason, elapsed};
+}
+
+TEST_F(ProcessFsimFailure, FlippedReplyLengthIsAProtocolErrorNotAStall) {
+  const auto [reason, seconds] = runWithHeaderFlip("process.worker.reply");
+  EXPECT_EQ(reason, ProcessFsimError::Reason::kProtocol);
+  EXPECT_LT(seconds, 10.0);
+  EXPECT_TRUE(noZombies());
+}
+
+TEST_F(ProcessFsimFailure, FlippedRequestLengthKillsTheWorkerNotAStall) {
+  // The worker checks the request header before sizing its buffer, so it
+  // exits at once and the parent sees a dead worker, not a silent one.
+  const auto [reason, seconds] = runWithHeaderFlip("process.request.frame");
+  EXPECT_EQ(reason, ProcessFsimError::Reason::kWorkerDied);
+  EXPECT_LT(seconds, 10.0);
   EXPECT_TRUE(noZombies());
 }
 

@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <random>
@@ -285,6 +286,32 @@ TEST_F(Resilience, RandomizedInjectionSchedulesConvergeByteIdentically) {
     const FaultSimResult r = rsim.run(rig.u.faults, rig.patterns, rig.opts);
     expectSameResult(rig.ref, r, "randomized schedule");
     EXPECT_EQ(rsim.lastLog().final_rung, 0);
+    EXPECT_TRUE(noZombies());
+  }
+}
+
+TEST_F(Resilience, FlippedFrameLengthsRecoverWithoutWaitingForTheWatchdog) {
+  // Bit 84 is bit 20 of a frame's length word. The header checksum catches
+  // it before the length is used, so the shard is retried at once instead
+  // of after the 60 s watchdog.
+  const ResilientRig rig(39);
+  for (const char* site : {"process.worker.reply", "process.request.frame"}) {
+    SCOPED_TRACE(site);
+    FailpointRegistry::instance().disarmAll();
+    FailpointRegistry::instance().arm(
+        site, action(FailpointAction::Kind::kBitflip, 84));
+    ResilientFsimOptions ropts = fastRopts();
+    ropts.timeout_ms = 60'000;
+    ResilientFaultSim rsim = rig.make(ropts);
+    const auto t0 = std::chrono::steady_clock::now();
+    const FaultSimResult r = rsim.run(rig.u.faults, rig.patterns, rig.opts);
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    expectSameResult(rig.ref, r, site);
+    EXPECT_GE(rsim.lastLog().retries, 1);
+    EXPECT_EQ(rsim.lastLog().final_rung, 0);
+    EXPECT_LT(seconds, 10.0);
     EXPECT_TRUE(noZombies());
   }
 }

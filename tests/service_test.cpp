@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <memory>
 #include <random>
@@ -427,6 +428,12 @@ TEST(CampaignService, ServiceSoakLeaksNothing) {
   references.reserve(plans.size());
   for (const TestPlan& p : plans) references.push_back(referenceFingerprint(p));
 
+  // join() can return while the kernel still counts the exited thread in
+  // /proc/self/status, so both counts below wait for the count to settle
+  // (a leaked thread never leaves, so the check still catches leaks).
+  for (int i = 0; i < 500 && threadsOfSelf() != 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   const int threads_before = threadsOfSelf();
   auto soc = makeSoc();
   {
@@ -448,6 +455,9 @@ TEST(CampaignService, ServiceSoakLeaksNothing) {
       EXPECT_EQ(service.status(handle).state, CampaignState::kDone);
     }
     EXPECT_GT(service.artifactStats().hitRate(), 0.0);
+  }
+  for (int i = 0; i < 500 && threadsOfSelf() != threads_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // The reactor joined its pool on destruction: no leaked threads.
   EXPECT_EQ(threadsOfSelf(), threads_before);
