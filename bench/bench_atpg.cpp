@@ -19,7 +19,6 @@
 
 #include "atpg/atpg.hpp"
 #include "case_study.hpp"
-#include "core/session_report.hpp"  // jsonFinite
 #include "fault/comb_fsim.hpp"
 #include "fault/fault.hpp"
 #include "scan/scan.hpp"
@@ -193,46 +192,36 @@ int main(int argc, char** argv) {
   }
   if (quick && (!thread_sweep_identical || !heuristics_ok)) return 1;
 
-  std::FILE* f = std::fopen("BENCH_atpg.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_atpg.json for writing\n");
-    return 1;
+  JsonWriter w = benchJson(
+      "table3 full-scan ATPG, batched FaultSim::run grading", quick, repeats);
+  w.field("batch_patterns", base.batch_patterns)
+      .field("thread_sweep_identical", thread_sweep_identical)
+      .field("heuristics_ok", heuristics_ok)
+      .key("results")
+      .beginArray();
+  for (const Row& r : rows) {
+    w.beginObject()
+        .field("module", r.module)
+        .field("fault_type", r.fault_type)
+        .field("threads", r.threads)
+        .field("mode", r.mode)
+        .field("faults", r.res.total_faults)
+        .field("detected", r.res.detected)
+        .field("coverage", r.res.coverage(), 3)
+        .field("aborted", r.res.aborted)
+        .field("patterns", r.res.patterns)
+        .field("test_cycles", r.res.test_cycles)
+        .field("podem_calls", r.res.podem_calls)
+        .field("scoap_backtracks", r.res.backtracks)
+        .field("collapsed_faults", r.res.collapsed_faults)
+        .field("batches", r.res.batches)
+        .field("seconds_median", r.t.median, 4)
+        .field("seconds_min", r.t.min, 4)
+        .field("patterns_per_sec", r.patternsPerSec(), 1)
+        .endObject();
   }
-  std::fprintf(f, "{\n  \"workload\": \"table3 full-scan ATPG, batched "
-               "FaultSim::run grading\",\n");
-  std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"repeats\": %d,\n", repeats);
-  std::fprintf(f, "  \"lane_words_default\": %d,\n", kLaneWords);
-  std::fprintf(f, "  \"lane_backend\": \"%s\",\n", kLaneBackend);
-  std::fprintf(f, "  \"batch_patterns\": %d,\n", base.batch_patterns);
-  std::fprintf(f, "  \"thread_sweep_identical\": %s,\n",
-               thread_sweep_identical ? "true" : "false");
-  std::fprintf(f, "  \"heuristics_ok\": %s,\n",
-               heuristics_ok ? "true" : "false");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"module\": \"%s\", \"fault_type\": \"%s\", \"threads\": %d, "
-        "\"mode\": \"%s\", "
-        "\"faults\": %zu, \"detected\": %zu, \"coverage\": %.3f, "
-        "\"aborted\": %zu, \"patterns\": %zu, \"test_cycles\": %zu, "
-        "\"podem_calls\": %zu, \"scoap_backtracks\": %zu, "
-        "\"collapsed_faults\": %zu, \"batches\": %zu, "
-        "\"seconds_median\": %.4f, \"seconds_min\": %.4f, "
-        "\"patterns_per_sec\": %.1f}%s\n",
-        r.module.c_str(), r.fault_type.c_str(), r.threads, r.mode.c_str(),
-        r.res.total_faults, r.res.detected, jsonFinite(r.res.coverage()),
-        r.res.aborted, r.res.patterns, r.res.test_cycles, r.res.podem_calls,
-        r.res.backtracks, r.res.collapsed_faults, r.res.batches,
-        jsonFinite(r.t.median), jsonFinite(r.t.min),
-        jsonFinite(r.patternsPerSec()), i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  w.endArray().endObject();
+  if (!writeBenchJson("BENCH_atpg.json", w)) return 1;
 
   std::printf("\n(hardware_concurrency=%u, repeats=%d, batch=%d)\n"
               "-> BENCH_atpg.json\n",

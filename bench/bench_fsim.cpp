@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "case_study.hpp"
-#include "core/session_report.hpp"  // jsonFinite
 #include "fault/backend.hpp"
 #include "fault/comb_fsim.hpp"
 #include "fault/fault.hpp"
@@ -89,11 +88,9 @@ int main(int argc, char** argv) {
                 nl.name().c_str(), u.faults.size(), cycles);
     {
       SeqFaultSim serial(nl);
-      SeqFsimOptions so = o;
-      so.num_threads = 1;
       std::size_t detected = 0;
       const Timing t = timeRepeats(repeats, [&] {
-        detected = serial.run(u.faults, stim, so).detected;
+        detected = serial.run(u.faults, stim, o).detected;
       });
       rows.push_back(
           {"seq-serial", 1, 0, t, u.faults.size(), cycles, detected});
@@ -240,44 +237,31 @@ int main(int argc, char** argv) {
   const double speedup4 = seq_par4_s > 0 ? seq_serial_s / seq_par4_s : 0.0;
   const double wide_speedup = comb_wide_s > 0 ? comb_w1_s / comb_wide_s : 0.0;
 
-  std::FILE* f = std::fopen("BENCH_fsim.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_fsim.json for writing\n");
-    return 1;
+  JsonWriter w = benchJson(
+      "table3 BIST stuck-at, " + std::to_string(cycles) + " cycles (seq) / " +
+          std::to_string(comb_cycles) + " patterns (comb)",
+      quick, repeats);
+  w.field("speedup_4t_vs_serial", speedup4, 3)
+      .field("wide_speedup_vs_64lane", wide_speedup, 3)
+      .field("resilient_overhead_vs_process", resilient_overhead, 3)
+      .key("results")
+      .beginArray();
+  for (const Measurement& r : rows) {
+    w.beginObject()
+        .field("engine", r.engine)
+        .field("threads", r.threads)
+        .field("lane_words", r.lane_words)
+        .field("faults", r.faults)
+        .field("cycles", r.cycles)
+        .field("seconds_median", r.t.median, 4)
+        .field("seconds_min", r.t.min, 4)
+        .field("patterns_per_sec", r.patternsPerSec(), 1)
+        .field("mfault_patterns_per_sec", r.mfaultPatternsPerSec(), 3)
+        .field("detected", r.detected)
+        .endObject();
   }
-  std::fprintf(f, "{\n  \"workload\": \"table3 BIST stuck-at, %d cycles "
-               "(seq) / %d patterns (comb)\",\n",
-               cycles, comb_cycles);
-  std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"repeats\": %d,\n", repeats);
-  std::fprintf(f, "  \"lane_words_default\": %d,\n", kLaneWords);
-  std::fprintf(f, "  \"lane_backend\": \"%s\",\n", kLaneBackend);
-  // Every double goes through jsonFinite: a zero-duration timing window
-  // otherwise turns a ratio into inf/nan, which %f prints as non-JSON.
-  std::fprintf(f, "  \"speedup_4t_vs_serial\": %.3f,\n", jsonFinite(speedup4));
-  std::fprintf(f, "  \"wide_speedup_vs_64lane\": %.3f,\n",
-               jsonFinite(wide_speedup));
-  std::fprintf(f, "  \"resilient_overhead_vs_process\": %.3f,\n",
-               jsonFinite(resilient_overhead));
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"engine\": \"%s\", \"threads\": %d, "
-                 "\"lane_words\": %d, \"faults\": %zu, \"cycles\": %d, "
-                 "\"seconds_median\": %.4f, \"seconds_min\": %.4f, "
-                 "\"patterns_per_sec\": %.1f, "
-                 "\"mfault_patterns_per_sec\": %.3f, \"detected\": %zu}%s\n",
-                 r.engine.c_str(), r.threads, r.lane_words, r.faults,
-                 r.cycles, jsonFinite(r.t.median), jsonFinite(r.t.min),
-                 jsonFinite(r.patternsPerSec()),
-                 jsonFinite(r.mfaultPatternsPerSec()), r.detected,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  w.endArray().endObject();
+  if (!writeBenchJson("BENCH_fsim.json", w)) return 1;
 
   std::printf("\nspeedup at 4 threads vs serial (seq): %.2fx\n"
               "wide %d-lane kernel vs 64-lane (comb): %.2fx\n"

@@ -22,7 +22,6 @@
 #include "case_study.hpp"
 #include "core/scheduler.hpp"
 #include "core/session_report.hpp"
-#include "fault/lane.hpp"
 #include "core/soc.hpp"
 #include "netlist/builder.hpp"
 #include "service/service.hpp"
@@ -393,101 +392,89 @@ int main(int argc, char** argv) {
               resident_t.median, resident_t.min, resident_cps,
               service_stats.hitRate());
 
-  std::FILE* f = std::fopen("BENCH_soc.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_soc.json for writing\n");
-    return 1;
+  JsonWriter w = benchJson(std::to_string(cores) + "-core SoC campaign, " +
+                               std::to_string(patterns) + " patterns",
+                           quick, repeats);
+  w.field("speedup_4t_vs_serial", speedup4, 3).key("results").beginArray();
+  for (const Measurement& m : rows) {
+    w.beginObject()
+        .field("threads", m.threads)
+        .field("seconds_median", m.seconds_median, 4)
+        .field("seconds_min", m.seconds_min, 4)
+        .field("cores", m.cores)
+        .field("cores_per_sec", m.coresPerSec(), 2)
+        .field("tap_clocks", m.tap_clocks)
+        .endObject();
   }
-  std::fprintf(f, "{\n  \"workload\": \"%d-core SoC campaign, %d patterns\",\n",
-               cores, patterns);
-  std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"repeats\": %d,\n", repeats);
-  std::fprintf(f, "  \"lane_words_default\": %d,\n", kLaneWords);
-  std::fprintf(f, "  \"lane_backend\": \"%s\",\n", kLaneBackend);
-  std::fprintf(f, "  \"speedup_4t_vs_serial\": %.3f,\n",
-               jsonFinite(speedup4));
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Measurement& m = rows[i];
-    std::fprintf(f,
-                 "    {\"threads\": %d, \"seconds_median\": %.4f, "
-                 "\"seconds_min\": %.4f, \"cores\": %d, "
-                 "\"cores_per_sec\": %.2f, \"tap_clocks\": %zu}%s\n",
-                 m.threads, jsonFinite(m.seconds_median),
-                 jsonFinite(m.seconds_min), m.cores,
-                 jsonFinite(m.coresPerSec()), m.tap_clocks,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"tam_sweep\": [\n");
-  for (std::size_t i = 0; i < tam_rows.size(); ++i) {
-    const TamSweepRow& row = tam_rows[i];
-    std::fprintf(f,
-                 "    {\"tams\": %d, \"threads\": 4, "
-                 "\"seconds_median\": %.4f, \"seconds_min\": %.4f, "
-                 "\"per_tam\": [",
-                 row.tams, jsonFinite(row.seconds_median),
-                 jsonFinite(row.seconds_min));
-    for (std::size_t t = 0; t < row.report.tams.size(); ++t) {
-      const TamReport& tr = row.report.tams[t];
-      std::fprintf(f,
-                   "%s{\"tam\": %d, \"name\": \"%s\", \"cores\": %zu, "
-                   "\"tap_clocks\": %zu, \"channels\": %d, "
-                   "\"utilization\": %.3f}",
-                   t == 0 ? "" : ", ", tr.tam_index, tr.name.c_str(),
-                   tr.core_order.size(), tr.tap_clocks, tr.channels,
-                   jsonFinite(tr.utilization));
+  w.endArray().key("tam_sweep").beginArray();
+  for (const TamSweepRow& row : tam_rows) {
+    w.beginObject()
+        .field("tams", row.tams)
+        .field("threads", 4)
+        .field("seconds_median", row.seconds_median, 4)
+        .field("seconds_min", row.seconds_min, 4)
+        .key("per_tam")
+        .beginArray();
+    for (const TamReport& tr : row.report.tams) {
+      w.beginObject()
+          .field("tam", tr.tam_index)
+          .field("name", tr.name)
+          .field("cores", tr.core_order.size())
+          .field("tap_clocks", tr.tap_clocks)
+          .field("channels", tr.channels)
+          .field("utilization", tr.utilization, 3)
+          .endObject();
     }
-    std::fprintf(f, "]}%s\n", i + 1 < tam_rows.size() ? "," : "");
+    w.endArray().endObject();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"placement_sweep\": [\n");
-  for (std::size_t i = 0; i < place_rows.size(); ++i) {
-    const PlacementRow& row = place_rows[i];
-    std::fprintf(f,
-                 "    {\"placement\": \"%s\", \"threads\": 8, "
-                 "\"seconds_median\": %.4f, \"seconds_min\": %.4f, "
-                 "\"predicted_makespan\": %zu, \"actual_makespan\": %zu, "
-                 "\"predicted_spread\": %zu, \"per_tam\": [",
-                 std::string(placementPolicyName(row.policy)).c_str(),
-                 jsonFinite(row.seconds_median), jsonFinite(row.seconds_min),
-                 row.forecast.predicted_makespan_tcks,
-                 row.report.actual_makespan_tcks,
-                 predictedSpread(row.forecast));
-    for (std::size_t t = 0; t < row.report.tams.size(); ++t) {
-      const TamReport& tr = row.report.tams[t];
-      std::fprintf(f,
-                   "%s{\"tam\": %d, \"channels\": %d, "
-                   "\"predicted_makespan\": %zu, \"actual_makespan\": %zu, "
-                   "\"utilization\": %.3f}",
-                   t == 0 ? "" : ", ", tr.tam_index, tr.channels,
-                   tr.predicted_makespan_tcks, tr.actual_makespan_tcks,
-                   jsonFinite(tr.utilization));
+  w.endArray().key("placement_sweep").beginArray();
+  for (const PlacementRow& row : place_rows) {
+    w.beginObject()
+        .field("placement", placementPolicyName(row.policy))
+        .field("threads", 8)
+        .field("seconds_median", row.seconds_median, 4)
+        .field("seconds_min", row.seconds_min, 4)
+        .field("predicted_makespan", row.forecast.predicted_makespan_tcks)
+        .field("actual_makespan", row.report.actual_makespan_tcks)
+        .field("predicted_spread", predictedSpread(row.forecast))
+        .key("per_tam")
+        .beginArray();
+    for (const TamReport& tr : row.report.tams) {
+      w.beginObject()
+          .field("tam", tr.tam_index)
+          .field("channels", tr.channels)
+          .field("predicted_makespan", tr.predicted_makespan_tcks)
+          .field("actual_makespan", tr.actual_makespan_tcks)
+          .field("utilization", tr.utilization, 3)
+          .endObject();
     }
-    std::fprintf(f, "]}%s\n", i + 1 < place_rows.size() ? "," : "");
+    w.endArray().endObject();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"service\": {\"campaigns\": %d, \"workers\": 2,\n"
-               "    \"oneshot\": {\"seconds_median\": %.4f, "
-               "\"seconds_min\": %.4f, \"campaigns_per_sec\": %.2f},\n"
-               "    \"resident\": {\"seconds_median\": %.4f, "
-               "\"seconds_min\": %.4f, \"campaigns_per_sec\": %.2f,\n"
-               "      \"artifact_cache_hit_rate\": %.4f, "
-               "\"artifact_hits\": %llu, \"artifact_misses\": %llu,\n"
-               "      \"modules_built\": %llu, \"modules_shared\": %llu}}\n",
-               service_campaigns, jsonFinite(oneshot_t.median),
-               jsonFinite(oneshot_t.min), jsonFinite(oneshot_cps),
-               jsonFinite(resident_t.median), jsonFinite(resident_t.min),
-               jsonFinite(resident_cps), jsonFinite(service_stats.hitRate()),
-               static_cast<unsigned long long>(service_stats.hits),
-               static_cast<unsigned long long>(service_stats.misses),
-               static_cast<unsigned long long>(service_stats.modules_built),
-               static_cast<unsigned long long>(service_stats.modules_shared));
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.endArray()
+      .key("service")
+      .beginObject()
+      .field("campaigns", service_campaigns)
+      .field("workers", 2)
+      .key("oneshot")
+      .beginObject()
+      .field("seconds_median", oneshot_t.median, 4)
+      .field("seconds_min", oneshot_t.min, 4)
+      .field("campaigns_per_sec", oneshot_cps, 2)
+      .endObject()
+      .key("resident")
+      .beginObject()
+      .field("seconds_median", resident_t.median, 4)
+      .field("seconds_min", resident_t.min, 4)
+      .field("campaigns_per_sec", resident_cps, 2)
+      .field("artifact_cache_hit_rate", service_stats.hitRate(), 4)
+      .field("artifact_hits", service_stats.hits)
+      .field("artifact_misses", service_stats.misses)
+      .field("modules_built", service_stats.modules_built)
+      .field("modules_shared", service_stats.modules_shared)
+      .endObject()
+      .endObject()
+      .endObject();
+  if (!writeBenchJson("BENCH_soc.json", w)) return 1;
 
   std::printf("\nspeedup at 4 shards vs serial: %.2fx "
               "(hardware_concurrency=%u)\n-> BENCH_soc.json\n",

@@ -10,10 +10,14 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bist/engine.hpp"
+#include "fault/lane.hpp"
 #include "ldpc/gatelevel.hpp"
+#include "util/json.hpp"
 
 namespace corebist::bench {
 
@@ -144,6 +148,38 @@ inline bool quickMode(int argc, char** argv) {
     if (std::string(argv[i]) == "--quick") return true;
   }
   return false;
+}
+
+/// Opens a BENCH_*.json document with the header fields every bench file
+/// shares; the caller adds its own fields and closes the object.
+inline JsonWriter benchJson(std::string_view workload, bool quick,
+                            int repeats) {
+  JsonWriter w;
+  w.beginObject()
+      .field("workload", workload)
+      .field("quick", quick)
+      .field("hardware_concurrency", std::thread::hardware_concurrency())
+      .field("repeats", repeats)
+      .field("lane_words_default", kLaneWords)
+      .field("lane_backend", kLaneBackend);
+  return w;
+}
+
+/// Writes the finished document and a final newline to `path` in the
+/// current directory; on failure prints why and returns false.
+inline bool writeBenchJson(const char* path, const JsonWriter& w) {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path);
+    return false;
+  }
+  const bool wrote = std::fputs(w.str().c_str(), f) >= 0 &&
+                     std::fputc('\n', f) != EOF;
+  if (std::fclose(f) != 0 || !wrote) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return false;
+  }
+  return true;
 }
 
 inline void printHeader(const char* title) {

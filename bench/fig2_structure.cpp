@@ -7,6 +7,7 @@
 
 #include "bist/engine_hw.hpp"
 #include "case_study.hpp"
+#include "core/scheduler.hpp"
 #include "core/soc.hpp"
 #include "p1500/wrapper_hw.hpp"
 
@@ -72,8 +73,8 @@ int main() {
               "80)\n", wrapper_hw.numGates(), wrapper_hw.dffs().size());
 
   // Smoke-run the whole stack once so the audit is of a *working* assembly.
-  SocTestSession session(soc);
-  const CoreTestReport r = session.testCore(idx, 96);
+  const CoreReport r =
+      SocTestScheduler(soc).testCore({.core_index = idx, .patterns = 96});
   std::printf("\nEnd-to-end session: %s\n", r.summary().c_str());
-  return r.pass ? 0 : 1;
+  return r.pass() ? 0 : 1;
 }

@@ -62,7 +62,6 @@ void BM_SeqFaultSimControlUnit(benchmark::State& state) {
   SeqFaultSim fsim(nl);
   SeqFsimOptions o;
   o.cycles = 512;
-  o.num_threads = 1;
   for (auto _ : state) {
     const auto r = fsim.run(u.faults, stim, o);
     benchmark::DoNotOptimize(r.detected);

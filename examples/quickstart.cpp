@@ -3,9 +3,10 @@
 //
 //   1. describe your core as a gate-level netlist (Builder),
 //   2. put it in a WrappedCore (BIST engine + P1500 wrapper),
-//   3. attach it to a Soc (TAP + TAM) and run a SocTestSession.
+//   3. attach it to a Soc (TAP + TAM) and test it with a SocTestScheduler.
 #include <cstdio>
 
+#include "core/scheduler.hpp"
 #include "core/soc.hpp"
 #include "netlist/builder.hpp"
 
@@ -58,17 +59,19 @@ int main() {
   // 3. SoC + session: program 1024 patterns, run at speed, read signatures.
   Soc soc;
   const int idx = soc.attachCore(std::move(wrapped));
-  SocTestSession session(soc);
-  const CoreTestReport healthy = session.testCore(idx, 1024);
+  SocTestScheduler scheduler(soc);
+  const CoreReport healthy =
+      scheduler.testCore({.core_index = idx, .patterns = 1024});
   std::printf("\nhealthy run : %s\n", healthy.summary().c_str());
 
   // A manufacturing defect flips one gate; the signature catches it.
   soc.core(idx).injectDefect(0, /*gate=*/42, GateType::kNor);
-  const CoreTestReport defective = session.testCore(idx, 1024);
+  const CoreReport defective =
+      scheduler.testCore({.core_index = idx, .patterns = 1024});
   std::printf("defective   : %s\n", defective.summary().c_str());
 
   std::printf("\nverdicts: healthy=%s defective=%s\n",
-              healthy.pass ? "PASS" : "FAIL",
-              defective.pass ? "PASS" : "FAIL");
-  return healthy.pass && !defective.pass ? 0 : 1;
+              healthy.pass() ? "PASS" : "FAIL",
+              defective.pass() ? "PASS" : "FAIL");
+  return healthy.pass() && !defective.pass() ? 0 : 1;
 }

@@ -134,7 +134,7 @@ int main() {
                                      .max_retries = 1});
   const SessionReport rushed = SocTestScheduler(soc, &observer).run(impatient);
 
-  std::printf("\nwafer 2 campaign report (JSON):\n%s",
+  std::printf("\nwafer 2 campaign report (JSON):\n%s\n",
               wafer2.toJson().c_str());
 
   const bool ok = wafer1.pass() && !wafer2.pass() &&

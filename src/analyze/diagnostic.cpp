@@ -6,19 +6,6 @@
 
 namespace corebist {
 
-namespace {
-
-void appendNetArray(std::ostringstream& os, const char* key,
-                    const std::vector<NetId>& nets) {
-  os << "\"" << key << "\": [";
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    os << nets[i] << (i + 1 < nets.size() ? ", " : "");
-  }
-  os << "]";
-}
-
-}  // namespace
-
 std::string_view severityName(Severity s) noexcept {
   switch (s) {
     case Severity::kInfo:
@@ -69,26 +56,20 @@ std::string LintReport::summary() const {
   return os.str();
 }
 
-// Float-audit note: severities, rules and net lists only — no
-// floating-point fields, so no finite guard is needed here. Any future
-// float (e.g. a confidence score) must go through corebist::jsonFinite
-// (util/json.hpp) to keep inf/NaN out of the artifact.
 std::string LintReport::toJson() const {
-  std::ostringstream os;
-  os << "{\n  \"netlist\": \"" << jsonEscaped(netlist) << "\",\n"
-     << "  \"diagnostics\": [\n";
-  for (std::size_t i = 0; i < diagnostics.size(); ++i) {
-    const Diagnostic& d = diagnostics[i];
-    os << "    {\"severity\": \"" << severityName(d.severity)
-       << "\", \"rule\": \"" << jsonEscaped(d.rule) << "\", \"message\": \""
-       << jsonEscaped(d.message) << "\", ";
-    appendNetArray(os, "nets", d.nets);
-    os << ", ";
-    appendNetArray(os, "witness", d.witness);
-    os << "}" << (i + 1 < diagnostics.size() ? "," : "") << "\n";
+  JsonWriter w;
+  w.beginObject().field("netlist", netlist).key("diagnostics").beginArray();
+  for (const Diagnostic& d : diagnostics) {
+    w.beginObject()
+        .field("severity", severityName(d.severity))
+        .field("rule", d.rule)
+        .field("message", d.message)
+        .array("nets", d.nets)
+        .array("witness", d.witness)
+        .endObject();
   }
-  os << "  ]\n}\n";
-  return os.str();
+  w.endArray().endObject();
+  return w.str();
 }
 
 }  // namespace corebist

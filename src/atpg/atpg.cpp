@@ -171,7 +171,6 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
     FaultSimOptions fopts;
     fopts.cycles = batch.patternCount();
     fopts.prepass_cycles = 0;
-    fopts.num_threads = 1;
     const FaultSimResult rr = grader->run(live, batch, fopts);
     for (std::size_t k = 0; k < live_idx.size(); ++k) {
       if (rr.first_detect[k] >= 0) detected[live_idx[k]] = 1;
@@ -308,7 +307,6 @@ FullScanAtpgResult runFullScanTransition(const Netlist& scanned,
     FaultSimOptions fopts;
     fopts.cycles = capture_src.patternCount();
     fopts.prepass_cycles = 0;
-    fopts.num_threads = 1;
     fopts.launch = &launch_src;
     const FaultSimResult rr = grader->run(live, capture_src, fopts);
     ++res.batches;
@@ -369,7 +367,11 @@ SeqAtpgResult runSequentialAtpg(const Netlist& module,
   // rejects modules whose PI count the `1 << j` shift cannot carry.
   requirePackedStimulusWidth(module, "runSequentialAtpg");
   const std::size_t n_inputs = module.primaryInputs().size();
-  SeqFaultSim fsim(module);
+  const std::unique_ptr<FaultSim> grader = makeOrchestrator(
+      SeqFaultSim(module),
+      {.backend = opts.num_threads > 1 ? FsimBackend::kThreaded
+                                       : FsimBackend::kSerial,
+       .num_workers = opts.num_threads});
   std::mt19937_64 rng(opts.seed);
 
   for (int cand = 0; cand < opts.candidates; ++cand) {
@@ -396,11 +398,11 @@ SeqAtpgResult runSequentialAtpg(const Netlist& module,
       }
       seq[static_cast<std::size_t>(c)] = cur;
     }
-    SeqFsimOptions fopts;
+    FaultSimOptions fopts;
     fopts.cycles = opts.sequence_cycles;
     fopts.prepass_cycles = 256;
-    fopts.num_threads = opts.num_threads;
-    const SeqFsimResult r = fsim.run(faults, seq, fopts);
+    const FaultSimResult r =
+        grader->run(faults, CyclePatternSource(seq, n_inputs), fopts);
     if (r.detected > res.detected) {
       res.detected = r.detected;
       res.best_sequence = std::move(seq);

@@ -110,6 +110,8 @@ struct SeqAtpgOptions {
   int sequence_cycles = 12288;
   int candidates = 6;  // weighted-random profiles graded per module
   std::uint64_t seed = 0xCAFE;
+  /// > 1 grades each candidate on that many threads (kThreaded shards the
+  /// fault list); 1 grades on the calling thread.
   int num_threads = 2;
 };
 

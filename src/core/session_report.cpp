@@ -87,138 +87,116 @@ std::string SessionReport::summary() const {
 
 namespace {
 
-void writeCore(std::ostringstream& os, const CoreReport& c,
-               bool include_timing) {
-  char buf[64];
-  os << "{\"core\": " << c.core_index << ", \"name\": \""
-     << jsonEscaped(c.core_name) << "\", \"tam\": " << c.tam
-     << ", \"depth\": " << c.depth << ", \"verdict\": \""
-     << jsonEscaped(coreVerdictName(c.verdict))
-     << "\", \"pass\": " << (c.pass() ? "true" : "false");
+/// Signatures print as fixed-width hex strings ("0xBEEF").
+std::string hex16(std::uint16_t v) {
+  char buf[8];
+  std::snprintf(buf, sizeof buf, "0x%04X", v);
+  return buf;
+}
+
+void writeCore(JsonWriter& w, const CoreReport& c, bool include_timing) {
+  w.beginObject()
+      .field("core", c.core_index)
+      .field("name", c.core_name)
+      .field("tam", c.tam)
+      .field("depth", c.depth)
+      .field("verdict", coreVerdictName(c.verdict))
+      .field("pass", c.pass());
   if (c.verdict == CoreVerdict::kQuarantined) {
     // The core was never conclusively tested: identity + verdict only.
     // channel_failures depends on where the infrastructure broke, so it is
     // timing-gated (out of the fingerprint), like utilization.
     if (include_timing) {
-      os << ", \"channel_failures\": " << c.channel_failures;
-      std::snprintf(buf, sizeof buf, ", \"seconds\": %.4f",
-                    jsonFinite(c.seconds));
-      os << buf;
+      w.field("channel_failures", c.channel_failures)
+          .field("seconds", c.seconds, 4);
     }
-    os << ", \"modules\": []}";
+    w.key("modules").beginArray().endArray().endObject();
     return;
   }
   if (include_timing && c.channel_failures > 0) {
-    os << ", \"channel_failures\": " << c.channel_failures;
+    w.field("channel_failures", c.channel_failures);
   }
-  os << ", \"end_test_seen\": " << (c.end_test_seen ? "true" : "false")
-     << ", \"patterns\": " << c.patterns << ", \"attempts\": " << c.attempts
-     << ", \"timeouts\": " << c.timeouts << ", \"polls\": " << c.polls
-     << ", \"tap_clocks\": " << c.tap_clocks
-     << ", \"bist_cycles\": " << c.bist_cycles;
-  if (include_timing) {
-    std::snprintf(buf, sizeof buf, ", \"seconds\": %.4f",
-                  jsonFinite(c.seconds));
-    os << buf;
-  }
+  w.field("end_test_seen", c.end_test_seen)
+      .field("patterns", c.patterns)
+      .field("attempts", c.attempts)
+      .field("timeouts", c.timeouts)
+      .field("polls", c.polls)
+      .field("tap_clocks", c.tap_clocks)
+      .field("bist_cycles", c.bist_cycles);
+  if (include_timing) w.field("seconds", c.seconds, 4);
   if (c.coverage_target > 0.0) {
-    std::snprintf(buf, sizeof buf, ", \"coverage_target\": %.2f",
-                  jsonFinite(c.coverage_target));
-    os << buf << ", \"coverage_met\": " << (c.coverage_met ? "true" : "false");
+    w.field("coverage_target", c.coverage_target, 2)
+        .field("coverage_met", c.coverage_met);
   }
-  os << ", \"modules\": [";
-  for (std::size_t m = 0; m < c.modules.size(); ++m) {
-    const ModuleVerdict& v = c.modules[m];
-    if (m != 0) os << ", ";
-    std::snprintf(buf, sizeof buf,
-                  "{\"signature\": \"0x%04X\", \"golden\": \"0x%04X\"",
-                  v.signature, v.golden);
-    os << buf << ", \"pass\": " << (v.pass() ? "true" : "false");
-    if (v.coverage >= 0.0) {
-      std::snprintf(buf, sizeof buf, ", \"coverage\": %.3f",
-                    jsonFinite(v.coverage));
-      os << buf;
-    }
-    os << "}";
+  w.key("modules").beginArray();
+  for (const ModuleVerdict& v : c.modules) {
+    w.beginObject()
+        .field("signature", hex16(v.signature))
+        .field("golden", hex16(v.golden))
+        .field("pass", v.pass());
+    if (v.coverage >= 0.0) w.field("coverage", v.coverage, 3);
+    w.endObject();
   }
-  os << "]}";
+  w.endArray().endObject();
 }
 
 std::string writeReport(const SessionReport& r, bool include_timing) {
-  std::ostringstream os;
-  os << "{\n  \"soc\": \"" << jsonEscaped(r.soc_name) << "\",\n";
-  os << "  \"pass\": " << (r.pass() ? "true" : "false") << ",\n";
+  JsonWriter w;
+  w.beginObject().field("soc", r.soc_name).field("pass", r.pass());
   if (include_timing) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.4f", jsonFinite(r.wall_seconds));
-    os << "  \"threads\": " << r.threads << ",\n  \"wall_seconds\": " << buf
-       << ",\n";
+    w.field("threads", r.threads).field("wall_seconds", r.wall_seconds, 4);
     if (!r.placement.empty()) {
-      os << "  \"placement\": \"" << jsonEscaped(r.placement) << "\",\n"
-         << "  \"predicted_makespan_tcks\": " << r.predicted_makespan_tcks
-         << ",\n  \"actual_makespan_tcks\": " << r.actual_makespan_tcks
-         << ",\n";
+      w.field("placement", r.placement)
+          .field("predicted_makespan_tcks", r.predicted_makespan_tcks)
+          .field("actual_makespan_tcks", r.actual_makespan_tcks);
     }
   }
-  os << "  \"total_tap_clocks\": " << r.total_tap_clocks << ",\n";
-  os << "  \"total_bist_cycles\": " << r.total_bist_cycles << ",\n";
-  os << "  \"tams\": [\n";
-  for (std::size_t t = 0; t < r.tams.size(); ++t) {
-    const TamReport& tr = r.tams[t];
-    os << "    {\"tam\": " << tr.tam_index << ", \"name\": \""
-       << jsonEscaped(tr.name) << "\", \"cores\": [";
-    for (std::size_t c = 0; c < tr.core_order.size(); ++c) {
-      if (c != 0) os << ", ";
-      os << tr.core_order[c];
-    }
-    os << "], \"tap_clocks\": " << tr.tap_clocks
-       << ", \"bist_cycles\": " << tr.bist_cycles;
+  w.field("total_tap_clocks", r.total_tap_clocks)
+      .field("total_bist_cycles", r.total_bist_cycles)
+      .key("tams")
+      .beginArray();
+  for (const TamReport& tr : r.tams) {
+    w.beginObject()
+        .field("tam", tr.tam_index)
+        .field("name", tr.name)
+        .array("cores", tr.core_order)
+        .field("tap_clocks", tr.tap_clocks)
+        .field("bist_cycles", tr.bist_cycles);
     if (include_timing) {
-      char buf[96];
-      std::snprintf(buf, sizeof buf,
-                    ", \"channels\": %d, \"busy_seconds\": %.4f, "
-                    "\"utilization\": %.3f",
-                    tr.channels, jsonFinite(tr.busy_seconds),
-                    jsonFinite(tr.utilization));
-      os << buf;
+      w.field("channels", tr.channels)
+          .field("busy_seconds", tr.busy_seconds, 4)
+          .field("utilization", tr.utilization, 3);
       if (!tr.channel_loads.empty()) {
-        os << ", \"predicted_tap_clocks\": " << tr.predicted_tap_clocks
-           << ", \"predicted_makespan_tcks\": " << tr.predicted_makespan_tcks
-           << ", \"actual_makespan_tcks\": " << tr.actual_makespan_tcks
-           << ", \"channel_loads\": [";
-        for (std::size_t ch = 0; ch < tr.channel_loads.size(); ++ch) {
-          const ChannelLoad& cl = tr.channel_loads[ch];
-          if (ch != 0) os << ", ";
-          os << "{\"channel\": " << cl.channel << ", \"cores\": [";
-          for (std::size_t c = 0; c < cl.cores.size(); ++c) {
-            if (c != 0) os << ", ";
-            os << cl.cores[c];
-          }
-          os << "], \"predicted_tcks\": " << cl.predicted_tcks
-             << ", \"actual_tcks\": " << cl.actual_tcks << "}";
+        w.field("predicted_tap_clocks", tr.predicted_tap_clocks)
+            .field("predicted_makespan_tcks", tr.predicted_makespan_tcks)
+            .field("actual_makespan_tcks", tr.actual_makespan_tcks)
+            .key("channel_loads")
+            .beginArray();
+        for (const ChannelLoad& cl : tr.channel_loads) {
+          w.beginObject()
+              .field("channel", cl.channel)
+              .array("cores", cl.cores)
+              .field("predicted_tcks", cl.predicted_tcks)
+              .field("actual_tcks", cl.actual_tcks)
+              .endObject();
         }
-        os << "]";
+        w.endArray();
       }
     }
-    os << "}" << (t + 1 < r.tams.size() ? ",\n" : "\n");
+    w.endObject();
   }
-  os << "  ],\n";
-  os << "  \"cores\": [\n";
-  for (std::size_t i = 0; i < r.cores.size(); ++i) {
-    os << "    ";
-    writeCore(os, r.cores[i], include_timing);
-    os << (i + 1 < r.cores.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n}\n";
-  return os.str();
+  w.endArray().key("cores").beginArray();
+  for (const CoreReport& c : r.cores) writeCore(w, c, include_timing);
+  w.endArray().endObject();
+  return w.str();
 }
 
 }  // namespace
 
 std::string coreReportJson(const CoreReport& report, bool include_timing) {
-  std::ostringstream os;
-  writeCore(os, report, include_timing);
-  return os.str();
+  JsonWriter w;
+  writeCore(w, report, include_timing);
+  return w.str();
 }
 
 std::string SessionReport::toJson() const { return writeReport(*this, true); }

@@ -1,8 +1,8 @@
 // Structured campaign results for the SoC session layer.
 //
-// Replaces the ad-hoc CoreTestReport: per-core verdicts distinguish a
-// signature mismatch from a status-poll timeout, retry/poll/TCK/at-speed
-// accounting is explicit, and whole-campaign reports serialize to JSON
+// Per-core verdicts distinguish a signature mismatch from a status-poll
+// timeout, retry/poll/TCK/at-speed accounting is explicit, and
+// whole-campaign reports serialize to JSON through util/json's JsonWriter
 // (bench_soc -> BENCH_soc.json, CI artifact). Everything in a report except
 // wall-clock timing is a deterministic function of (SoC state, TestPlan);
 // fingerprint() serializes exactly that subset, which is how the scheduler
@@ -15,7 +15,7 @@
 #include <string_view>
 #include <vector>
 
-#include "util/json.hpp"  // jsonEscaped / jsonFinite for report emitters
+#include "util/json.hpp"  // JsonWriter, jsonEscaped, jsonFinite
 
 namespace corebist {
 

@@ -1,9 +1,6 @@
 #include "core/soc.hpp"
 
-#include <sstream>
 #include <stdexcept>
-
-#include "core/scheduler.hpp"
 
 namespace corebist {
 
@@ -73,49 +70,6 @@ int Soc::attachChildCore(std::unique_ptr<WrappedCore> core, int parent_index) {
   topo.child_path.push_back(slot);
   topo_.push_back(std::move(topo));
   return static_cast<int>(cores_.size()) - 1;
-}
-
-std::string CoreTestReport::summary() const {
-  std::ostringstream os;
-  os << "core " << core_index << ": " << (pass ? "PASS" : "FAIL") << " (";
-  for (std::size_t m = 0; m < modules.size(); ++m) {
-    if (m != 0) os << ", ";
-    os << "M" << m << (modules[m].pass() ? " ok" : " MISMATCH");
-  }
-  os << "), " << bist_cycles << " at-speed cycles, " << tap_clocks
-     << " TCKs";
-  return os.str();
-}
-
-namespace {
-CoreTestReport toLegacy(const CoreReport& r) {
-  CoreTestReport legacy;
-  legacy.core_index = r.core_index;
-  legacy.pass = r.pass();
-  legacy.end_test_seen = r.end_test_seen;
-  legacy.modules = r.modules;
-  legacy.tap_clocks = r.tap_clocks;
-  legacy.bist_cycles = r.bist_cycles;
-  return legacy;
-}
-}  // namespace
-
-CoreTestReport SocTestSession::testCore(int core_index, int patterns) {
-  SocTestScheduler scheduler(soc_);
-  return toLegacy(scheduler.testCore(
-      CorePlan{.core_index = core_index, .patterns = patterns}));
-}
-
-std::vector<CoreTestReport> SocTestSession::testAll(int patterns) {
-  TestPlan plan;
-  plan.patterns = patterns;
-  plan.num_threads = 1;  // empty core list => every core, in index order
-  SocTestScheduler scheduler(soc_);
-  const SessionReport report = scheduler.run(plan);
-  std::vector<CoreTestReport> legacy;
-  legacy.reserve(report.cores.size());
-  for (const CoreReport& r : report.cores) legacy.push_back(toLegacy(r));
-  return legacy;
 }
 
 }  // namespace corebist

@@ -9,9 +9,8 @@
 // reaches it (serving TAM, top-level slot, child-slot path). Test
 // campaigns are described by a TestPlan (core/test_plan.hpp) and executed
 // by the SocTestScheduler (core/scheduler.hpp) over per-TAM
-// SessionChannels (core/session_channel.hpp); SocTestSession remains as a
-// thin compatibility shim over a single-shard plan for callers that just
-// want the classic blocking testCore / testAll calls.
+// SessionChannels (core/session_channel.hpp); a single core is tested with
+// SocTestScheduler(soc).testCore({.core_index = i, .patterns = n}).
 #ifndef COREBIST_CORE_SOC_HPP_
 #define COREBIST_CORE_SOC_HPP_
 
@@ -19,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/session_report.hpp"
 #include "core/wrapped_core.hpp"
 #include "jtag/tap.hpp"
 #include "tam/tam.hpp"
@@ -92,36 +90,6 @@ class Soc {
   std::vector<std::unique_ptr<Tam>> tams_;
   std::vector<std::unique_ptr<WrappedCore>> cores_;
   std::vector<CoreTopology> topo_;
-};
-
-/// Legacy per-core report kept for source compatibility; new code should
-/// use CoreReport / SessionReport (core/session_report.hpp), which
-/// distinguish timeouts from signature mismatches and carry retry and
-/// coverage accounting.
-struct CoreTestReport {
-  int core_index = -1;
-  bool pass = false;
-  bool end_test_seen = false;
-  std::vector<ModuleVerdict> modules;
-  std::size_t tap_clocks = 0;   // total TCKs spent in the session
-  std::size_t bist_cycles = 0;  // at-speed pattern clocks
-  [[nodiscard]] std::string summary() const;
-};
-
-/// Compatibility shim: the blocking, serial session API, now a thin
-/// wrapper over a single-shard SocTestScheduler plan.
-class SocTestSession {
- public:
-  explicit SocTestSession(Soc& soc) : soc_(soc) {}
-
-  /// Run the full P1500 BIST session on one core.
-  [[nodiscard]] CoreTestReport testCore(int core_index, int patterns);
-
-  /// Test every core in sequence.
-  [[nodiscard]] std::vector<CoreTestReport> testAll(int patterns);
-
- private:
-  Soc& soc_;
 };
 
 }  // namespace corebist

@@ -78,7 +78,7 @@ struct CorePlan {
   int tam = -1;
   /// Fault-sim backend for this core's coverage measurement (only used when
   /// the resolved coverage_target > 0). Unset inherits the plan default.
-  std::optional<FsimBackend> coverage_backend;
+  std::optional<FsimBackend> coverage_backend{};
   /// Orchestrator workers for coverage measurement; <= 0 => plan default.
   int coverage_workers = 0;
   /// Channel-failure retries before this core is quarantined, and the
@@ -87,7 +87,7 @@ struct CorePlan {
   /// Exponential-backoff base between channel retries; < 0 => plan default.
   int backoff_base_ms = -1;
   /// Unset inherits TestPlan::degrade_on_failure.
-  std::optional<bool> degrade_on_failure;
+  std::optional<bool> degrade_on_failure{};
 };
 
 /// Cap on concurrent session channels for one TAM.

@@ -107,7 +107,6 @@ struct FaultSimOptions {
   int cycles = 4096;
   int prepass_cycles = 256;  // 0 disables the two-pass schedule
   bool drop_detected = true;
-  int num_threads = 2;  // engine-internal workers (orchestrators pin to 1)
   /// >0: record a per-window detection mask per fault (diagnosis syndromes);
   /// implies full-length simulation of every fault.
   int windows = 0;

@@ -570,7 +570,6 @@ inline bool writeFrameInjected(int fd, const std::vector<std::uint8_t>& frame,
     FaultSimOptions wopts = base;
     wopts.cycles = w.cycles;
     wopts.prepass_cycles = 0;  // the stage ladder lives in the parent
-    wopts.num_threads = 1;     // no nested threading inside a worker
     wopts.stall_blocks = 0;    // shard-local stalls would change results
     wopts.drop_detected = w.drop_detected != 0;
     wopts.windows = w.windows;

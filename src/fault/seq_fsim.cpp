@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <future>
 #include <stdexcept>
 
 #include "netlist/levelize.hpp"
@@ -312,7 +311,6 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
   ctx.nl = &nl_;
   ctx.lev = levelize(nl_);
   ctx.stimulus = stimulus;
-  ctx.opts = &opts;
   ctx.observe =
       opts.observe.empty() ? nl_.primaryOutputs() : opts.observe;
   ctx.driver_order_pos.assign(nl_.numNets(), -1);
@@ -335,33 +333,22 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
 
   const bool full_length = opts.windows > 0 || opts.misr.has_value();
 
+  // A pass grades groups of 63 faulty machines one after another on the
+  // calling thread (sharding across threads or processes is the
+  // orchestrators' job); passes differ only in their cycle count.
+  SeqFsimOptions pass_opts = opts;
+  ctx.opts = &pass_opts;
+  GroupScratch scratch;
+  scratch.val.assign(nl_.numNets(), 0);
+  scratch.dcapt.assign(nl_.dffs().size(), 0);
   auto runPass = [&](std::span<const std::uint32_t> indices, int cycles) {
-    SeqFsimOptions pass_opts = opts;
     pass_opts.cycles = cycles;
-    const int nthreads = std::max(1, opts.num_threads);
-    // Chunk into groups of 63 machines.
-    std::vector<std::span<const std::uint32_t>> groups;
     for (std::size_t at = 0; at < indices.size(); at += 63) {
-      groups.push_back(indices.subspan(at, std::min<std::size_t>(
-                                               63, indices.size() - at)));
+      simulateGroup(ctx, faults,
+                    indices.subspan(at, std::min<std::size_t>(
+                                            63, indices.size() - at)),
+                    scratch, result);
     }
-    auto worker = [&](int tid) {
-      GroupScratch scratch;
-      scratch.val.assign(nl_.numNets(), 0);
-      scratch.dcapt.assign(nl_.dffs().size(), 0);
-      RunContext local = ctx;  // cheap: spans/pointers + shared vectors copy
-      local.opts = &pass_opts;
-      for (std::size_t g = static_cast<std::size_t>(tid); g < groups.size();
-           g += static_cast<std::size_t>(nthreads)) {
-        simulateGroup(local, faults, groups[g], scratch, result);
-      }
-    };
-    std::vector<std::future<void>> futs;
-    for (int t = 1; t < nthreads; ++t) {
-      futs.push_back(std::async(std::launch::async, worker, t));
-    }
-    worker(0);
-    for (auto& f : futs) f.get();
   };
 
   std::vector<std::uint32_t> all(faults.size());

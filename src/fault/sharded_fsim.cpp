@@ -63,32 +63,29 @@ const char* resilienceRungName(int rung) noexcept {
   }
 }
 
-// Float-audit note: every field below is integral or an enum name, so this
-// emitter needs no finite guard (see jsonFinite in util/json.hpp).
 std::string ResilienceLog::toJson() const {
-  std::string out = "{";
-  out += "\"retries\":" + std::to_string(retries);
-  out += ",\"respawns\":" + std::to_string(respawns);
-  out += ",\"degradations\":" + std::to_string(degradations);
-  out += ",\"final_rung\":\"";
-  out += resilienceRungName(final_rung);
-  out += "\",\"events\":[";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const ResilienceEvent& e = events[i];
-    if (i > 0) out += ',';
-    out += "{\"kind\":\"";
-    out += resilienceEventName(e.kind);
-    out += "\",\"rung\":\"";
-    out += resilienceRungName(e.rung);
-    out += "\",\"worker\":" + std::to_string(e.worker);
-    out += ",\"shard\":" + std::to_string(e.shard);
-    out += ",\"stage_cycles\":" + std::to_string(e.stage_cycles);
-    out += ",\"attempt\":" + std::to_string(e.attempt);
-    out += ",\"backoff_ms\":" + std::to_string(e.backoff_ms);
-    out += ",\"detail\":\"" + jsonEscaped(e.detail) + "\"}";
+  JsonWriter w;
+  w.beginObject()
+      .field("retries", retries)
+      .field("respawns", respawns)
+      .field("degradations", degradations)
+      .field("final_rung", resilienceRungName(final_rung))
+      .key("events")
+      .beginArray();
+  for (const ResilienceEvent& e : events) {
+    w.beginObject()
+        .field("kind", resilienceEventName(e.kind))
+        .field("rung", resilienceRungName(e.rung))
+        .field("worker", e.worker)
+        .field("shard", e.shard)
+        .field("stage_cycles", e.stage_cycles)
+        .field("attempt", e.attempt)
+        .field("backoff_ms", e.backoff_ms)
+        .field("detail", e.detail)
+        .endObject();
   }
-  out += "]}";
-  return out;
+  w.endArray().endObject();
+  return w.str();
 }
 
 /// One rung of the stage ladder: the live faults cut into shards of `size`,
@@ -256,7 +253,6 @@ FaultSimResult ShardedFaultSim::run(std::span<const Fault> faults,
     FaultSimOptions wopts = opts;
     wopts.cycles = stage_cycles;
     wopts.prepass_cycles = 0;  // the stage ladder lives up here
-    wopts.num_threads = 1;     // no nested engine threading
     wopts.stall_blocks = 0;    // shard-local stalls would change results
     const Stage st{faults, patterns, live, shard, wopts, result};
     stage_shards = st.count();

@@ -146,7 +146,7 @@ struct ResilienceLog {
   int final_rung = 0;
 
   [[nodiscard]] bool clean() const noexcept { return events.empty(); }
-  /// Compact JSON (stable key order) for campaign telemetry.
+  /// JSON (stable key order) for campaign telemetry.
   [[nodiscard]] std::string toJson() const;
 };
 

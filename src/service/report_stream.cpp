@@ -1,11 +1,11 @@
 #include "service/report_stream.hpp"
 
 #include <cstdint>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "fault/process_wire.hpp"
+#include "util/json.hpp"
 
 namespace corebist {
 namespace {
@@ -64,51 +64,62 @@ void WireReportStream::emit(StreamEventKind kind, const std::string& json) {
 }
 
 void WireReportStream::onCampaignStart(int cores, int threads) {
-  std::ostringstream os;
-  os << "{\"cores\": " << cores << ", \"workers\": " << threads << "}";
-  emit(StreamEventKind::kCampaignStart, os.str());
+  JsonWriter w;
+  w.beginObject().field("cores", cores).field("workers", threads).endObject();
+  emit(StreamEventKind::kCampaignStart, w.str());
 }
 
 void WireReportStream::onChannelPlaced(int tam, int channel,
                                        const std::vector<int>& cores,
                                        std::size_t predicted_tcks) {
-  std::ostringstream os;
-  os << "{\"tam\": " << tam << ", \"channel\": " << channel
-     << ", \"cores\": [";
-  for (std::size_t i = 0; i < cores.size(); ++i) {
-    if (i != 0) os << ", ";
-    os << cores[i];
-  }
-  os << "], \"predicted_tcks\": " << predicted_tcks << "}";
-  emit(StreamEventKind::kChannelPlaced, os.str());
+  JsonWriter w;
+  w.beginObject()
+      .field("tam", tam)
+      .field("channel", channel)
+      .array("cores", cores)
+      .field("predicted_tcks", predicted_tcks)
+      .endObject();
+  emit(StreamEventKind::kChannelPlaced, w.str());
 }
 
 void WireReportStream::onCoreStart(int core_index, int attempt) {
-  std::ostringstream os;
-  os << "{\"core\": " << core_index << ", \"attempt\": " << attempt << "}";
-  emit(StreamEventKind::kCoreStart, os.str());
+  JsonWriter w;
+  w.beginObject()
+      .field("core", core_index)
+      .field("attempt", attempt)
+      .endObject();
+  emit(StreamEventKind::kCoreStart, w.str());
 }
 
 void WireReportStream::onCoreTimeout(int core_index, int attempt,
                                      bool will_retry) {
-  std::ostringstream os;
-  os << "{\"core\": " << core_index << ", \"attempt\": " << attempt
-     << ", \"will_retry\": " << (will_retry ? "true" : "false") << "}";
-  emit(StreamEventKind::kCoreTimeout, os.str());
+  JsonWriter w;
+  w.beginObject()
+      .field("core", core_index)
+      .field("attempt", attempt)
+      .field("will_retry", will_retry)
+      .endObject();
+  emit(StreamEventKind::kCoreTimeout, w.str());
 }
 
 void WireReportStream::onChannelFailure(int core_index, int failures,
                                         bool will_retry) {
-  std::ostringstream os;
-  os << "{\"core\": " << core_index << ", \"failures\": " << failures
-     << ", \"will_retry\": " << (will_retry ? "true" : "false") << "}";
-  emit(StreamEventKind::kChannelFailure, os.str());
+  JsonWriter w;
+  w.beginObject()
+      .field("core", core_index)
+      .field("failures", failures)
+      .field("will_retry", will_retry)
+      .endObject();
+  emit(StreamEventKind::kChannelFailure, w.str());
 }
 
 void WireReportStream::onCoreQuarantined(int core_index, int failures) {
-  std::ostringstream os;
-  os << "{\"core\": " << core_index << ", \"failures\": " << failures << "}";
-  emit(StreamEventKind::kCoreQuarantined, os.str());
+  JsonWriter w;
+  w.beginObject()
+      .field("core", core_index)
+      .field("failures", failures)
+      .endObject();
+  emit(StreamEventKind::kCoreQuarantined, w.str());
 }
 
 void WireReportStream::onCoreFinish(const CoreReport& report) {

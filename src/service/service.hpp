@@ -125,12 +125,12 @@ struct CampaignServiceConfig {
   /// are pool-size-invariant — it only bounds concurrency.
   int workers = 2;
   /// Quota applied to tenants without an explicit entry.
-  TenantQuota default_quota;
+  TenantQuota default_quota{};
   /// Per-tenant overrides.
-  std::map<std::string, TenantQuota> tenant_quotas;
+  std::map<std::string, TenantQuota> tenant_quotas{};
   /// Shared artifact store. Defaults to a fresh store per service; pass one
   /// to share artifacts across services (the facade does, per scheduler).
-  std::shared_ptr<ArtifactStore> artifacts;
+  std::shared_ptr<ArtifactStore> artifacts{};
 };
 
 struct SubmitOptions {

@@ -2,8 +2,7 @@
 //
 // The bit-banging sequences every session needs — select a core through the
 // TAM, load a wrapper WIR instruction, deliver a WCDR command, read the WDR
-// back — extracted from the old SocTestSession so the serial compatibility
-// shim and every scheduler channel drive the exact same protocol. One
+// back — so every scheduler channel drives the exact same protocol. One
 // P1500Ate owns one TapDriver over one TapController and speaks to one
 // TAM's IR block; it is not thread-safe, but channels never share an ATE.
 //

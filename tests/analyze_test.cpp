@@ -379,7 +379,6 @@ TEST(AnalyzeCollapse, ExpansionIsByteIdenticalOnTwentyRandomNetlists) {
     FaultSimOptions o;
     o.cycles = 256;
     o.prepass_cycles = 0;
-    o.num_threads = 1;
 
     const FaultSimResult full = sim.run(c.universe, patterns, o);
     const FaultSimResult reps = sim.run(c.representatives, patterns, o);
@@ -469,7 +468,6 @@ TEST(AnalyzePodem, ScoapGuidanceKeepsTheTestableSetIdentical) {
     FaultSimOptions o;
     o.cycles = tests.patternCount();
     o.prepass_cycles = 0;
-    o.num_threads = 1;
     std::vector<Fault> targeted;
     for (const std::size_t i : tested_fault) targeted.push_back(faults[i]);
     const FaultSimResult r = sim.run(targeted, tests, o);

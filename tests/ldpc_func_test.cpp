@@ -32,7 +32,9 @@ TEST(LdpcCode, StructuralInvariants) {
     // Sorted, unique, in range.
     for (std::size_t i = 0; i < code.row(r).size(); ++i) {
       EXPECT_LT(code.row(r)[i], code.n());
-      if (i > 0) EXPECT_LT(code.row(r)[i - 1], code.row(r)[i]);
+      if (i > 0) {
+        EXPECT_LT(code.row(r)[i - 1], code.row(r)[i]);
+      }
     }
   }
   EXPECT_EQ(edges, code.edgeCount());

@@ -322,16 +322,14 @@ TEST(SocSession, MultiCoreSelectionIsIndependent) {
 }
 
 TEST(SocSession, LdpcControlUnitEndToEnd) {
-  // End-to-end through the real CONTROL_UNIT netlist (42 flops, Table 1),
-  // driven through the legacy SocTestSession shim so the compatibility
-  // surface stays exercised.
+  // End-to-end through the real CONTROL_UNIT netlist (42 flops, Table 1).
   Soc soc;
   auto core = std::make_unique<WrappedCore>("ldpc_cu");
   core->addModule(ldpc::buildControlUnit());
   const int idx = soc.attachCore(std::move(core));
-  SocTestSession session(soc);
-  const CoreTestReport report = session.testCore(idx, 512);
-  EXPECT_TRUE(report.pass) << report.summary();
+  const CoreReport report =
+      SocTestScheduler(soc).testCore({.core_index = idx, .patterns = 512});
+  EXPECT_TRUE(report.pass()) << report.summary();
 }
 
 }  // namespace

@@ -107,7 +107,6 @@ TEST_P(ParallelEquivalence, SeqShardsMatchSerialByteForByte) {
     opts.cycles = static_cast<int>(stim.size());
     opts.prepass_cycles = 32;
     opts.drop_detected = drop;
-    opts.num_threads = 1;
     const SeqFaultSim serial(nl);
     const SeqFsimResult ref = serial.run(u.faults, stim, opts);
 

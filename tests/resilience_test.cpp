@@ -339,7 +339,7 @@ TEST_F(Resilience, PersistentWorkerFailureDegradesToThreadedByteIdentically) {
   // The structured log serializes with stable keys for telemetry.
   const std::string json = log.toJson();
   EXPECT_NE(json.find("\"retries\""), std::string::npos);
-  EXPECT_NE(json.find("\"final_rung\":\"threaded\""), std::string::npos);
+  EXPECT_NE(json.find("\"final_rung\": \"threaded\""), std::string::npos);
   EXPECT_NE(json.find("\"events\""), std::string::npos);
 }
 
@@ -362,7 +362,7 @@ TEST_F(Resilience, LadderFallsAllTheWayToSerialByteIdentically) {
   const ResilienceLog& log = rsim.lastLog();
   EXPECT_EQ(log.final_rung, 2);
   EXPECT_GE(log.degradations, 2);
-  EXPECT_NE(log.toJson().find("\"final_rung\":\"serial\""),
+  EXPECT_NE(log.toJson().find("\"final_rung\": \"serial\""),
             std::string::npos);
   EXPECT_TRUE(noZombies());
 }

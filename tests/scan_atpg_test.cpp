@@ -153,5 +153,24 @@ TEST(SeqAtpg, FindsFaultsWithoutScan) {
   EXPECT_FALSE(res.best_sequence.empty());
 }
 
+TEST(SeqAtpg, ResultsDoNotDependOnThreadCount) {
+  // Candidates are graded on the calling thread at num_threads = 1 and
+  // sharded over a threaded orchestrator above that; both must pick the
+  // same sequence with the same detections.
+  const Netlist nl = ldpc::buildControlUnit();
+  const FaultUniverse u = enumerateStuckAt(nl);
+  SeqAtpgOptions opts;
+  opts.sequence_cycles = 4096;
+  opts.candidates = 4;
+  opts.num_threads = 1;
+  const SeqAtpgResult serial = runSequentialAtpg(nl, u.faults, opts);
+  opts.num_threads = 4;
+  const SeqAtpgResult threaded = runSequentialAtpg(nl, u.faults, opts);
+  EXPECT_GT(serial.detected, 0u);
+  EXPECT_EQ(threaded.detected, serial.detected);
+  EXPECT_EQ(threaded.effective_cycles, serial.effective_cycles);
+  EXPECT_EQ(threaded.best_sequence, serial.best_sequence);
+}
+
 }  // namespace
 }  // namespace corebist

@@ -1,6 +1,6 @@
 // Plan-driven SoC test-campaign scheduler: determinism under sharding,
 // timeout/retry policy, coverage targets, observer streaming, JSON export
-// and the legacy SocTestSession shim.
+// and plan validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -257,29 +257,6 @@ TEST(SocScheduler, InvalidPlansAreRejectedUpFront) {
   TestPlan duplicate;
   duplicate.addCore(3).addCore(3);
   EXPECT_THROW((void)scheduler.run(duplicate), std::invalid_argument);
-}
-
-TEST(SocScheduler, LegacyShimMatchesSchedulerResults) {
-  auto soc_a = makeSoc();
-  auto soc_b = makeSoc();
-  SocTestSession session(*soc_a);
-  SocTestScheduler scheduler(*soc_b);
-  const std::vector<CoreTestReport> legacy = session.testAll(300);
-  const SessionReport modern =
-      scheduler.run(TestPlan{}.withPatterns(300).withThreads(3));
-  ASSERT_EQ(legacy.size(), modern.cores.size());
-  for (std::size_t c = 0; c < legacy.size(); ++c) {
-    EXPECT_EQ(legacy[c].pass, modern.cores[c].pass());
-    EXPECT_EQ(legacy[c].tap_clocks, modern.cores[c].tap_clocks);
-    EXPECT_EQ(legacy[c].bist_cycles, modern.cores[c].bist_cycles);
-    ASSERT_EQ(legacy[c].modules.size(), modern.cores[c].modules.size());
-    for (std::size_t m = 0; m < legacy[c].modules.size(); ++m) {
-      EXPECT_EQ(legacy[c].modules[m].signature,
-                modern.cores[c].modules[m].signature);
-      EXPECT_EQ(legacy[c].modules[m].golden,
-                modern.cores[c].modules[m].golden);
-    }
-  }
 }
 
 TEST(SocScheduler, PlanResolutionRejectsStructurallyBrokenCoreModules) {
