@@ -5,19 +5,15 @@
 #ifndef COREBIST_BENCH_CASE_STUDY_HPP_
 #define COREBIST_BENCH_CASE_STUDY_HPP_
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
-#include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "bist/engine.hpp"
-#include "fault/lane.hpp"
 #include "ldpc/gatelevel.hpp"
-#include "util/json.hpp"
 
 namespace corebist::bench {
 
@@ -121,65 +117,14 @@ class Stopwatch {
   std::chrono::steady_clock::time_point t0_;
 };
 
-/// Median (middle of the sorted times) and min of `repeats` timed runs of
-/// `fn`. Single-shot timings on shared runners are noise, not measurements;
-/// every BENCH_*.json row goes through this.
-struct Timing {
-  double median = 0.0;
-  double min = 0.0;
-};
-
-template <typename Fn>
-Timing timeRepeats(int repeats, Fn&& fn) {
-  std::vector<double> secs;
-  secs.reserve(static_cast<std::size_t>(repeats));
-  for (int r = 0; r < repeats; ++r) {
-    Stopwatch sw;
-    fn();
-    secs.push_back(sw.seconds());
-  }
-  std::sort(secs.begin(), secs.end());
-  return Timing{secs[secs.size() / 2], secs.front()};
-}
-
-/// True when "--quick" is on the command line (smoke-test scale).
+/// True for "--quick" (smoke-test scale), false for no argument. Any other
+/// command line prints the usage and exits 2, so a mistyped flag cannot
+/// start a paper-scale run.
 inline bool quickMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") return true;
-  }
-  return false;
-}
-
-/// Opens a BENCH_*.json document with the header fields every bench file
-/// shares; the caller adds its own fields and closes the object.
-inline JsonWriter benchJson(std::string_view workload, bool quick,
-                            int repeats) {
-  JsonWriter w;
-  w.beginObject()
-      .field("workload", workload)
-      .field("quick", quick)
-      .field("hardware_concurrency", std::thread::hardware_concurrency())
-      .field("repeats", repeats)
-      .field("lane_words_default", kLaneWords)
-      .field("lane_backend", kLaneBackend);
-  return w;
-}
-
-/// Writes the finished document and a final newline to `path` in the
-/// current directory; on failure prints why and returns false.
-inline bool writeBenchJson(const char* path, const JsonWriter& w) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
-  const bool wrote = std::fputs(w.str().c_str(), f) >= 0 &&
-                     std::fputc('\n', f) != EOF;
-  if (std::fclose(f) != 0 || !wrote) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return false;
-  }
-  return true;
+  if (argc == 1) return false;
+  if (argc == 2 && std::string_view(argv[1]) == "--quick") return true;
+  std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
+  std::exit(2);
 }
 
 inline void printHeader(const char* title) {

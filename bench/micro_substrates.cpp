@@ -3,14 +3,17 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "bist/engine.hpp"
 #include "bist/lfsr.hpp"
 #include "bist/misr.hpp"
+#include "fault/backend.hpp"
 #include "fault/fault.hpp"
 #include "fault/seq_fsim.hpp"
 #include "jtag/driver.hpp"
 #include "ldpc/gatelevel.hpp"
+#include "scan/scan.hpp"
 #include "sim/seq_sim.hpp"
 
 namespace {
@@ -70,6 +73,39 @@ void BM_SeqFaultSimControlUnit(benchmark::State& state) {
                           static_cast<std::int64_t>(u.faults.size()));
 }
 BENCHMARK(BM_SeqFaultSimControlUnit);
+
+// The comb kernel's lane-width sweep: CONTROL_UNIT's full-scan view graded
+// serially, full length (no fault dropping), over 4096 random patterns, at
+// 64 x state.range(0) pattern lanes. items_per_second counts fault-patterns.
+void BM_CombFaultSimLanes(benchmark::State& state) {
+  const std::vector<int> chains = {14, 28};
+  const Netlist scanned =
+      buildScannedModule(ldpc::buildControlUnit(), chains);
+  const ScanView view = makeScanView(scanned, chains);
+  const FaultUniverse u = enumerateStuckAt(scanned);
+  const int patterns = 4096;
+  const RandomPatternSource source(0xB15F, view.inputs.size(), patterns);
+  FaultSimOptions o;
+  o.cycles = patterns;
+  o.prepass_cycles = 0;
+  o.drop_detected = false;
+  const auto fsim = makeCombFaultSim(
+      scanned, view.inputs, view.observed,
+      FsimBackendOptions{.lane_words = static_cast<int>(state.range(0))});
+  for (auto _ : state) {
+    const auto r = fsim->run(u.faults, source, o);
+    benchmark::DoNotOptimize(r.detected);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(u.faults.size()) *
+                          patterns);
+}
+BENCHMARK(BM_CombFaultSimLanes)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AlfsrStep(benchmark::State& state) {
   Alfsr lfsr(20, 0xACE1);

@@ -2,11 +2,11 @@
 //
 // Per-core verdicts distinguish a signature mismatch from a status-poll
 // timeout, retry/poll/TCK/at-speed accounting is explicit, and
-// whole-campaign reports serialize to JSON through util/json's JsonWriter
-// (bench_soc -> BENCH_soc.json, CI artifact). Everything in a report except
-// wall-clock timing is a deterministic function of (SoC state, TestPlan);
-// fingerprint() serializes exactly that subset, which is how the scheduler
-// tests prove sharded and serial campaigns byte-identical.
+// whole-campaign reports serialize to JSON through util/json's JsonWriter.
+// Everything in a report except wall-clock timing is a deterministic
+// function of (SoC state, TestPlan); fingerprint() serializes exactly that
+// subset, which is how the scheduler tests prove sharded and serial
+// campaigns byte-identical.
 #ifndef COREBIST_CORE_SESSION_REPORT_HPP_
 #define COREBIST_CORE_SESSION_REPORT_HPP_
 

@@ -40,11 +40,11 @@ enum class FsimBackend {
 };
 
 /// Stable lowercase name ("serial" / "threaded" / "process" /
-/// "resilient"); used in bench JSON rows and CLI flags.
+/// "resilient"), for logs and test traces.
 [[nodiscard]] const char* fsimBackendName(FsimBackend b) noexcept;
 
 /// Inverse of fsimBackendName; throws std::invalid_argument on unknown
-/// names (bench/CLI input validation).
+/// names (input validation).
 [[nodiscard]] FsimBackend parseFsimBackend(std::string_view name);
 
 struct FsimBackendOptions {
@@ -57,8 +57,11 @@ struct FsimBackendOptions {
   int num_workers = 0;
   /// Faults per work unit for the orchestrated backends.
   int shard_faults = 63;
-  /// Worker-hang watchdog for kProcess / kResilient (per-shard monotonic
-  /// deadline; see ProcessFsimOptions::timeout_ms).
+  /// Worker-hang watchdog for kProcess / kResilient: milliseconds a
+  /// dispatched shard has to come back as a complete response, against a
+  /// monotonic deadline armed at dispatch. Partial reads and poll() wakeups
+  /// do not reset it, so a slow-dribbling worker cannot evade it (kTimeout).
+  /// <= 0 waits forever, only sensible under a debugger.
   int timeout_ms = 120'000;
   /// kResilient only: re-dispatches one shard gets before the supervisor
   /// leaves the process rung (kProcess always uses 0).

@@ -8,8 +8,8 @@
 // delay with deterministic jitter. Sites are *always* compiled in; when
 // nothing is armed the per-site cost is one relaxed atomic load
 // (`failpointsArmed()`), so production campaigns pay nothing measurable
-// (BENCH_fsim.json records `resilient_overhead_vs_process` to keep that
-// claim honest).
+// (corebench's bist_qualify workload grades on an unarmed kResilient
+// backend, which keeps that claim measured).
 //
 // Arming is programmatic (`FailpointRegistry::instance().arm(...)`) or
 // environmental: the `COREBIST_FAILPOINTS` variable is parsed once at

@@ -1,9 +1,8 @@
 // The one JSON writer of the library. Every artifact corebist emits —
-// session reports and their fingerprints, lint reports, resilience logs,
-// report-stream events and the BENCH_*.json files — is built through
-// JsonWriter, so separators, escaping and the non-finite guard are decided
-// here and nowhere else. Depends on nothing in the library, so every layer
-// can include it.
+// session reports and their fingerprints, lint reports, resilience logs
+// and report-stream events — is built through JsonWriter, so separators,
+// escaping and the non-finite guard are decided here and nowhere else.
+// Depends on nothing in the library, so every layer can include it.
 //
 // One layout, no option: a document is one line,
 //

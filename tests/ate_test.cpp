@@ -9,27 +9,17 @@
 #include <vector>
 
 #include "core/soc.hpp"
-#include "netlist/builder.hpp"
+#include "fixtures.hpp"
 #include "tam/ate.hpp"
 
 namespace corebist {
 namespace {
 
-Netlist makeToyModule(int twist) {
-  Netlist nl("toy" + std::to_string(twist));
-  Builder b(nl);
-  const Bus x = b.input("x", 10);
-  const Bus q = b.state("q", 10);
-  b.connect(q, b.bw(GateType::kXor, x, b.shiftConst(q, 1 + twist % 3)));
-  b.output("y", q);
-  b.output("p", Bus{b.reduceXor(q)});
-  nl.validate();
-  return nl;
-}
+using fixtures::makeToyModule;
 
 std::unique_ptr<WrappedCore> makeCore(const std::string& name, int twist) {
   auto core = std::make_unique<WrappedCore>(name);
-  core->addModule(makeToyModule(twist));
+  core->addModule(makeToyModule(twist, /*width=*/10));
   return core;
 }
 

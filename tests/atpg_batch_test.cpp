@@ -10,6 +10,7 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "atpg/atpg.hpp"
@@ -18,6 +19,7 @@
 #include "fault/fault.hpp"
 #include "fault/parallel_fsim.hpp"
 #include "fault/seq_fsim.hpp"
+#include "ldpc/gatelevel.hpp"
 #include "netlist/builder.hpp"
 #include "scan/scan.hpp"
 
@@ -396,15 +398,21 @@ TEST(BatchedAtpg, DeterministicUnderFixedSeed) {
   expectSameOutcome(ta, tb, "transition rerun");
 }
 
-TEST(BatchedAtpg, ThreadCountInvariance) {
-  const Netlist nl = randomSeqModule(88, 8, 10, 60);
-  const Netlist scanned = buildScannedModule(nl);
-  const ScanView view = makeScanView(scanned);
+/// Settings for the Table 3 LDPC full-scan views. The PODEM budget never
+/// binds, even in sanitizer builds, so every outcome is a pure function of
+/// the seed and thread counts cannot disagree.
+FullScanAtpgOptions ldpcAtpgOptions() {
+  FullScanAtpgOptions opts;
+  opts.max_random_blocks = 8;
+  opts.random_stall_blocks = 3;
+  opts.podem_budget_seconds = 1e9;
+  return opts;
+}
+
+void expectThreadCountInvariance(const Netlist& scanned, const ScanView& view,
+                                 FullScanAtpgOptions opts) {
   const FaultUniverse u = enumerateStuckAt(scanned);
   const auto tdf = toTransitionFaults(u.faults);
-  FullScanAtpgOptions opts;
-  opts.max_random_blocks = 4;
-  opts.random_stall_blocks = 2;
   opts.num_threads = 1;
   const auto saf1 = runFullScanAtpg(scanned, view, u.faults, opts);
   const auto tdf1 = runFullScanTransition(scanned, view, tdf, opts);
@@ -415,6 +423,56 @@ TEST(BatchedAtpg, ThreadCountInvariance) {
     const auto tdfN = runFullScanTransition(scanned, view, tdf, opts);
     expectSameOutcome(tdf1, tdfN, "transition threads");
   }
+}
+
+TEST(BatchedAtpg, ThreadCountInvariance) {
+  const Netlist nl = randomSeqModule(88, 8, 10, 60);
+  const Netlist scanned = buildScannedModule(nl);
+  FullScanAtpgOptions opts;
+  opts.max_random_blocks = 4;
+  opts.random_stall_blocks = 2;
+  expectThreadCountInvariance(scanned, makeScanView(scanned), opts);
+
+  for (const auto& [module, chains] :
+       {std::pair{ldpc::buildBitNode(), std::vector<int>{}},
+        std::pair{ldpc::buildControlUnit(), std::vector<int>{14, 28}}}) {
+    SCOPED_TRACE(module.name());
+    const Netlist ldpc_scanned = buildScannedModule(module, chains);
+    expectThreadCountInvariance(ldpc_scanned,
+                                makeScanView(ldpc_scanned, chains),
+                                ldpcAtpgOptions());
+  }
+}
+
+TEST(BatchedAtpg, ScoapAndCollapsingCutPodemWorkOnControlUnit) {
+  // Every undetected CONTROL_UNIT fault aborts rather than being proven
+  // redundant, so the backtrack limit binds on the hard tail and guided
+  // ordering can turn aborts into detections: SCOAP must keep coverage and
+  // cut backtracks. Collapsed targeting must keep the detected set while
+  // skipping PODEM calls.
+  const std::vector<int> chains = {14, 28};
+  const Netlist scanned = buildScannedModule(ldpc::buildControlUnit(), chains);
+  const ScanView view = makeScanView(scanned, chains);
+  const FaultUniverse u = enumerateStuckAt(scanned);
+  FullScanAtpgOptions base = ldpcAtpgOptions();
+  base.backtrack_limit = 4096;
+  const FullScanAtpgResult unguided =
+      runFullScanAtpg(scanned, view, u.faults, base);
+
+  FullScanAtpgOptions scoap = base;
+  scoap.use_scoap = true;
+  const FullScanAtpgResult guided =
+      runFullScanAtpg(scanned, view, u.faults, scoap);
+  EXPECT_GE(guided.detected, unguided.detected);
+  EXPECT_LT(guided.backtracks, unguided.backtracks);
+
+  FullScanAtpgOptions collapse = base;
+  collapse.collapse_faults = true;
+  const FullScanAtpgResult collapsed =
+      runFullScanAtpg(scanned, view, u.faults, collapse);
+  EXPECT_EQ(collapsed.detected, unguided.detected);
+  EXPECT_GT(collapsed.collapsed_faults, 0u);
+  EXPECT_LT(collapsed.podem_calls, unguided.podem_calls);
 }
 
 TEST(BatchedAtpg, TransitionMatchesPerBlockReferenceAtAnyBatchSize) {

@@ -17,6 +17,7 @@
 #include "core/scheduler.hpp"
 #include "core/session_channel.hpp"
 #include "core/soc.hpp"
+#include "fixtures.hpp"
 #include "netlist/builder.hpp"
 
 namespace corebist {
@@ -157,6 +158,19 @@ TEST(HierTam, RandomizedTopologiesAreFingerprintIdenticalToSerial) {
     }
   }
   EXPECT_GE(multi_tam_nested_cases, 20);
+
+  // Six two-module cores round-robin over 1/2/4 TAMs, one nested core per
+  // TAM: 4 threads reproduce the serial fingerprint.
+  const TestPlan plan256 = TestPlan{}.withPatterns(256);
+  for (const int tams : {1, 2, 4}) {
+    auto soc = fixtures::makeTwoModuleSoc(6, tams, /*nested=*/true);
+    SocTestScheduler scheduler(*soc);
+    const std::string reference =
+        scheduler.run(TestPlan(plan256).withThreads(1)).fingerprint();
+    EXPECT_EQ(scheduler.run(TestPlan(plan256).withThreads(4)).fingerprint(),
+              reference)
+        << "two-module SoC, tams " << tams;
+  }
 }
 
 TEST(HierTam, NestedDefectIsLocalizedThroughTheChildChain) {

@@ -2,10 +2,11 @@
 // model must equal the measured TCK accounting (the protocol is bit-banged
 // and fixed-length, so prediction is arithmetic, not estimation), the
 // placement pass must be deterministic with an index-order tie-break,
-// kMakespan must never predict a worse makespan than kPlanOrder, and every
-// placement field must stay out of the campaign fingerprint. Also the JSON
-// finite-guard regression: inf/NaN doubles (zero-wall-time campaigns) must
-// never reach the artifact.
+// kMakespan must never predict a worse makespan than kPlanOrder (and must
+// strictly beat it on ascending budgets), and every placement field must
+// stay out of the campaign fingerprint. Also the JSON finite-guard
+// regression: inf/NaN doubles (zero-wall-time campaigns) must never reach
+// the artifact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,23 +23,13 @@
 #include "core/scheduler.hpp"
 #include "core/session_report.hpp"
 #include "core/soc.hpp"
-#include "netlist/builder.hpp"
+#include "fixtures.hpp"
 #include "tam/ate.hpp"
 
 namespace corebist {
 namespace {
 
-Netlist makeToyModule(int twist) {
-  Netlist nl("toy" + std::to_string(twist));
-  Builder b(nl);
-  const Bus x = b.input("x", 12);
-  const Bus q = b.state("q", 12);
-  b.connect(q, b.bw(GateType::kXor, x, b.shiftConst(q, 1 + twist % 3)));
-  b.output("y", q);
-  b.output("p", Bus{b.reduceXor(q)});
-  nl.validate();
-  return nl;
-}
+using fixtures::makeToyModule;
 
 std::unique_ptr<WrappedCore> makeCore(const std::string& name, int twist,
                                       int modules = 1) {
@@ -209,6 +200,63 @@ TEST(Placement, MakespanNeverPredictsWorseThanPlanOrder) {
       EXPECT_EQ(fmk.tams[t].predicted_tap_clocks,
                 fpo.tams[t].predicted_tap_clocks);
     }
+  }
+}
+
+/// Max - min predicted channel load within each TAM, summed over TAMs: the
+/// imbalance the placement pass minimizes.
+std::size_t predictedSpread(const PlanForecast& f) {
+  std::size_t spread = 0;
+  for (const TamForecast& tf : f.tams) {
+    std::size_t lo = std::numeric_limits<std::size_t>::max();
+    std::size_t hi = 0;
+    for (const ChannelLoad& cl : tf.channel_loads) {
+      lo = std::min(lo, cl.predicted_tcks);
+      hi = std::max(hi, cl.predicted_tcks);
+    }
+    if (hi > lo) spread += hi - lo;
+  }
+  return spread;
+}
+
+TEST(Placement, MakespanStrictlyBeatsPlanOrderOnAscendingBudgets) {
+  // 16 two-module cores round-robin over 4 TAMs, 2 channels each, budgets
+  // ascending within each TAM: the adversarial case for the plan-order
+  // walk. kMakespan must strictly shrink the predicted makespan, never widen
+  // the channel-load spread or lose on any TAM, and change no outcome.
+  constexpr int kCores = 16;
+  constexpr int kTams = 4;
+  TestPlan plan = TestPlan{}.withThreads(8).withChannelsPerTam(2);
+  for (int c = 0; c < kCores; ++c) {
+    plan.addCore(
+        CorePlan{.core_index = c, .patterns = 64 * (1 + c / kTams)});
+  }
+  auto ref_soc = fixtures::makeTwoModuleSoc(kCores, kTams);
+  const std::string reference =
+      SocTestScheduler(*ref_soc).run(TestPlan(plan).withThreads(1))
+          .fingerprint();
+
+  PlanForecast forecast[2];
+  const PlacementPolicy policies[2] = {PlacementPolicy::kPlanOrder,
+                                       PlacementPolicy::kMakespan};
+  for (int p = 0; p < 2; ++p) {
+    auto soc = fixtures::makeTwoModuleSoc(kCores, kTams);
+    SocTestScheduler scheduler(*soc);
+    TestPlan placed = plan;
+    placed.withPlacement(policies[p]);
+    forecast[p] = scheduler.predict(placed);
+    EXPECT_EQ(scheduler.run(placed).fingerprint(), reference)
+        << placementPolicyName(policies[p]);
+  }
+  const PlanForecast& po = forecast[0];
+  const PlanForecast& mk = forecast[1];
+  EXPECT_LT(mk.predicted_makespan_tcks, po.predicted_makespan_tcks);
+  EXPECT_LE(predictedSpread(mk), predictedSpread(po));
+  ASSERT_EQ(mk.tams.size(), po.tams.size());
+  for (std::size_t t = 0; t < mk.tams.size(); ++t) {
+    EXPECT_LE(mk.tams[t].predicted_makespan_tcks,
+              po.tams[t].predicted_makespan_tcks)
+        << "tam " << t;
   }
 }
 

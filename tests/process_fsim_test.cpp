@@ -1,12 +1,14 @@
-// ProcessFaultSim orchestration: byte-identical results to the serial
-// engines on randomized netlists across 1/2/4 worker processes — plain
+// The fork executor (FsimBackend::kProcess): byte-identical results to the
+// serial engines on randomized netlists across 1/2/4 worker processes — plain
 // dropping campaigns, transition pair campaigns (FaultSimOptions::launch),
 // first-K dictionary records, and the windowed-MISR sequential path — plus
 // the failure-path regressions driven through the failpoint registry: a
 // crashed worker, a hung worker, truncated / bit-flipped frames (checksum
 // detection) and dribbled partial writes must surface as structured
 // ProcessFsimError (or be absorbed) with every child reaped (no hang, no
-// zombies), and the backend factory parse/name round-trip.
+// zombies), and the backend factory: every backend at every lane width
+// equals serial, on random netlists and the LDPC full-scan views, and the
+// parse/name round-trip.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -24,81 +26,17 @@
 #include "fault/comb_fsim.hpp"
 #include "fault/failpoint.hpp"
 #include "fault/fault.hpp"
-#include "fault/process_fsim.hpp"
 #include "fault/seq_fsim.hpp"
-#include "netlist/builder.hpp"
+#include "fault/sharded_fsim.hpp"
+#include "fixtures.hpp"
+#include "ldpc/gatelevel.hpp"
 #include "scan/scan.hpp"
 
 namespace corebist {
 namespace {
 
-/// Random combinational DAG over `width` inputs.
-Netlist randomComb(std::uint64_t seed, int width, int gates) {
-  Netlist nl("rand");
-  Builder b(nl);
-  const Bus x = b.input("x", width);
-  std::vector<NetId> pool(x.begin(), x.end());
-  std::mt19937_64 rng(seed);
-  for (int g = 0; g < gates; ++g) {
-    const auto t = static_cast<GateType>(2 + rng() % 9);  // kBuf .. kMux2
-    const NetId a = pool[rng() % pool.size()];
-    const NetId bnet = pool[rng() % pool.size()];
-    const NetId s = pool[rng() % pool.size()];
-    NetId out = kNullNet;
-    switch (gateArity(t)) {
-      case 1:
-        out = nl.addGate1(t, a);
-        break;
-      case 2:
-        out = nl.addGate2(t, a, bnet);
-        break;
-      default:
-        out = nl.addMux(a, bnet, s);
-        break;
-    }
-    pool.push_back(out);
-  }
-  Bus outs(pool.end() - std::min<std::size_t>(8, pool.size()), pool.end());
-  b.output("y", outs);
-  nl.validate();
-  return nl;
-}
-
-/// Random sequential circuit: a comb core whose last nets feed a state
-/// register folded back into the input pool.
-Netlist randomSeq(std::uint64_t seed, int width, int state_bits, int gates) {
-  Netlist nl("rand_seq");
-  Builder b(nl);
-  const Bus x = b.input("x", width);
-  const Bus q = b.state("q", state_bits);
-  std::vector<NetId> pool(x.begin(), x.end());
-  pool.insert(pool.end(), q.begin(), q.end());
-  std::mt19937_64 rng(seed);
-  for (int g = 0; g < gates; ++g) {
-    const auto t = static_cast<GateType>(2 + rng() % 9);
-    const NetId a = pool[rng() % pool.size()];
-    const NetId bnet = pool[rng() % pool.size()];
-    const NetId s = pool[rng() % pool.size()];
-    NetId out = kNullNet;
-    switch (gateArity(t)) {
-      case 1:
-        out = nl.addGate1(t, a);
-        break;
-      case 2:
-        out = nl.addGate2(t, a, bnet);
-        break;
-      default:
-        out = nl.addMux(a, bnet, s);
-        break;
-    }
-    pool.push_back(out);
-  }
-  b.connect(q, Bus(pool.end() - state_bits, pool.end()));
-  Bus outs(pool.end() - std::min<std::size_t>(6, pool.size()), pool.end());
-  b.output("y", outs);
-  nl.validate();
-  return nl;
-}
+using fixtures::randomComb;
+using fixtures::randomSeq;
 
 void expectSameResult(const FaultSimResult& ref, const FaultSimResult& got,
                       const char* what) {
@@ -155,10 +93,10 @@ TEST_P(ProcessEquivalence, CombCampaignsMatchSerialByteForByte) {
   for (std::size_t m = 0; m < modes.size(); ++m) {
     const FaultSimResult ref = serial.run(u.faults, patterns, modes[m]);
     for (const int workers : {1, 2, 4}) {
-      ProcessFsimOptions popts;
+      FsimBackendOptions popts{.backend = FsimBackend::kProcess};
       popts.num_workers = workers;
       popts.shard_faults = workers == 4 ? 17 : 63;  // odd shards too
-      ProcessFaultSim psim(
+      ShardedFaultSim psim(
           CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
       const FaultSimResult r = psim.run(u.faults, patterns, modes[m]);
       SCOPED_TRACE("mode " + std::to_string(m) + " workers " +
@@ -197,10 +135,10 @@ TEST_P(ProcessEquivalence, TransitionPairCampaignMatchesSerial) {
   CombFaultSim serial(nl, nl.primaryInputs(), nl.primaryOutputs());
   const FaultSimResult ref = serial.run(tdf, capture_src, o);
   for (const int workers : {1, 2, 4}) {
-    ProcessFsimOptions popts;
+    FsimBackendOptions popts{.backend = FsimBackend::kProcess};
     popts.num_workers = workers;
     popts.shard_faults = 21;
-    ProcessFaultSim psim(
+    ShardedFaultSim psim(
         CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
     const FaultSimResult r = psim.run(tdf, capture_src, o);
     SCOPED_TRACE("workers " + std::to_string(workers));
@@ -234,10 +172,10 @@ TEST_P(ProcessEquivalence, SeqWindowedMisrMatchesSerial) {
   const SeqFsimResult ref = serial.run(u.faults, stim, opts);
 
   for (const int workers : {2, 4}) {
-    ProcessFsimOptions popts;
+    FsimBackendOptions popts{.backend = FsimBackend::kProcess};
     popts.num_workers = workers;
     popts.shard_faults = 29;
-    ProcessFaultSim psim(SeqFaultSim{nl}, popts);
+    ShardedFaultSim psim(SeqFaultSim{nl}, popts);
     const FaultSimResult r = psim.run(u.faults, patterns, opts);
     SCOPED_TRACE("workers " + std::to_string(workers));
     EXPECT_EQ(r.first_detect, ref.first_detect);
@@ -279,7 +217,7 @@ TEST_F(ProcessFsimFailure, CrashedWorkerRaisesStructuredErrorWithoutZombies) {
   o.cycles = 256;
   o.prepass_cycles = 0;
 
-  ProcessFsimOptions popts;
+  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
   popts.num_workers = 2;
   popts.shard_faults = 8;  // many shards, so the crash lands mid-campaign
   // Worker 1 dies executing its first shard; the parent-side registry
@@ -287,7 +225,7 @@ TEST_F(ProcessFsimFailure, CrashedWorkerRaisesStructuredErrorWithoutZombies) {
   FailpointRegistry::instance().arm("process.worker.shard",
                                     action(FailpointAction::Kind::kCrash),
                                     /*match_index=*/1);
-  ProcessFaultSim psim(
+  ShardedFaultSim psim(
       CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
   try {
     (void)psim.run(u.faults, patterns, o);
@@ -310,7 +248,7 @@ TEST_F(ProcessFsimFailure, CrashedWorkerRaisesStructuredErrorWithoutZombies) {
   FailpointRegistry::instance().disarmAll();
   CombFaultSim serial(nl, nl.primaryInputs(), nl.primaryOutputs());
   const FaultSimResult ref = serial.run(u.faults, patterns, o);
-  ProcessFaultSim retry(
+  ShardedFaultSim retry(
       CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
   const FaultSimResult r = retry.run(u.faults, patterns, o);
   EXPECT_EQ(r.first_detect, ref.first_detect);
@@ -326,14 +264,14 @@ TEST_F(ProcessFsimFailure, HungWorkerTimesOutStructuredNotForever) {
   o.cycles = 256;
   o.prepass_cycles = 0;
 
-  ProcessFsimOptions popts;
+  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
   popts.num_workers = 2;
   popts.shard_faults = 8;
   popts.timeout_ms = 300;  // the watchdog under test
   FailpointRegistry::instance().arm("process.worker.shard",
                                     action(FailpointAction::Kind::kHang),
                                     /*match_index=*/0);
-  ProcessFaultSim psim(
+  ShardedFaultSim psim(
       CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
   const auto t0 = std::chrono::steady_clock::now();
   try {
@@ -361,7 +299,7 @@ TEST_F(ProcessFsimFailure, BitflippedReplyIsCaughtByChecksumAsProtocolError) {
   o.cycles = 192;
   o.prepass_cycles = 0;
 
-  ProcessFsimOptions popts;
+  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
   popts.num_workers = 2;
   popts.shard_faults = 16;
   // Flip a payload bit (bit 200 is past the 128-bit header) in one reply
@@ -369,7 +307,7 @@ TEST_F(ProcessFsimFailure, BitflippedReplyIsCaughtByChecksumAsProtocolError) {
   // the merged detection data; with it the parent reports kProtocol.
   FailpointRegistry::instance().arm(
       "process.worker.reply", action(FailpointAction::Kind::kBitflip, 200));
-  ProcessFaultSim psim(
+  ShardedFaultSim psim(
       CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
   try {
     (void)psim.run(u.faults, patterns, o);
@@ -389,7 +327,7 @@ TEST_F(ProcessFsimFailure, TruncatedReplySurfacesAsWorkerDeath) {
   o.cycles = 192;
   o.prepass_cycles = 0;
 
-  ProcessFsimOptions popts;
+  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
   popts.num_workers = 2;
   popts.shard_faults = 16;
   popts.timeout_ms = 5'000;
@@ -397,7 +335,7 @@ TEST_F(ProcessFsimFailure, TruncatedReplySurfacesAsWorkerDeath) {
   // short frame + EOF, never a hang.
   FailpointRegistry::instance().arm(
       "process.worker.reply", action(FailpointAction::Kind::kTruncate, 8));
-  ProcessFaultSim psim(
+  ShardedFaultSim psim(
       CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
   try {
     (void)psim.run(u.faults, patterns, o);
@@ -416,14 +354,14 @@ TEST_F(ProcessFsimFailure, CorruptedRequestKillsWorkerNotCampaignIntegrity) {
   o.cycles = 192;
   o.prepass_cycles = 0;
 
-  ProcessFsimOptions popts;
+  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
   popts.num_workers = 2;
   popts.shard_faults = 16;
   // Corrupt one request frame on the wire: the worker's checksum validation
   // must reject it and _exit rather than grade garbage faults.
   FailpointRegistry::instance().arm(
       "process.request.frame", action(FailpointAction::Kind::kBitflip, 300));
-  ProcessFaultSim psim(
+  ShardedFaultSim psim(
       CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
   try {
     (void)psim.run(u.faults, patterns, o);
@@ -445,7 +383,7 @@ TEST_F(ProcessFsimFailure, DribbledRequestWritesAreAbsorbedByteIdentically) {
   CombFaultSim serial(nl, nl.primaryInputs(), nl.primaryOutputs());
   const FaultSimResult ref = serial.run(u.faults, patterns, o);
 
-  ProcessFsimOptions popts;
+  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
   popts.num_workers = 2;
   popts.shard_faults = 16;
   // Every request frame is dribbled in 1-byte / 7-byte / rest chunks with
@@ -455,7 +393,7 @@ TEST_F(ProcessFsimFailure, DribbledRequestWritesAreAbsorbedByteIdentically) {
                                     action(FailpointAction::Kind::kShortWrite),
                                     /*match_index=*/-1, /*match_seq=*/-1,
                                     /*skip=*/0, /*count=*/-1);
-  ProcessFaultSim psim(
+  ShardedFaultSim psim(
       CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
   const FaultSimResult r = psim.run(u.faults, patterns, o);
   expectSameResult(ref, r, "short-write process vs serial");
@@ -476,7 +414,7 @@ std::pair<ProcessFsimError::Reason, double> runWithHeaderFlip(
   FaultSimOptions o;
   o.cycles = 192;
   o.prepass_cycles = 0;
-  ProcessFsimOptions popts;
+  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
   popts.num_workers = 2;
   popts.shard_faults = 16;
   popts.timeout_ms = 60'000;
@@ -484,7 +422,7 @@ std::pair<ProcessFsimError::Reason, double> runWithHeaderFlip(
   flip.kind = FailpointAction::Kind::kBitflip;
   flip.arg = 84;
   FailpointRegistry::instance().arm(site, flip);
-  ProcessFaultSim psim(
+  ShardedFaultSim psim(
       CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
   const auto t0 = std::chrono::steady_clock::now();
   ProcessFsimError::Reason reason = ProcessFsimError::Reason::kTimeout;
@@ -527,9 +465,9 @@ TEST(ProcessFsimValidation, EngineErrorsSurfaceAsInvalidArgument) {
   o.cycles = 64;
   o.prepass_cycles = 0;
   o.misr = MisrSpec{};
-  ProcessFsimOptions popts;
+  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
   popts.num_workers = 2;
-  ProcessFaultSim psim(
+  ShardedFaultSim psim(
       CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
   EXPECT_THROW((void)psim.run(u.faults, patterns, o), std::invalid_argument);
   EXPECT_TRUE(noZombies());
@@ -561,18 +499,17 @@ TEST(ProcessFsimBackend, AtpgGradingOnProcessBackendMatchesThreaded) {
   EXPECT_TRUE(noZombies());
 }
 
-TEST(ProcessFsimBackend, FactoryWrapsEveryBackendOverEveryLaneWidth) {
-  const Netlist nl = randomComb(17, 9, 50);
+/// Every backend at every lane width grades `nl`'s stuck-at universe to the
+/// serial 64-lane result.
+void expectEveryBackendMatchesSerial(const Netlist& nl,
+                                     std::span<const NetId> inputs,
+                                     std::span<const NetId> observed,
+                                     const PatternSource& patterns,
+                                     const FaultSimOptions& o) {
   const FaultUniverse u = enumerateStuckAt(nl);
-  const RandomPatternSource patterns(4, nl.primaryInputs().size(), 192);
-  FaultSimOptions o;
-  o.cycles = 192;
-  o.prepass_cycles = 0;
-
   FsimBackendOptions ref_opts;  // serial, 64-lane reference
   ref_opts.lane_words = 1;
-  const auto ref_engine =
-      makeCombFaultSim(nl, nl.primaryInputs(), nl.primaryOutputs(), ref_opts);
+  const auto ref_engine = makeCombFaultSim(nl, inputs, observed, ref_opts);
   const FaultSimResult ref = ref_engine->run(u.faults, patterns, o);
 
   for (const FsimBackend backend :
@@ -583,15 +520,45 @@ TEST(ProcessFsimBackend, FactoryWrapsEveryBackendOverEveryLaneWidth) {
       bopts.backend = backend;
       bopts.lane_words = lw;
       bopts.num_workers = 2;
-      const auto engine = makeCombFaultSim(nl, nl.primaryInputs(),
-                                           nl.primaryOutputs(), bopts);
+      const auto engine = makeCombFaultSim(nl, inputs, observed, bopts);
       const FaultSimResult r = engine->run(u.faults, patterns, o);
-      SCOPED_TRACE(std::string(fsimBackendName(backend)) + " W=" +
+      SCOPED_TRACE(nl.name() + " " + fsimBackendName(backend) + " W=" +
                    std::to_string(lw));
       EXPECT_EQ(r.first_detect, ref.first_detect);
       EXPECT_EQ(r.detected, ref.detected);
       EXPECT_EQ(r.patterns_applied, ref.patterns_applied);
     }
+  }
+}
+
+TEST(ProcessFsimBackend, FactoryWrapsEveryBackendOverEveryLaneWidth) {
+  const Netlist nl = randomComb(17, 9, 50);
+  const RandomPatternSource patterns(4, nl.primaryInputs().size(), 192);
+  FaultSimOptions o;
+  o.cycles = 192;
+  o.prepass_cycles = 0;
+  expectEveryBackendMatchesSerial(nl, nl.primaryInputs(), nl.primaryOutputs(),
+                                  patterns, o);
+
+  // The Table 3 full-scan views of BIT_NODE and CONTROL_UNIT, graded full
+  // length (no fault dropping) over 1024 random patterns, as dictionary and
+  // diagnosis flows grade them.
+  FaultSimOptions full;
+  full.cycles = 1024;
+  full.prepass_cycles = 0;
+  full.drop_detected = false;
+  const struct {
+    Netlist module;
+    std::vector<int> chains;
+    std::uint64_t seed;
+  } views[] = {{ldpc::buildBitNode(), {}, 0xB15D},
+               {ldpc::buildControlUnit(), {14, 28}, 0xB15F}};
+  for (const auto& v : views) {
+    const Netlist scanned = buildScannedModule(v.module, v.chains);
+    const ScanView view = makeScanView(scanned, v.chains);
+    const RandomPatternSource random(v.seed, view.inputs.size(), 1024);
+    expectEveryBackendMatchesSerial(scanned, view.inputs, view.observed,
+                                    random, full);
   }
   EXPECT_TRUE(noZombies());
 }

@@ -1,5 +1,5 @@
 // Self-healing campaign execution: the failpoint registry (matching, spec
-// parsing, env arming), ResilientFaultSim retry/respawn/degradation —
+// parsing, env arming), kResilient retry/respawn/degradation —
 // byte-identical to the serial engines under every injected failure
 // schedule that eventually succeeds, including full ladder descents — and
 // the scheduler's channel-retry / quarantine policy: a persistently failing
@@ -27,44 +27,14 @@
 #include "fault/comb_fsim.hpp"
 #include "fault/failpoint.hpp"
 #include "fault/fault.hpp"
-#include "fault/process_fsim.hpp"
-#include "fault/resilient_fsim.hpp"
-#include "netlist/builder.hpp"
+#include "fault/sharded_fsim.hpp"
+#include "fixtures.hpp"
 
 namespace corebist {
 namespace {
 
-/// Random combinational DAG over `width` inputs (as in process_fsim_test).
-Netlist randomComb(std::uint64_t seed, int width, int gates) {
-  Netlist nl("rand");
-  Builder b(nl);
-  const Bus x = b.input("x", width);
-  std::vector<NetId> pool(x.begin(), x.end());
-  std::mt19937_64 rng(seed);
-  for (int g = 0; g < gates; ++g) {
-    const auto t = static_cast<GateType>(2 + rng() % 9);  // kBuf .. kMux2
-    const NetId a = pool[rng() % pool.size()];
-    const NetId bnet = pool[rng() % pool.size()];
-    const NetId s = pool[rng() % pool.size()];
-    NetId out = kNullNet;
-    switch (gateArity(t)) {
-      case 1:
-        out = nl.addGate1(t, a);
-        break;
-      case 2:
-        out = nl.addGate2(t, a, bnet);
-        break;
-      default:
-        out = nl.addMux(a, bnet, s);
-        break;
-    }
-    pool.push_back(out);
-  }
-  Bus outs(pool.end() - std::min<std::size_t>(8, pool.size()), pool.end());
-  b.output("y", outs);
-  nl.validate();
-  return nl;
-}
+using fixtures::makeToyModule;
+using fixtures::randomComb;
 
 void expectSameResult(const FaultSimResult& ref, const FaultSimResult& got,
                       const char* what) {
@@ -179,7 +149,7 @@ TEST_F(Resilience, EnvSpecArmsTheRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// ResilientFaultSim: retry convergence and the degradation ladder
+// kResilient: retry convergence and the degradation ladder
 // ---------------------------------------------------------------------------
 
 struct ResilientRig {
@@ -200,14 +170,14 @@ struct ResilientRig {
     ref = serial.run(u.faults, patterns, opts);
   }
 
-  [[nodiscard]] ResilientFaultSim make(ResilientFsimOptions ropts) const {
-    return ResilientFaultSim(
+  [[nodiscard]] ShardedFaultSim make(FsimBackendOptions ropts) const {
+    return ShardedFaultSim(
         CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, ropts);
   }
 };
 
-ResilientFsimOptions fastRopts() {
-  ResilientFsimOptions r;
+FsimBackendOptions fastRopts() {
+  FsimBackendOptions r{.backend = FsimBackend::kResilient};
   r.num_workers = 2;
   r.shard_faults = 16;
   r.timeout_ms = 2'000;
@@ -218,7 +188,7 @@ ResilientFsimOptions fastRopts() {
 
 TEST_F(Resilience, UnarmedRunIsByteIdenticalWithCleanLog) {
   const ResilientRig rig(31);
-  ResilientFaultSim rsim = rig.make(fastRopts());
+  ShardedFaultSim rsim = rig.make(fastRopts());
   const FaultSimResult r = rsim.run(rig.u.faults, rig.patterns, rig.opts);
   expectSameResult(rig.ref, r, "unarmed resilient vs serial");
   EXPECT_TRUE(rsim.lastLog().clean());
@@ -249,9 +219,9 @@ TEST_F(Resilience, EverySingleFailureScheduleConvergesByteIdentically) {
     SCOPED_TRACE(s.name);
     FailpointRegistry::instance().disarmAll();
     FailpointRegistry::instance().arm(s.site, s.a, /*match_index=*/1);
-    ResilientFsimOptions ropts = fastRopts();
+    FsimBackendOptions ropts = fastRopts();
     ropts.timeout_ms = 400;  // keeps the hang schedule fast
-    ResilientFaultSim rsim = rig.make(ropts);
+    ShardedFaultSim rsim = rig.make(ropts);
     const FaultSimResult r = rsim.run(rig.u.faults, rig.patterns, rig.opts);
     expectSameResult(rig.ref, r, s.name);
     const ResilienceLog& log = rsim.lastLog();
@@ -282,7 +252,7 @@ TEST_F(Resilience, RandomizedInjectionSchedulesConvergeByteIdentically) {
           site, a, /*match_index=*/static_cast<std::int64_t>(rng() % 2),
           /*match_seq=*/-1, /*skip=*/static_cast<int>(rng() % 3));
     }
-    ResilientFaultSim rsim = rig.make(fastRopts());
+    ShardedFaultSim rsim = rig.make(fastRopts());
     const FaultSimResult r = rsim.run(rig.u.faults, rig.patterns, rig.opts);
     expectSameResult(rig.ref, r, "randomized schedule");
     EXPECT_EQ(rsim.lastLog().final_rung, 0);
@@ -300,9 +270,9 @@ TEST_F(Resilience, FlippedFrameLengthsRecoverWithoutWaitingForTheWatchdog) {
     FailpointRegistry::instance().disarmAll();
     FailpointRegistry::instance().arm(
         site, action(FailpointAction::Kind::kBitflip, 84));
-    ResilientFsimOptions ropts = fastRopts();
+    FsimBackendOptions ropts = fastRopts();
     ropts.timeout_ms = 60'000;
-    ResilientFaultSim rsim = rig.make(ropts);
+    ShardedFaultSim rsim = rig.make(ropts);
     const auto t0 = std::chrono::steady_clock::now();
     const FaultSimResult r = rsim.run(rig.u.faults, rig.patterns, rig.opts);
     const double seconds =
@@ -325,9 +295,9 @@ TEST_F(Resilience, PersistentWorkerFailureDegradesToThreadedByteIdentically) {
                                     action(FailpointAction::Kind::kCrash),
                                     /*match_index=*/-1, /*match_seq=*/-1,
                                     /*skip=*/0, /*count=*/-1);
-  ResilientFsimOptions ropts = fastRopts();
+  FsimBackendOptions ropts = fastRopts();
   ropts.max_shard_retries = 2;
-  ResilientFaultSim rsim = rig.make(ropts);
+  ShardedFaultSim rsim = rig.make(ropts);
   const FaultSimResult r = rsim.run(rig.u.faults, rig.patterns, rig.opts);
   expectSameResult(rig.ref, r, "degraded-to-threaded vs serial");
   const ResilienceLog& log = rsim.lastLog();
@@ -354,9 +324,9 @@ TEST_F(Resilience, LadderFallsAllTheWayToSerialByteIdentically) {
   FailpointRegistry::instance().arm("resilient.rung",
                                     action(FailpointAction::Kind::kError),
                                     /*match_index=*/1);
-  ResilientFsimOptions ropts = fastRopts();
+  FsimBackendOptions ropts = fastRopts();
   ropts.max_shard_retries = 1;
-  ResilientFaultSim rsim = rig.make(ropts);
+  ShardedFaultSim rsim = rig.make(ropts);
   const FaultSimResult r = rsim.run(rig.u.faults, rig.patterns, rig.opts);
   expectSameResult(rig.ref, r, "degraded-to-serial vs serial");
   const ResilienceLog& log = rsim.lastLog();
@@ -373,10 +343,10 @@ TEST_F(Resilience, DegradeDisabledRethrowsTheUnderlyingProcessError) {
                                     action(FailpointAction::Kind::kCrash),
                                     /*match_index=*/-1, /*match_seq=*/-1,
                                     /*skip=*/0, /*count=*/-1);
-  ResilientFsimOptions ropts = fastRopts();
+  FsimBackendOptions ropts = fastRopts();
   ropts.max_shard_retries = 1;
   ropts.degrade_on_failure = false;
-  ResilientFaultSim rsim = rig.make(ropts);
+  ShardedFaultSim rsim = rig.make(ropts);
   try {
     (void)rsim.run(rig.u.faults, rig.patterns, rig.opts);
     FAIL() << "expected ProcessFsimError";
@@ -394,7 +364,7 @@ TEST_F(Resilience, EngineErrorsAreDeterministicAndNeverRetried) {
   const ResilientRig rig(37);
   FaultSimOptions bad = rig.opts;
   bad.misr = MisrSpec{};  // MISR compaction is invalid on the comb kernel
-  ResilientFaultSim rsim = rig.make(fastRopts());
+  ShardedFaultSim rsim = rig.make(fastRopts());
   EXPECT_THROW((void)rsim.run(rig.u.faults, rig.patterns, bad),
                std::invalid_argument);
   EXPECT_EQ(rsim.lastLog().retries, 0);  // rejection is not a retry case
@@ -404,18 +374,6 @@ TEST_F(Resilience, EngineErrorsAreDeterministicAndNeverRetried) {
 // ---------------------------------------------------------------------------
 // Scheduler quarantine: channel retry, exclusion, fingerprint stability
 // ---------------------------------------------------------------------------
-
-Netlist makeToyModule(int twist) {
-  Netlist nl("toy" + std::to_string(twist));
-  Builder b(nl);
-  const Bus x = b.input("x", 12);
-  const Bus q = b.state("q", 12);
-  b.connect(q, b.bw(GateType::kXor, x, b.shiftConst(q, 1 + twist % 3)));
-  b.output("y", q);
-  b.output("p", Bus{b.reduceXor(q)});
-  nl.validate();
-  return nl;
-}
 
 std::unique_ptr<Soc> makeSoc() {
   auto soc = std::make_unique<Soc>("resilience_soc");
@@ -581,7 +539,7 @@ TEST_F(Resilience, ChaosStyleSpecStillConvergesByteIdentically) {
   ASSERT_EQ(::unsetenv("COREBIST_FAILPOINTS"), 0);
 
   const ResilientRig rig(38);
-  ResilientFaultSim rsim = rig.make(fastRopts());
+  ShardedFaultSim rsim = rig.make(fastRopts());
   const FaultSimResult r = rsim.run(rig.u.faults, rig.patterns, rig.opts);
   expectSameResult(rig.ref, r, "env chaos spec vs serial");
   EXPECT_GE(rsim.lastLog().retries, 1);
@@ -606,10 +564,10 @@ class ResilienceChaos : public ::testing::Test {
 
 TEST_F(ResilienceChaos, CampaignConvergesByteIdenticallyUnderEnvSchedule) {
   const ResilientRig rig(77);
-  ResilientFsimOptions ropts = fastRopts();
+  FsimBackendOptions ropts = fastRopts();
   ropts.timeout_ms = 500;  // hang schedules must resolve inside the job
   ropts.max_shard_retries = 4;
-  ResilientFaultSim rsim = rig.make(ropts);
+  ShardedFaultSim rsim = rig.make(ropts);
   const FaultSimResult r = rsim.run(rig.u.faults, rig.patterns, rig.opts);
   expectSameResult(rig.ref, r, "env-scheduled campaign vs serial");
   EXPECT_TRUE(noZombies());

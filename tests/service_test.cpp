@@ -6,7 +6,8 @@
 // reconstruct the report; and a multi-tenant soak that leaks neither
 // threads nor campaigns. Runs under TSan in CI (no fork in this file) and
 // under the chaos matrix (channel failpoints within the retry budget are
-// fingerprint-invisible by design).
+// fingerprint-invisible by design). One opt-in timing case checks that the
+// resident service beats one-shot campaigns.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -26,7 +27,7 @@
 
 #include "core/scheduler.hpp"
 #include "core/soc.hpp"
-#include "netlist/builder.hpp"
+#include "fixtures.hpp"
 #include "service/artifacts.hpp"
 #include "service/report_stream.hpp"
 #include "service/service.hpp"
@@ -34,17 +35,7 @@
 namespace corebist {
 namespace {
 
-Netlist makeToyModule(int twist) {
-  Netlist nl("toy" + std::to_string(twist));
-  Builder b(nl);
-  const Bus x = b.input("x", 12);
-  const Bus q = b.state("q", 12);
-  b.connect(q, b.bw(GateType::kXor, x, b.shiftConst(q, 1 + twist % 3)));
-  b.output("y", q);
-  b.output("p", Bus{b.reduceXor(q)});
-  nl.validate();
-  return nl;
-}
+using fixtures::makeToyModule;
 
 /// A 6-core SoC: cores 1 and 4 defective, the rest healthy.
 std::unique_ptr<Soc> makeSoc() {
@@ -523,6 +514,48 @@ TEST(StreamObserver, ConcurrentLinesNeverShear) {
     EXPECT_EQ(line.find("[svc1] ", 1), std::string::npos) << line;
   }
   EXPECT_EQ(count, kThreads * kPerThread * 2);
+}
+
+// A timing assertion, so ctest skips it. CI runs it with
+// --gtest_also_run_disabled_tests --gtest_filter='CampaignServiceTiming.*'.
+TEST(CampaignServiceTiming, DISABLED_ResidentBeatsOneShot) {
+  // Four campaigns on six two-module cores: a fresh one-shot scheduler per
+  // campaign rebuilds lint, fault universes and golden signatures every
+  // time, while the resident two-worker service builds them once. Each side
+  // is the median of three batches.
+  constexpr int kCampaigns = 4;
+  const auto median_of_3 = [](const auto& batch) {
+    std::vector<double> seconds;
+    for (int r = 0; r < 3; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      batch();
+      seconds.push_back(std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count());
+    }
+    std::sort(seconds.begin(), seconds.end());
+    return seconds[1];
+  };
+  auto soc = fixtures::makeTwoModuleSoc(6);
+  const TestPlan plan = TestPlan{}.withPatterns(256).withThreads(2);
+  const std::string reference = SocTestScheduler(*soc).run(plan).fingerprint();
+
+  const double oneshot = median_of_3([&] {
+    for (int i = 0; i < kCampaigns; ++i) {
+      EXPECT_EQ(SocTestScheduler(*soc).run(plan).fingerprint(), reference);
+    }
+  });
+  CampaignServiceConfig cfg;
+  cfg.workers = 2;
+  CampaignService service(*soc, cfg);
+  const double resident = median_of_3([&] {
+    std::vector<CampaignHandle> handles;
+    for (int i = 0; i < kCampaigns; ++i) handles.push_back(service.submit(plan));
+    for (const CampaignHandle h : handles) {
+      EXPECT_EQ(service.await(h).fingerprint(), reference);
+    }
+  });
+  EXPECT_LT(resident, oneshot) << kCampaigns << " campaigns";
 }
 
 }  // namespace

@@ -12,24 +12,12 @@
 
 #include "core/scheduler.hpp"
 #include "core/soc.hpp"
-#include "netlist/builder.hpp"
+#include "fixtures.hpp"
 
 namespace corebist {
 namespace {
 
-/// Small self-checking module; `twist` varies the structure so different
-/// cores carry genuinely different logic (and different signatures).
-Netlist makeToyModule(int twist) {
-  Netlist nl("toy" + std::to_string(twist));
-  Builder b(nl);
-  const Bus x = b.input("x", 12);
-  const Bus q = b.state("q", 12);
-  b.connect(q, b.bw(GateType::kXor, x, b.shiftConst(q, 1 + twist % 3)));
-  b.output("y", q);
-  b.output("p", Bus{b.reduceXor(q)});
-  nl.validate();
-  return nl;
-}
+using fixtures::makeToyModule;
 
 /// A 6-core SoC: cores 1 and 4 defective, the rest healthy.
 std::unique_ptr<Soc> makeSoc() {
@@ -83,6 +71,19 @@ TEST(SocScheduler, ShardedReportsAreByteIdenticalToSerial) {
     const SessionReport report =
         SocTestScheduler(*soc).run(makeMixedPlan().withThreads(threads));
     EXPECT_EQ(report.fingerprint(), reference) << "threads=" << threads;
+  }
+
+  // Six two-module cores, one of them defective, rerun on one scheduler.
+  auto two_module = fixtures::makeTwoModuleSoc(6);
+  SocTestScheduler scheduler(*two_module);
+  const TestPlan plan256 = TestPlan{}.withPatterns(256);
+  const std::string two_module_reference =
+      scheduler.run(TestPlan(plan256).withThreads(1)).fingerprint();
+  for (const int threads : {2, 4, 8}) {
+    EXPECT_EQ(scheduler.run(TestPlan(plan256).withThreads(threads))
+                  .fingerprint(),
+              two_module_reference)
+        << "two-module SoC, threads=" << threads;
   }
 }
 

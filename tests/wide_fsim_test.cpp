@@ -16,42 +16,12 @@
 #include "fault/fault.hpp"
 #include "fault/lane.hpp"
 #include "fault/parallel_fsim.hpp"
-#include "netlist/builder.hpp"
+#include "fixtures.hpp"
 
 namespace corebist {
 namespace {
 
-/// Random combinational DAG over `width` inputs.
-Netlist randomComb(std::uint64_t seed, int width, int gates) {
-  Netlist nl("rand");
-  Builder b(nl);
-  const Bus x = b.input("x", width);
-  std::vector<NetId> pool(x.begin(), x.end());
-  std::mt19937_64 rng(seed);
-  for (int g = 0; g < gates; ++g) {
-    const auto t = static_cast<GateType>(2 + rng() % 9);  // kBuf .. kMux2
-    const NetId a = pool[rng() % pool.size()];
-    const NetId bnet = pool[rng() % pool.size()];
-    const NetId s = pool[rng() % pool.size()];
-    NetId out = kNullNet;
-    switch (gateArity(t)) {
-      case 1:
-        out = nl.addGate1(t, a);
-        break;
-      case 2:
-        out = nl.addGate2(t, a, bnet);
-        break;
-      default:
-        out = nl.addMux(a, bnet, s);
-        break;
-    }
-    pool.push_back(out);
-  }
-  Bus outs(pool.end() - std::min<std::size_t>(8, pool.size()), pool.end());
-  b.output("y", outs);
-  nl.validate();
-  return nl;
-}
+using fixtures::randomComb;
 
 template <int W>
 FaultSimResult runWidth(const Netlist& nl, std::span<const Fault> faults,
