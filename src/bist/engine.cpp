@@ -118,7 +118,7 @@ std::uint64_t BistEngine::goldenSignature(int m, int cycles) const {
   const Hookup& h = modules_.at(static_cast<std::size_t>(m));
   SeqFaultSim fsim(*h.nl);
   const auto stim = stimulus(m, cycles);
-  return fsim.goodSignature(stim, cycles, misrSpec(m))[0];
+  return fsim.goodSignature(stim, cycles, misrSpec(m));
 }
 
 std::uint64_t BistEngine::runAndSign(int m, const Netlist& physical,
@@ -131,8 +131,7 @@ std::uint64_t BistEngine::runAndSign(int m, const Netlist& physical,
   const auto stim = stimulus(m, cycles);
   SeqFaultSim fsim(physical);
   return fsim.goodSignature(
-      stim, cycles, makeMisrSpec(physical.primaryOutputs(),
-                                 cfg_.misr_width))[0];
+      stim, cycles, makeMisrSpec(physical.primaryOutputs(), cfg_.misr_width));
 }
 
 FaultSimResult BistEngine::signatureCoverage(int m,

@@ -13,7 +13,7 @@ CombFaultSimT<W>::CombFaultSimT(const Netlist& nl,
                                 std::span<const NetId> inputs,
                                 std::span<const NetId> observed)
     : nl_(nl),
-      lev_(levelize(nl)),
+      prog_(std::make_shared<const GateProgram>(nl)),
       readers_(&nl.readerCsr()),
       inputs_(inputs.begin(), inputs.end()),
       observed_(observed.begin(), observed.end()),
@@ -23,7 +23,7 @@ CombFaultSimT<W>::CombFaultSimT(const Netlist& nl,
       fval_(nl.numNets(), Word::zero()),
       stamp_(nl.numNets(), 0),
       in_queue_(nl.numGates(), 0),
-      level_buckets_(static_cast<std::size_t>(lev_.depth) + 1) {
+      level_buckets_(static_cast<std::size_t>(prog_->levels())) {
   for (const NetId n : observed_) observed_flag_[n] = 1;
 }
 
@@ -35,6 +35,7 @@ FaultSimResult CombFaultSimT<W>::run(std::span<const Fault> faults,
     throw std::invalid_argument(
         "CombFaultSim: MISR compaction is a sequential-engine feature");
   }
+  checkWindows(opts);
   if (!opts.observe.empty()) {
     throw std::invalid_argument(
         "CombFaultSim: observation points are fixed at construction");
@@ -225,7 +226,7 @@ FaultSimResult CombFaultSimT<W>::run(std::span<const Fault> faults,
 
 template <int W>
 std::unique_ptr<FaultSim> CombFaultSimT<W>::clone() const {
-  return std::make_unique<CombFaultSimT<W>>(nl_, inputs_, observed_);
+  return std::make_unique<CombFaultSimT<W>>(*this);
 }
 
 template <int W>
@@ -244,15 +245,7 @@ void CombFaultSimT<W>::simulateGood(const PatternBlock& block,
     }
     dst[inputs_[i]] = v;
   }
-  const Word zero = Word::zero();
-  const auto& gates = nl_.gates();
-  for (const GateId g : lev_.order) {
-    const Gate& gate = gates[g];
-    const Word& a = gate.nin > 0 ? dst[gate.in[0]] : zero;
-    const Word& b = gate.nin > 1 ? dst[gate.in[1]] : zero;
-    const Word& s = gate.nin > 2 ? dst[gate.in[2]] : zero;
-    dst[gate.out] = evalGateWide<W>(gate.type, a, b, s);
-  }
+  prog_->eval(dst);
 }
 
 template <int W>
@@ -315,14 +308,16 @@ typename CombFaultSimT<W>::Word CombFaultSimT<W>::propagate(
     std::uint8_t branch_pin) {
   const auto& gates = nl_.gates();
   const ReaderCsr& readers = *readers_;
+  const GateProgram& prog = *prog_;
+  const int levels = prog.levels();
   ++epoch_;
   Word detected = Word::zero();
 
-  int min_level = lev_.depth + 1;
-  auto enqueue = [this, &min_level](GateId g) {
+  int min_level = levels;
+  auto enqueue = [this, &prog, &min_level](GateId g) {
     if (in_queue_[g] == epoch_) return;
     in_queue_[g] = epoch_;
-    const int lvl = lev_.level[g];
+    const int lvl = prog.level(g);
     level_buckets_[static_cast<std::size_t>(lvl)].push_back(g);
     if (lvl < min_level) min_level = lvl;
   };
@@ -347,7 +342,7 @@ typename CombFaultSimT<W>::Word CombFaultSimT<W>::propagate(
       in[p] = good_[gate.in[static_cast<std::size_t>(p)]];
     }
     in[branch_pin] = faulty_word;
-    const Word out = evalGateWide<W>(gate.type, in[0], in[1], in[2]);
+    const Word out = evalGateWord(gate.type, in[0], in[1], in[2]);
     const Word diff = out ^ good_[gate.out];
     if (diff.none()) return Word::zero();
     fval_[gate.out] = out;
@@ -357,7 +352,7 @@ typename CombFaultSimT<W>::Word CombFaultSimT<W>::propagate(
   }
 
   const Word zero = Word::zero();
-  for (int lvl = min_level; lvl <= lev_.depth; ++lvl) {
+  for (int lvl = min_level; lvl < levels; ++lvl) {
     auto& bucket = level_buckets_[static_cast<std::size_t>(lvl)];
     for (std::size_t i = 0; i < bucket.size(); ++i) {
       const GateId g = bucket[i];
@@ -365,7 +360,7 @@ typename CombFaultSimT<W>::Word CombFaultSimT<W>::propagate(
       const Word& a = gate.nin > 0 ? readFaulty(gate.in[0]) : zero;
       const Word& b = gate.nin > 1 ? readFaulty(gate.in[1]) : zero;
       const Word& s = gate.nin > 2 ? readFaulty(gate.in[2]) : zero;
-      const Word out = evalGateWide<W>(gate.type, a, b, s);
+      const Word out = evalGateWord(gate.type, a, b, s);
       if (out == good_[gate.out] && stamp_[gate.out] != epoch_) continue;
       const Word diff = out ^ good_[gate.out];
       fval_[gate.out] = out;

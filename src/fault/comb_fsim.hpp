@@ -8,6 +8,9 @@
 // single-fault-propagation scheme TetraMax-class tools use — widened so one
 // propagation pass grades W * 64 patterns and the per-gate bookkeeping
 // (level buckets, stamps, CSR fanout walks) is amortized across all lanes.
+// Good simulation runs the netlist's GateProgram on LaneWord<W>; the engine
+// builds it once at construction and shares it with its clones, whose
+// propagation reads gate levels from it.
 //
 // Results are byte-identical at every W: lane indices map to global pattern
 // indices, wide stimulus fills decompose into the same per-64-lane sub-block
@@ -25,8 +28,8 @@
 #include "fault/fault.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/lane.hpp"
-#include "netlist/levelize.hpp"
 #include "netlist/netlist.hpp"
+#include "sim/gate_program.hpp"
 
 namespace corebist {
 
@@ -91,7 +94,7 @@ class CombFaultSimT final : public FaultSim {
   }
 
   const Netlist& nl_;
-  Levelization lev_;
+  std::shared_ptr<const GateProgram> prog_;
   const ReaderCsr* readers_;  // materialized at construction (thread safety)
   std::vector<NetId> inputs_;
   std::vector<NetId> observed_;

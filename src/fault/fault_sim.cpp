@@ -3,10 +3,19 @@
 #include <algorithm>
 #include <cassert>
 #include <random>
+#include <stdexcept>
 
 #include "fault/lane.hpp"
 
 namespace corebist {
+
+void checkWindows(const FaultSimOptions& opts) {
+  if (opts.windows > kMaxWindows) {
+    throw std::invalid_argument(
+        "FaultSim: more than 64 windows; window masks hold one bit per "
+        "window");
+  }
+}
 
 void PatternSource::fillWide(int start, int lane_words,
                              PatternBlock& out) const {

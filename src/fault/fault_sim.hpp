@@ -108,7 +108,7 @@ struct FaultSimOptions {
   int prepass_cycles = 256;  // 0 disables the two-pass schedule
   bool drop_detected = true;
   /// >0: record a per-window detection mask per fault (diagnosis syndromes);
-  /// implies full-length simulation of every fault.
+  /// implies full-length simulation of every fault. At most kMaxWindows.
   int windows = 0;
   /// Optional MISR compaction model (empirical aliasing measurement;
   /// sequential engines only).
@@ -132,6 +132,13 @@ struct FaultSimOptions {
   /// source alive for the duration of run().
   const PatternSource* launch = nullptr;
 };
+
+/// Window masks hold one bit per window in a std::uint64_t.
+inline constexpr int kMaxWindows = 64;
+
+/// Throws std::invalid_argument when opts.windows exceeds kMaxWindows. Every
+/// engine and orchestrator calls it before simulating (or forking).
+void checkWindows(const FaultSimOptions& opts);
 
 struct FaultSimResult {
   std::vector<std::int32_t> first_detect;  // -1 => undetected at outputs

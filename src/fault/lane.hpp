@@ -27,8 +27,6 @@
 #include <bit>
 #include <cstdint>
 
-#include "netlist/gate.hpp"
-
 // ISA selection: COREBIST_PORTABLE_LANES (the CMake escape hatch) wins over
 // whatever the compiler flags enable, so a portable build stays portable
 // even under -march=native toolchain defaults.
@@ -250,39 +248,6 @@ struct LaneWord {
   LaneWord& operator|=(const LaneWord& o) noexcept { return *this = *this | o; }
   LaneWord& operator^=(const LaneWord& o) noexcept { return *this = *this ^ o; }
 };
-
-/// Evaluate one gate over W * 64 lanes. The switch runs once per gate; the
-/// word loops inside the LaneWord operators are the vectorizable part.
-template <int W>
-[[nodiscard]] inline LaneWord<W> evalGateWide(GateType t, const LaneWord<W>& a,
-                                              const LaneWord<W>& b,
-                                              const LaneWord<W>& s) noexcept {
-  switch (t) {
-    case GateType::kConst0:
-      return LaneWord<W>::zero();
-    case GateType::kConst1:
-      return LaneWord<W>::ones();
-    case GateType::kBuf:
-      return a;
-    case GateType::kNot:
-      return ~a;
-    case GateType::kAnd:
-      return a & b;
-    case GateType::kNand:
-      return ~(a & b);
-    case GateType::kOr:
-      return a | b;
-    case GateType::kNor:
-      return ~(a | b);
-    case GateType::kXor:
-      return a ^ b;
-    case GateType::kXnor:
-      return ~(a ^ b);
-    case GateType::kMux2:
-      return (a & ~s) | (b & s);
-  }
-  return LaneWord<W>::zero();
-}
 
 /// In-place 64x64 bit-matrix transpose, LSB-first on both axes: after the
 /// call, bit k of a[j] is the old bit j of a[k]. Used to turn 64 per-cycle

@@ -4,7 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "netlist/levelize.hpp"
 #include "sim/comb_sim.hpp"
 
 namespace corebist {
@@ -15,7 +14,7 @@ namespace {
 struct InjectSite {
   std::uint64_t mask = 0;  // the machine bit this fault owns
   NetId net = kNullNet;
-  int order_pos = -1;  // position of the site event in the topological order
+  int level = -1;  // injected once this level is complete; -1: source net
   GateId branch_gate = Fault::kNoGate;
   std::uint8_t branch_pin = 0;
   FaultKind kind = FaultKind::kSa0;
@@ -42,6 +41,7 @@ SeqFaultSim::SeqFaultSim(const Netlist& nl) : nl_(nl) {
         "SeqFaultSim: more than 64 primary inputs; pack the stimulus "
         "differently");
   }
+  prog_ = std::make_shared<const GateProgram>(nl);
 }
 
 namespace {
@@ -49,8 +49,7 @@ namespace {
 /// Everything constant across groups, precomputed once per run.
 struct RunContext {
   const Netlist* nl;
-  Levelization lev;
-  std::vector<int> driver_order_pos;  // net -> topo position of driver, -1 source
+  const GateProgram* prog;
   std::vector<NetId> observe;
   std::span<const std::uint64_t> stimulus;
   const SeqFsimOptions* opts;
@@ -78,8 +77,8 @@ void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
     s.kind = f.kind;
     s.fault_index = members[i];
     if (f.isStem()) {
-      s.order_pos = ctx.driver_order_pos[f.net];
-      if (s.order_pos < 0) {
+      s.level = ctx.prog->driverLevel(f.net);
+      if (s.level < 0) {
         source_sites.push_back(s);
       } else {
         gate_sites.push_back(s);
@@ -87,13 +86,14 @@ void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
     } else {
       s.branch_gate = f.gate;
       s.branch_pin = f.pin;
-      s.order_pos = ctx.driver_order_pos[nl.gates()[f.gate].out];
+      s.level = ctx.prog->level(f.gate);
       gate_sites.push_back(s);
     }
   }
+  // Each site owns one machine bit, so sites of one level commute.
   std::sort(gate_sites.begin(), gate_sites.end(),
             [](const InjectSite& a, const InjectSite& b) {
-              return a.order_pos < b.order_pos;
+              return a.level < b.level;
             });
 
   auto& val = scratch.val;
@@ -148,51 +148,29 @@ void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
       applySite(s, val[s.net], val[s.net] & s.mask);
     }
 
-    // Evaluate combinational logic with in-line injection events.
+    // Evaluate combinational logic, injecting each gate site once its level
+    // is complete.
     std::size_t ev = 0;
     const std::size_t nev = gate_sites.size();
-    for (std::size_t pos = 0; pos < ctx.lev.order.size(); ++pos) {
-      const Gate& gate = gates[ctx.lev.order[pos]];
-      const std::uint64_t a = gate.nin > 0 ? val[gate.in[0]] : 0;
-      const std::uint64_t b = gate.nin > 1 ? val[gate.in[1]] : 0;
-      const std::uint64_t sv = gate.nin > 2 ? val[gate.in[2]] : 0;
-      val[gate.out] = evalGateWord(gate.type, a, b, sv);
-      while (ev < nev &&
-             gate_sites[ev].order_pos == static_cast<int>(pos)) {
+    ctx.prog->eval(val, [&](int level) {
+      for (; ev < nev && gate_sites[ev].level == level; ++ev) {
         InjectSite& s = gate_sites[ev];
         if (s.branch_gate == Fault::kNoGate) {
-          applySite(s, val[gate.out], val[gate.out] & s.mask);
-        } else {
-          // Branch fault: recompute this gate's output for one machine with
-          // the pin view patched.
-          const Gate& bg = gates[s.branch_gate];
-          std::uint64_t iv[3] = {0, 0, 0};
-          for (int p = 0; p < bg.nin; ++p) iv[p] = val[bg.in[static_cast<std::size_t>(p)]];
-          const std::uint64_t cur = iv[s.branch_pin] & s.mask;
-          std::uint64_t presented = 0;
-          switch (s.kind) {
-            case FaultKind::kSa0:
-              presented = 0;
-              break;
-            case FaultKind::kSa1:
-              presented = s.mask;
-              break;
-            case FaultKind::kSlowRise:
-              presented = cur & s.prev;
-              break;
-            case FaultKind::kSlowFall:
-              presented = cur | s.prev;
-              break;
-          }
-          s.prev = cur;
-          iv[s.branch_pin] = (iv[s.branch_pin] & ~s.mask) | presented;
-          const std::uint64_t out =
-              evalGateWord(bg.type, iv[0], iv[1], iv[2]);
-          val[bg.out] = (val[bg.out] & ~s.mask) | (out & s.mask);
+          applySite(s, val[s.net], val[s.net] & s.mask);
+          continue;
         }
-        ++ev;
+        // Branch fault: recompute the consuming gate's output for this
+        // machine with the pin view patched.
+        const Gate& bg = gates[s.branch_gate];
+        std::uint64_t iv[3] = {0, 0, 0};
+        for (int p = 0; p < bg.nin; ++p) {
+          iv[p] = val[bg.in[static_cast<std::size_t>(p)]];
+        }
+        applySite(s, iv[s.branch_pin], iv[s.branch_pin] & s.mask);
+        const std::uint64_t out = evalGateWord(bg.type, iv[0], iv[1], iv[2]);
+        val[bg.out] = (val[bg.out] & ~s.mask) | (out & s.mask);
       }
-    }
+    });
 
     // Observe outputs.
     std::uint64_t cycle_diff = 0;
@@ -307,17 +285,13 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
   if (static_cast<int>(stimulus.size()) < opts.cycles) {
     throw std::invalid_argument("SeqFaultSim: stimulus shorter than cycles");
   }
+  checkWindows(opts);
   RunContext ctx;
   ctx.nl = &nl_;
-  ctx.lev = levelize(nl_);
+  ctx.prog = prog_.get();
   ctx.stimulus = stimulus;
   ctx.observe =
       opts.observe.empty() ? nl_.primaryOutputs() : opts.observe;
-  ctx.driver_order_pos.assign(nl_.numNets(), -1);
-  for (std::size_t pos = 0; pos < ctx.lev.order.size(); ++pos) {
-    ctx.driver_order_pos[nl_.gates()[ctx.lev.order[pos]].out] =
-        static_cast<int>(pos);
-  }
 
   SeqFsimResult result;
   result.total = faults.size();
@@ -440,15 +414,13 @@ FaultSimResult SeqFaultSim::run(std::span<const Fault> faults,
 }
 
 std::unique_ptr<FaultSim> SeqFaultSim::clone() const {
-  return std::make_unique<SeqFaultSim>(nl_);
+  return std::make_unique<SeqFaultSim>(*this);
 }
 
-std::vector<std::uint64_t> SeqFaultSim::goodSignature(
+std::uint64_t SeqFaultSim::goodSignature(
     std::span<const std::uint64_t> stimulus, int cycles,
     const MisrSpec& misr) const {
   std::vector<std::uint64_t> val(nl_.numNets(), 0);
-  const Levelization lev = levelize(nl_);
-  const auto& gates = nl_.gates();
   const auto& dffs = nl_.dffs();
   const auto& pis = nl_.primaryInputs();
   std::vector<std::uint64_t> state(static_cast<std::size_t>(misr.width), 0);
@@ -458,13 +430,7 @@ std::vector<std::uint64_t> SeqFaultSim::goodSignature(
     for (std::size_t j = 0; j < pis.size(); ++j) {
       val[pis[j]] = broadcast(((in >> j) & 1u) != 0);
     }
-    for (const GateId g : lev.order) {
-      const Gate& gate = gates[g];
-      const std::uint64_t a = gate.nin > 0 ? val[gate.in[0]] : 0;
-      const std::uint64_t b = gate.nin > 1 ? val[gate.in[1]] : 0;
-      const std::uint64_t s = gate.nin > 2 ? val[gate.in[2]] : 0;
-      val[gate.out] = evalGateWord(gate.type, a, b, s);
-    }
+    prog_->eval(val);
     const std::uint64_t msb = state[static_cast<std::size_t>(misr.width - 1)];
     for (int j = misr.width - 1; j >= 0; --j) {
       std::uint64_t feed = 0;
@@ -479,10 +445,10 @@ std::vector<std::uint64_t> SeqFaultSim::goodSignature(
     for (std::size_t i = 0; i < dffs.size(); ++i) dcapt[i] = val[dffs[i].d];
     for (std::size_t i = 0; i < dffs.size(); ++i) val[dffs[i].q] = dcapt[i];
   }
-  // Collapse lane 0 into a bit-per-tap signature word vector.
-  std::vector<std::uint64_t> sig(1, 0);
+  // Collapse lane 0 into a bit-per-tap signature word.
+  std::uint64_t sig = 0;
   for (int j = 0; j < misr.width; ++j) {
-    sig[0] |= (state[static_cast<std::size_t>(j)] & 1u) << j;
+    sig |= (state[static_cast<std::size_t>(j)] & 1u) << j;
   }
   return sig;
 }

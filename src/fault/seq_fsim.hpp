@@ -4,9 +4,13 @@
 // observes module outputs (through MISRs) every cycle; fault effects persist
 // in flip-flop state. This simulator packs the good machine into bit 0 of
 // every 64-bit net word and up to 63 faulty machines into bits 1..63; all
-// machines share the broadcast stimulus. Fault injection is performed by
-// patching machine bits at the fault site after the site's driver has been
-// evaluated (stems) or re-evaluating the single consuming gate (branches).
+// machines share the broadcast stimulus. Gates are evaluated by the
+// netlist's GateProgram, built once in the constructor and shared by every
+// clone. Fault injection patches machine bits at the fault site once the
+// site's level is complete: the driver's level for stems, the consuming
+// gate's level for branches, whose output is re-evaluated for the faulty
+// machine with the pin patched. Readers sit at higher levels, so they all
+// see the patched value.
 //
 // Transition-delay faults use the gross-delay model: the slow edge arrives
 // after the next clock, so the site presents
@@ -26,6 +30,7 @@
 #include "fault/fault.hpp"
 #include "fault/fault_sim.hpp"
 #include "netlist/netlist.hpp"
+#include "sim/gate_program.hpp"
 
 namespace corebist {
 
@@ -57,13 +62,14 @@ class SeqFaultSim final : public FaultSim {
   [[nodiscard]] std::unique_ptr<FaultSim> clone() const override;
 
   /// Good-machine MISR signature for a stimulus (no faults), for golden
-  /// signature generation.
-  [[nodiscard]] std::vector<std::uint64_t> goodSignature(
+  /// signature generation: bit j is MISR tap j.
+  [[nodiscard]] std::uint64_t goodSignature(
       std::span<const std::uint64_t> stimulus, int cycles,
       const MisrSpec& misr) const;
 
  private:
   const Netlist& nl_;
+  std::shared_ptr<const GateProgram> prog_;
 };
 
 }  // namespace corebist

@@ -191,6 +191,7 @@ std::unique_ptr<FaultSim> ShardedFaultSim::clone() const {
 FaultSimResult ShardedFaultSim::run(std::span<const Fault> faults,
                                     const PatternSource& patterns,
                                     const FaultSimOptions& opts) {
+  checkWindows(opts);
   log_ = ResilienceLog{};
   const int total_cycles =
       opts.cycles > 0 ? opts.cycles : patterns.patternCount();

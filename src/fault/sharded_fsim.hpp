@@ -10,9 +10,10 @@
 // executors:
 //
 //   * threads — N threads pull shards from an atomic counter, each grading
-//     on a private clone of the prototype engine. The clones persist across
-//     run() calls (batched consumers such as ATPG call run() once per batch,
-//     and a fresh clone re-levelizes the netlist), so run() is not
+//     on a private clone of the prototype engine. Clones share the
+//     prototype's compiled GateProgram but own their scratch. They persist
+//     across run() calls (batched consumers such as ATPG call run() once per
+//     batch, and a fresh clone allocates its scratch again), so run() is not
 //     re-entrant on one object; clone() per caller thread instead.
 //   * forked workers — the fleet is forked inside run() after argument
 //     validation, so immutable campaign state (netlist, pattern sources

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 namespace corebist {
 
@@ -61,16 +62,20 @@ inline constexpr int kNumGateTypes = 11;
 /// Human-readable mnemonic (e.g. "NAND2").
 [[nodiscard]] std::string_view gateName(GateType t) noexcept;
 
-/// Evaluate one gate over a 64-wide word per input. Unused inputs are
-/// ignored. For kMux2, (a, b, s) computes (a & ~s) | (b & s).
-[[nodiscard]] constexpr std::uint64_t evalGateWord(GateType t, std::uint64_t a,
-                                                   std::uint64_t b,
-                                                   std::uint64_t s) noexcept {
+/// Evaluate one gate over a word of parallel contexts: one std::uint64_t
+/// (64 contexts) or any bitwise word type with value-initialized zero, such
+/// as the fault kernels' LaneWord<W>. Unused inputs are ignored. For kMux2,
+/// (a, b, s) computes (a & ~s) | (b & s). Word is deduced from `a` alone, so
+/// literal operands convert to it.
+template <class Word>
+[[nodiscard]] constexpr Word evalGateWord(
+    GateType t, const Word& a, const std::type_identity_t<Word>& b,
+    const std::type_identity_t<Word>& s) noexcept {
   switch (t) {
     case GateType::kConst0:
-      return 0u;
+      return Word{};
     case GateType::kConst1:
-      return ~std::uint64_t{0};
+      return ~Word{};
     case GateType::kBuf:
       return a;
     case GateType::kNot:
@@ -90,7 +95,7 @@ inline constexpr int kNumGateTypes = 11;
     case GateType::kMux2:
       return (a & ~s) | (b & s);
   }
-  return 0u;
+  return Word{};
 }
 
 /// A structural gate instance: fixed-capacity fanin array plus output net.

@@ -3,7 +3,8 @@
 // Each net carries a 64-bit word: bit k is the value of the net in
 // simulation context k. Contexts are either 64 independent test patterns
 // (PPSFP-style pattern-parallel simulation) or 1 good machine + 63 faulty
-// machines (fault-parallel sequential simulation).
+// machines (fault-parallel sequential simulation). eval() runs the
+// netlist's GateProgram, compiled once at construction.
 #ifndef COREBIST_SIM_COMB_SIM_HPP_
 #define COREBIST_SIM_COMB_SIM_HPP_
 
@@ -11,8 +12,8 @@
 #include <vector>
 
 #include "netlist/builder.hpp"
-#include "netlist/levelize.hpp"
 #include "netlist/netlist.hpp"
+#include "sim/gate_program.hpp"
 
 namespace corebist {
 
@@ -26,7 +27,6 @@ class CombSim {
   explicit CombSim(const Netlist& nl);
 
   [[nodiscard]] const Netlist& netlist() const noexcept { return nl_; }
-  [[nodiscard]] const Levelization& levels() const noexcept { return lev_; }
 
   void set(NetId n, std::uint64_t w) { val_[n] = w; }
   [[nodiscard]] std::uint64_t get(NetId n) const { return val_[n]; }
@@ -38,7 +38,7 @@ class CombSim {
   [[nodiscard]] std::uint64_t getBusLane(const Bus& b, int lane) const;
 
   /// Evaluate all gates in topological order.
-  void eval();
+  void eval() { prog_.eval(val_); }
 
   /// Direct access to the value array (index by NetId).
   [[nodiscard]] std::vector<std::uint64_t>& values() noexcept { return val_; }
@@ -48,7 +48,7 @@ class CombSim {
 
  private:
   const Netlist& nl_;
-  Levelization lev_;
+  GateProgram prog_;
   std::vector<std::uint64_t> val_;
 };
 

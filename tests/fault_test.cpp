@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
+#include "bist/misr.hpp"
 #include "fault/comb_fsim.hpp"
 #include "fault/fault.hpp"
 #include "fault/seq_fsim.hpp"
+#include "fault/sharded_fsim.hpp"
+#include "fixtures.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/levelize.hpp"
 #include "sim/comb_sim.hpp"
 
 namespace corebist {
@@ -129,6 +134,172 @@ TEST(CombFaultSim, MatchesBruteForceOnEveryFault) {
       for (int wi = 1; wi < CombFaultSim::kWords; ++wi) {
         EXPECT_EQ(det.word(wi), 0u) << "narrow block leaked into wide lanes";
       }
+    }
+  }
+}
+
+/// One-fault-at-a-time reference for SeqFaultSim: a good machine and one
+/// faulty machine, each run through the levelized per-gate loop. The fault
+/// is injected right after its driver (gate-output stems), at cycle start
+/// (source stems) or at the consuming pin (branches); a transition site
+/// presents cur AND prev (slow-to-rise) or cur OR prev (slow-to-fall) of its
+/// own raw value. Records what SeqFaultSim records for a full-length run.
+struct SeqReference {
+  std::int32_t first_detect = -1;
+  std::uint64_t window_mask = 0;
+  char misr_detect = 0;
+  std::vector<std::uint64_t> window_sig;
+};
+
+SeqReference seqReference(const Netlist& nl, const Fault& f,
+                          std::span<const std::uint64_t> stim, int cycles,
+                          int windows, const MisrSpec& misr) {
+  const Levelization lev = levelize(nl);
+  const auto& gates = nl.gates();
+  const auto& pis = nl.primaryInputs();
+  const auto& dffs = nl.dffs();
+  const int misr_w = misr.width;
+  const int sig_words = (windows * misr_w + 63) / 64;
+  SeqReference ref;
+  ref.window_sig.assign(static_cast<std::size_t>(sig_words), 0);
+
+  std::uint64_t prev = 0;
+  auto present = [&](std::uint64_t raw) {
+    std::uint64_t out = 0;
+    switch (f.kind) {
+      case FaultKind::kSa0:
+        out = 0;
+        break;
+      case FaultKind::kSa1:
+        out = ~std::uint64_t{0};
+        break;
+      case FaultKind::kSlowRise:
+        out = raw & prev;
+        break;
+      case FaultKind::kSlowFall:
+        out = raw | prev;
+        break;
+    }
+    prev = raw;
+    return out;
+  };
+  const bool source_stem =
+      f.isStem() && nl.driverOf(f.net) == Netlist::kNoDriver;
+
+  std::vector<std::uint64_t> good(nl.numNets(), 0);
+  std::vector<std::uint64_t> bad(nl.numNets(), 0);
+  std::vector<std::uint64_t> good_misr(static_cast<std::size_t>(misr_w), 0);
+  std::vector<std::uint64_t> bad_misr(static_cast<std::size_t>(misr_w), 0);
+  auto evalMachine = [&](std::vector<std::uint64_t>& val, bool faulty) {
+    for (const GateId g : lev.order) {
+      const Gate& gate = gates[g];
+      std::uint64_t in[3] = {0, 0, 0};
+      for (int p = 0; p < gate.nin; ++p) {
+        in[p] = val[gate.in[static_cast<std::size_t>(p)]];
+      }
+      if (faulty && !f.isStem() && f.gate == g) in[f.pin] = present(in[f.pin]);
+      val[gate.out] = evalGateWord(gate.type, in[0], in[1], in[2]);
+      if (faulty && f.isStem() && gate.out == f.net) {
+        val[gate.out] = present(val[gate.out]);
+      }
+    }
+  };
+  auto stepMisr = [&](std::vector<std::uint64_t>& st,
+                      const std::vector<std::uint64_t>& val) {
+    const std::uint64_t msb = st[static_cast<std::size_t>(misr_w - 1)];
+    for (int j = misr_w - 1; j >= 0; --j) {
+      std::uint64_t feed = 0;
+      for (const NetId n : misr.feeds[static_cast<std::size_t>(j)]) {
+        feed ^= val[n];
+      }
+      const std::uint64_t shifted =
+          j > 0 ? st[static_cast<std::size_t>(j - 1)] : 0;
+      const std::uint64_t fb = ((misr.poly >> j) & 1u) != 0 ? msb : 0;
+      st[static_cast<std::size_t>(j)] = shifted ^ fb ^ feed;
+    }
+  };
+  auto clock = [&](std::vector<std::uint64_t>& val) {
+    std::vector<std::uint64_t> d(dffs.size());
+    for (std::size_t i = 0; i < dffs.size(); ++i) d[i] = val[dffs[i].d];
+    for (std::size_t i = 0; i < dffs.size(); ++i) val[dffs[i].q] = d[i];
+  };
+
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    const std::uint64_t in = stim[static_cast<std::size_t>(cycle)];
+    for (std::size_t j = 0; j < pis.size(); ++j) {
+      good[pis[j]] = bad[pis[j]] = broadcast(((in >> j) & 1u) != 0);
+    }
+    if (source_stem) bad[f.net] = present(bad[f.net]);
+    evalMachine(good, false);
+    evalMachine(bad, true);
+
+    const int w = static_cast<int>(
+        (static_cast<std::int64_t>(cycle) * windows) / cycles);
+    bool diff = false;
+    for (const NetId po : nl.primaryOutputs()) diff |= good[po] != bad[po];
+    if (diff) {
+      if (ref.first_detect < 0) ref.first_detect = cycle;
+      ref.window_mask |= std::uint64_t{1} << w;
+    }
+    stepMisr(good_misr, good);
+    stepMisr(bad_misr, bad);
+    const int w_next = static_cast<int>(
+        (static_cast<std::int64_t>(cycle + 1) * windows) / cycles);
+    if (w_next > w || cycle + 1 == cycles) {
+      for (int j = 0; j < misr_w; ++j) {
+        if (good_misr[static_cast<std::size_t>(j)] !=
+            bad_misr[static_cast<std::size_t>(j)]) {
+          const int bit = w * misr_w + j;
+          ref.window_sig[static_cast<std::size_t>(bit / 64)] |=
+              std::uint64_t{1} << (bit % 64);
+        }
+      }
+    }
+    clock(good);
+    clock(bad);
+  }
+  ref.misr_detect = good_misr != bad_misr ? 1 : 0;
+  return ref;
+}
+
+TEST(SeqFaultSim, MatchesOneFaultAtATimeReference) {
+  const int cycles = 200;  // not a multiple of 64
+  const int windows = 8;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Netlist nl = fixtures::randomSeq(seed, 6, 5, 60);
+    // Uncollapsed: stems on PIs, state nets and gate outputs, and branches.
+    std::vector<Fault> faults = enumerateStuckAt(nl, /*collapse=*/false).faults;
+    const auto tdf = toTransitionFaults(faults);
+    faults.insert(faults.end(), tdf.begin(), tdf.end());
+    std::mt19937_64 rng(seed);
+    std::vector<std::uint64_t> stim(cycles);
+    for (auto& w : stim) w = rng();
+
+    SeqFsimOptions opts;
+    opts.cycles = cycles;
+    opts.prepass_cycles = 0;
+    opts.drop_detected = false;
+    opts.windows = windows;
+    opts.misr = makeMisrSpec(nl.primaryOutputs(), 8);
+    SeqFaultSim fsim(nl);
+    const SeqFsimResult r = fsim.run(faults, stim, opts);
+    ASSERT_EQ(r.sig_words_per_fault, 1);
+
+    SeqFsimOptions ladder;
+    ladder.cycles = cycles;
+    ladder.prepass_cycles = 16;
+    const SeqFsimResult rl = fsim.run(faults, stim, ladder);
+
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const SeqReference ref =
+          seqReference(nl, faults[i], stim, cycles, windows, *opts.misr);
+      const std::string what =
+          "seed " + std::to_string(seed) + " " + describeFault(nl, faults[i]);
+      EXPECT_EQ(r.first_detect[i], ref.first_detect) << what;
+      EXPECT_EQ(r.window_mask[i], ref.window_mask) << what;
+      EXPECT_EQ(r.misr_detect[i], ref.misr_detect) << what;
+      EXPECT_EQ(r.window_sig[i], ref.window_sig[0]) << what;
+      EXPECT_EQ(rl.first_detect[i], ref.first_detect) << what << " (ladder)";
     }
   }
 }
@@ -301,6 +472,47 @@ TEST(SeqFaultSim, MisrDetectionTracksOutputDetection) {
   // Aliasing is possible but rare: expect nearly all detected faults to
   // also differ in the MISR.
   EXPECT_GE(misr_detected + 2, r.detected);
+}
+
+TEST(FaultSimOptions, MoreThan64WindowsThrowOnEveryEngine) {
+  const Netlist seq_nl = makeCounterCircuit();
+  const FaultUniverse seq_u = enumerateStuckAt(seq_nl);
+  SeqFaultSim seq(seq_nl);
+  std::vector<std::uint64_t> stim(128, 1);
+  SeqFsimOptions seq_opts;
+  seq_opts.cycles = 128;
+
+  const Netlist comb_nl = makeSmallComb();
+  const FaultUniverse comb_u = enumerateStuckAt(comb_nl);
+  CombFaultSim comb(comb_nl, comb_nl.primaryInputs(),
+                    comb_nl.primaryOutputs());
+  const RandomPatternSource source(7, comb_nl.primaryInputs().size(), 128);
+  FaultSimOptions comb_opts;
+  comb_opts.cycles = 128;
+
+  ShardedFaultSim sharded(
+      seq, FsimBackendOptions{.backend = FsimBackend::kThreaded,
+                              .num_workers = 2});
+  const CyclePatternSource cycle_source(stim, seq_nl.primaryInputs().size());
+
+  for (const int windows : {65, 64}) {
+    seq_opts.windows = comb_opts.windows = windows;
+    if (windows > kMaxWindows) {
+      EXPECT_THROW((void)seq.run(seq_u.faults, stim, seq_opts),
+                   std::invalid_argument);
+      EXPECT_THROW((void)comb.run(comb_u.faults, source, comb_opts),
+                   std::invalid_argument);
+      EXPECT_THROW((void)sharded.run(seq_u.faults, cycle_source, seq_opts),
+                   std::invalid_argument);
+      continue;
+    }
+    const auto rs = seq.run(seq_u.faults, stim, seq_opts);
+    EXPECT_EQ(rs.window_mask.size(), seq_u.faults.size());
+    const auto rc = comb.run(comb_u.faults, source, comb_opts);
+    EXPECT_EQ(rc.window_mask.size(), comb_u.faults.size());
+    const auto rsh = sharded.run(seq_u.faults, cycle_source, seq_opts);
+    EXPECT_EQ(rsh.window_mask, rs.window_mask);
+  }
 }
 
 }  // namespace

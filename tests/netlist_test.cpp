@@ -1,14 +1,18 @@
-// Unit tests for the netlist container, builder and levelization.
+// Unit tests for the netlist container, builder, levelization and the
+// compiled gate program.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <random>
 
+#include "fault/lane.hpp"
+#include "fixtures.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/export.hpp"
 #include "netlist/levelize.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/comb_sim.hpp"
+#include "sim/gate_program.hpp"
 
 namespace corebist {
 namespace {
@@ -124,12 +128,106 @@ TEST(Levelize, OrderRespectsDependencies) {
 }
 
 TEST(Levelize, DetectsCombinationalLoop) {
-  Netlist nl("t");
-  const NetId a = nl.addPrimaryInput();
-  const NetId loop = nl.newNet();
-  const NetId y = nl.addGate2(GateType::kAnd, a, loop);
-  nl.driveNet(loop, y);
-  EXPECT_THROW(levelize(nl), std::logic_error);
+  Netlist self_loop("t");
+  const NetId a = self_loop.addPrimaryInput();
+  const NetId loop = self_loop.newNet();
+  const NetId y = self_loop.addGate2(GateType::kAnd, a, loop);
+  self_loop.driveNet(loop, y);
+  // A two-gate loop closed through a MUX select pin.
+  Netlist mux_loop("t2");
+  const NetId x = mux_loop.addPrimaryInput();
+  const NetId inv = mux_loop.addGate1(GateType::kNot, x);
+  const NetId m = mux_loop.addMux(x, x, inv);
+  mux_loop.rebindGateInput(0, 0, m);
+  for (const Netlist* nl : {&self_loop, &mux_loop}) {
+    EXPECT_THROW((void)levelize(*nl), std::logic_error);
+    EXPECT_THROW(GateProgram{*nl}, std::logic_error);
+  }
+}
+
+/// The reference GateProgram::eval must match: every gate in levelized
+/// order, one type switch per gate.
+template <class Word>
+void evalLevelizedLoop(const Netlist& nl, std::vector<Word>& v) {
+  for (const GateId g : levelize(nl).order) {
+    const Gate& gate = nl.gates()[g];
+    Word in[3] = {};
+    for (int p = 0; p < gate.nin; ++p) {
+      in[p] = v[gate.in[static_cast<std::size_t>(p)]];
+    }
+    v[gate.out] = evalGateWord(gate.type, in[0], in[1], in[2]);
+  }
+}
+
+template <class Word>
+void expectProgramMatchesLoop(const Netlist& nl, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Word> loop(nl.numNets());
+  for (Word& w : loop) {
+    if constexpr (std::is_same_v<Word, std::uint64_t>) {
+      w = rng();
+    } else {
+      for (auto& word : w.w) word = rng();
+    }
+  }
+  std::vector<Word> prog = loop;
+  evalLevelizedLoop(nl, loop);
+  const GateProgram program(nl);
+  program.eval(prog);
+  EXPECT_TRUE(prog == loop) << nl.name() << " seed " << seed;
+}
+
+std::vector<Netlist> programInputs(std::uint64_t seed) {
+  std::vector<Netlist> out;
+  out.push_back(fixtures::randomComb(seed, 8, 80));
+  out.push_back(fixtures::randomSeq(seed, 6, 5, 80));
+  Netlist consts("consts");
+  Builder b(consts);
+  const Bus x = b.input("x", 4);
+  const Bus k = b.constant(4, 0b0110);  // TIE0 and TIE1 gates
+  b.output("y", b.bw(GateType::kXor, x, k));
+  out.push_back(std::move(consts));
+  Netlist empty("no_gates");
+  Builder e(empty);
+  e.output("y", e.input("x", 3));
+  out.push_back(std::move(empty));
+  return out;
+}
+
+TEST(GateProgram, EvalMatchesLevelizedGateLoop) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const Netlist& nl : programInputs(seed)) {
+      expectProgramMatchesLoop<std::uint64_t>(nl, seed);
+      expectProgramMatchesLoop<LaneWord<1>>(nl, seed);
+      expectProgramMatchesLoop<LaneWord<4>>(nl, seed);
+      expectProgramMatchesLoop<LaneWord<8>>(nl, seed);
+    }
+  }
+}
+
+TEST(GateProgram, LevelsExceedFaninDrivers) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const Netlist& nl : programInputs(seed)) {
+      const GateProgram program(nl);
+      EXPECT_EQ(program.levels(),
+                nl.numGates() == 0 ? 0 : 1 + levelize(nl).depth);
+      for (GateId g = 0; g < nl.numGates(); ++g) {
+        const Gate& gate = nl.gates()[g];
+        EXPECT_EQ(program.driverLevel(gate.out), program.level(g));
+        for (int p = 0; p < gate.nin; ++p) {
+          const GateId drv =
+              nl.driverOf(gate.in[static_cast<std::size_t>(p)]);
+          if (drv != Netlist::kNoDriver) {
+            EXPECT_GT(program.level(g), program.level(drv)) << nl.name();
+          }
+        }
+      }
+      for (const NetId n : nl.primaryInputs()) {
+        EXPECT_EQ(program.driverLevel(n), -1);
+      }
+      for (const Dff& ff : nl.dffs()) EXPECT_EQ(program.driverLevel(ff.q), -1);
+    }
+  }
 }
 
 class BuilderArithTest : public ::testing::TestWithParam<int> {};
