@@ -8,6 +8,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "analyze/collapse.hpp"
 #include "analyze/hazards.hpp"
@@ -67,6 +68,99 @@ PatternBlock losSuccessor(const PatternBlock& v1, const ScanView& view,
   return v2;
 }
 
+/// One grading campaign over every fault not yet detected: `capture` (with
+/// `launch` as the v1 stream of a pair campaign) against the survivors.
+/// Row k of the result belongs to fault `live_idx[k]`.
+FaultSimResult gradeSurvivors(FaultSim& grader, std::span<const Fault> faults,
+                              const std::vector<char>& detected,
+                              const PatternSource& capture,
+                              const PatternSource* launch,
+                              std::vector<std::size_t>& live_idx) {
+  std::vector<Fault> live;
+  live_idx.clear();
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (detected[i] == 0) {
+      live.push_back(faults[i]);
+      live_idx.push_back(i);
+    }
+  }
+  FaultSimOptions fopts;
+  fopts.cycles = capture.patternCount();
+  fopts.prepass_cycles = 0;
+  fopts.launch = launch;
+  return grader.run(live, capture, fopts);
+}
+
+struct RandomPhase {
+  std::size_t patterns = 0;  // applied, up to the stall cut
+  std::size_t batches = 0;   // grading campaigns run
+};
+
+/// The random phase of runFullScanAtpg and runFullScanTransition:
+/// `total_blocks` 64-pattern blocks graded with fault dropping,
+/// `batch_patterns` (rounded up to whole blocks) per campaign; `append(blk)`
+/// adds block `blk` to `capture` (and `launch`, for pair campaigns). The
+/// phase stops after `stall_limit` consecutive blocks in which no fault
+/// first detects, or once every fault is detected. The cut is replayed from
+/// each campaign's first_detect rows: detections land on global pattern
+/// indices, so the detected set and the applied-pattern count are those of
+/// a block-at-a-time loop at any batch size, lane width and grading
+/// backend. Detections past the cut are discarded.
+template <class AppendBlock>
+RandomPhase gradeRandomBlocks(FaultSim& grader, std::span<const Fault> faults,
+                              std::vector<char>& detected,
+                              VectorPatternSource& capture,
+                              VectorPatternSource* launch, int total_blocks,
+                              int stall_limit, int batch_patterns,
+                              AppendBlock append) {
+  if (stall_limit < 1) {
+    throw std::invalid_argument(
+        "FullScanAtpgOptions::random_stall_blocks must be >= 1");
+  }
+  const int blocks_per_batch = std::max(1, (batch_patterns + 63) / 64);
+  RandomPhase phase;
+  auto live = std::count(detected.begin(), detected.end(), 0);
+  int stall = 0;
+  std::vector<std::size_t> live_idx;
+  std::vector<char> block_yield;
+  for (int blk = 0; blk < total_blocks && live > 0;) {
+    capture.clear();
+    if (launch != nullptr) launch->clear();
+    for (int b = 0; b < blocks_per_batch && blk < total_blocks; ++b) {
+      append(blk++);
+    }
+    const FaultSimResult rr =
+        gradeSurvivors(grader, faults, detected, capture, launch, live_idx);
+    ++phase.batches;
+
+    const int nblocks = capture.patternCount() / 64;
+    block_yield.assign(static_cast<std::size_t>(nblocks), 0);
+    for (const std::int32_t fd : rr.first_detect) {
+      if (fd >= 0) block_yield[static_cast<std::size_t>(fd / 64)] = 1;
+    }
+    int cut = 0;
+    while (cut < nblocks && stall < stall_limit) {
+      stall = block_yield[static_cast<std::size_t>(cut++)] != 0 ? 0
+                                                                : stall + 1;
+    }
+    int last_block = -1;
+    for (std::size_t k = 0; k < live_idx.size(); ++k) {
+      const std::int32_t fd = rr.first_detect[k];
+      if (fd >= 0 && fd < 64 * cut) {
+        detected[live_idx[k]] = 1;
+        --live;
+        last_block = std::max(last_block, fd / 64);
+      }
+    }
+    // A campaign that detects every fault ends at the block of the last
+    // detection.
+    phase.patterns +=
+        static_cast<std::size_t>(64 * (live == 0 ? last_block + 1 : cut));
+    if (stall >= stall_limit) break;
+  }
+  return phase;
+}
+
 /// For each fault, the index of an earlier span entry it is
 /// observation-aware equivalent to (analyze/collapse.hpp), or -1 when it is
 /// the first of its class (or outside the stuck-at universe). The target
@@ -111,20 +205,23 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
   std::vector<char> detected(faults.size(), 0);
   std::mt19937_64 rng(opts.seed);
 
-  // Phase 1: random patterns with fault dropping and stall exit, one
-  // kernel campaign instead of a hand-rolled block loop.
+  // Phase 1: random patterns with fault dropping and stall exit, graded on
+  // the unsharded wide kernel: shards of a few dozen faults would each
+  // re-simulate the good machine for every block.
   {
-    const RandomPatternSource random_patterns(opts.seed, view.inputs.size(),
-                                              opts.max_random_blocks * 64);
-    FaultSimOptions fopts;
-    fopts.cycles = opts.max_random_blocks * 64;
-    fopts.prepass_cycles = 0;
-    fopts.stall_blocks = opts.random_stall_blocks;
-    const FaultSimResult rr = fsim.run(faults, random_patterns, fopts);
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (rr.first_detect[i] >= 0) detected[i] = 1;
-    }
-    res.patterns += rr.patterns_applied;
+    const RandomPatternSource random(opts.seed, view.inputs.size(),
+                                     opts.max_random_blocks * 64);
+    VectorPatternSource capture(view.inputs.size());
+    const auto append = [&](int blk) {
+      PatternBlock b;
+      random.fill(64 * blk, b);
+      capture.appendBlock(std::move(b));
+    };
+    res.patterns += gradeRandomBlocks(fsim, faults, detected, capture,
+                                      nullptr, opts.max_random_blocks,
+                                      opts.random_stall_blocks,
+                                      opts.batch_patterns, append)
+                        .patterns;
   }
 
   // Phase 2: PODEM on survivors under the CPU budget. Candidate tests
@@ -156,22 +253,11 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
   VectorPatternSource batch(view.inputs.size());
   std::vector<std::uint8_t> bits(view.inputs.size(), 0);
   std::vector<char> gave_up(faults.size(), 0);
-  std::vector<Fault> live;
   std::vector<std::size_t> live_idx;
   auto flushBatch = [&] {
     if (batch.patternCount() == 0) return;
-    live.clear();
-    live_idx.clear();
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (detected[i] == 0) {
-        live.push_back(faults[i]);
-        live_idx.push_back(i);
-      }
-    }
-    FaultSimOptions fopts;
-    fopts.cycles = batch.patternCount();
-    fopts.prepass_cycles = 0;
-    const FaultSimResult rr = grader->run(live, batch, fopts);
+    const FaultSimResult rr =
+        gradeSurvivors(*grader, faults, detected, batch, nullptr, live_idx);
     for (std::size_t k = 0; k < live_idx.size(); ++k) {
       if (rr.first_detect[k] >= 0) detected[live_idx[k]] = 1;
     }
@@ -262,88 +348,23 @@ FullScanAtpgResult runFullScanTransition(const Netlist& scanned,
   std::vector<char> detected(tdf_faults.size(), 0);
   std::mt19937_64 rng(opts.seed ^ 0x7D0F0ull);
 
-  // Random LOS pairs with fault dropping, batched: whole 64-pair blocks
-  // accumulate into launch/capture VectorPatternSources and each batch is
-  // one FaultSim::run pair campaign (FaultSimOptions::launch) over every
-  // surviving fault. The shift constraint on v2 is the structural reason
-  // TDF coverage trails stuck-at coverage here.
-  //
-  // The narrow driver's stall exit ("stop after random_stall_blocks * 2
-  // consecutive no-yield 64-pair blocks") is replayed from the batch's
-  // first_detect records: detections land on global pair indices, so the
-  // per-block yield sequence — and therefore the exit point and the pattern
-  // count — is byte-identical to the old block-at-a-time loop at any batch
-  // size and thread count. Detections past the replayed cut are discarded,
-  // exactly as if the campaign had stopped there.
-  VectorPatternSource launch_src(view.inputs.size());
-  VectorPatternSource capture_src(view.inputs.size());
-  const int blocks_per_batch =
-      std::max(1, (std::max(1, opts.batch_patterns) + 63) / 64);
-  const int total_blocks = opts.max_random_blocks * 2;
-  const int stall_limit = opts.random_stall_blocks * 2;
-  int stall = 0;
-  std::vector<Fault> live;
-  std::vector<std::size_t> live_idx;
-  std::vector<char> block_yield;
-  for (int blk = 0; blk < total_blocks;) {
-    live.clear();
-    live_idx.clear();
-    for (std::size_t i = 0; i < tdf_faults.size(); ++i) {
-      if (detected[i] == 0) {
-        live.push_back(tdf_faults[i]);
-        live_idx.push_back(i);
-      }
-    }
-    if (live.empty()) break;
-
-    launch_src.clear();
-    capture_src.clear();
-    for (int b = 0; b < blocks_per_batch && blk < total_blocks; ++b, ++blk) {
-      const PatternBlock v1 = randomBlock(rng, view.inputs.size());
-      const PatternBlock v2 = losSuccessor(v1, view, rng);
-      launch_src.appendBlock(v1);
-      capture_src.appendBlock(v2);
-    }
-    FaultSimOptions fopts;
-    fopts.cycles = capture_src.patternCount();
-    fopts.prepass_cycles = 0;
-    fopts.launch = &launch_src;
-    const FaultSimResult rr = grader->run(live, capture_src, fopts);
-    ++res.batches;
-
-    // Replay the per-64-pair-block stall/early-stop accounting.
-    const int nsub = capture_src.patternCount() / 64;
-    block_yield.assign(static_cast<std::size_t>(nsub), 0);
-    for (const std::int32_t fd : rr.first_detect) {
-      if (fd >= 0) block_yield[static_cast<std::size_t>(fd / 64)] = 1;
-    }
-    int cut_sub = nsub;
-    bool stall_exit = false;
-    for (int s = 0; s < nsub; ++s) {
-      stall = block_yield[static_cast<std::size_t>(s)] != 0 ? 0 : stall + 1;
-      if (stall >= stall_limit) {
-        cut_sub = s + 1;
-        stall_exit = true;
-        break;
-      }
-    }
-    int last_retire_sub = -1;
-    std::size_t accepted = 0;
-    for (std::size_t k = 0; k < live_idx.size(); ++k) {
-      const std::int32_t fd = rr.first_detect[k];
-      if (fd >= 0 && fd < 64 * cut_sub) {
-        detected[live_idx[k]] = 1;
-        ++accepted;
-        if (fd / 64 > last_retire_sub) last_retire_sub = fd / 64;
-      }
-    }
-    int applied_sub = cut_sub;
-    if (accepted == live_idx.size() && last_retire_sub + 1 < applied_sub) {
-      applied_sub = last_retire_sub + 1;  // the block that emptied the list
-    }
-    res.patterns += static_cast<std::size_t>(64 * applied_sub);
-    if (stall_exit) break;
-  }
+  // Random LOS pairs with fault dropping: whole 64-pair blocks accumulate
+  // into launch/capture sources and each batch is one FaultSim::run pair
+  // campaign (FaultSimOptions::launch). Block and stall budgets count
+  // 64-pair blocks, twice the stuck-at ones. The shift constraint on v2 is
+  // the structural reason TDF coverage trails stuck-at coverage here.
+  VectorPatternSource launch(view.inputs.size());
+  VectorPatternSource capture(view.inputs.size());
+  const RandomPhase phase = gradeRandomBlocks(
+      *grader, tdf_faults, detected, capture, &launch,
+      opts.max_random_blocks * 2, opts.random_stall_blocks * 2,
+      opts.batch_patterns, [&](int) {
+        PatternBlock v1 = randomBlock(rng, view.inputs.size());
+        capture.appendBlock(losSuccessor(v1, view, rng));
+        launch.appendBlock(std::move(v1));
+      });
+  res.patterns = phase.patterns;
+  res.batches = phase.batches;
 
   for (const char d : detected) {
     if (d) ++res.detected;

@@ -35,8 +35,13 @@
 namespace corebist {
 
 struct FullScanAtpgOptions {
-  int max_random_blocks = 48;      // 64 patterns per block
-  int random_stall_blocks = 6;     // stop random phase after no-yield blocks
+  int max_random_blocks = 48;  // 64 patterns per block
+  /// The random phase stops after this many consecutive 64-pattern blocks
+  /// in which no fault first detects (transition runs count twice as many
+  /// 64-pair blocks). Must be >= 1: runFullScanAtpg and
+  /// runFullScanTransition throw std::invalid_argument before grading
+  /// otherwise.
+  int random_stall_blocks = 6;
   double podem_budget_seconds = 30.0;
   int backtrack_limit = 24;
   std::uint64_t seed = 0x5EED;
@@ -46,9 +51,10 @@ struct FullScanAtpgOptions {
   /// 256 fills exactly one pass of the default 256-lane wide kernel.
   int batch_patterns = 256;
   /// Batch-grading workers; > 1 shards the surviving fault list across the
-  /// orchestrator picked by `grading_backend`. Results are byte-identical
-  /// at any worker count and on any backend (the random bootstrap keeps its
-  /// serial stall-exit semantics).
+  /// orchestrator picked by `grading_backend` (the stuck-at random phase
+  /// always grades on the unsharded kernel). Results are byte-identical at
+  /// any worker count and on any backend: the random phase's stall exit is
+  /// replayed from global first-detection indices, not cut inside a shard.
   int num_threads = 1;
   /// Orchestrator for batch grading when num_threads > 1: kThreaded shards
   /// across worker threads (the historical behavior), kProcess across

@@ -1,7 +1,6 @@
 #include "fault/comb_fsim.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <numeric>
 #include <stdexcept>
@@ -92,20 +91,6 @@ FaultSimResult CombFaultSimT<W>::run(std::span<const Fault> faults,
 
   PatternBlock block;
   PatternBlock launch_block;
-  std::vector<Word> det_buf;
-  // Pair mode re-derives the per-block forced word inside detect(); the
-  // stuck-at path keeps the hoisted polarity.
-  auto detectOne = [&](std::size_t idx) {
-    return launch != nullptr ? detect(faults[idx])
-                             : detectStuckAt(faults[idx], sa1[idx] != 0);
-  };
-  // The stall exit stays in 64-pattern units at every lane width: the
-  // narrow kernel's "consecutive no-yield 64-pattern blocks" counter is
-  // replayed over the 64-lane sub-blocks of each wide pass, so the exit
-  // fires at the same global pattern boundary and the detected set cannot
-  // change with W.
-  int stall = 0;
-
   for (int start = 0; start < total && !live.empty(); start += kLanes) {
     patterns.fillWide(start, W, block);
     block.count = std::min(block.clampedCount(), total - start);
@@ -116,49 +101,17 @@ FaultSimResult CombFaultSimT<W>::run(std::span<const Fault> faults,
     } else {
       loadBlock(block);
     }
-    const int lanes = block.count;
-    const int nsub = (lanes + 63) / 64;
 
-    // With a stall exit armed the pass is two-phase: compute every live
-    // fault's detection mask first, then walk the sub-blocks to find where
-    // the narrow kernel would have stopped, and only record lanes before
-    // that cut.
-    const bool stalling = opts.stall_blocks > 0;
-    int cut_sub = nsub;
-    bool stall_exit = false;
-    if (stalling) {
-      det_buf.resize(live.size());
-      std::array<char, static_cast<std::size_t>(W)> newly{};
-      for (std::size_t k = 0; k < live.size(); ++k) {
-        const std::uint32_t idx = live[k];
-        const Word det = detectOne(idx);
-        det_buf[k] = det;
-        if (res.first_detect[idx] < 0 && det.any()) {
-          newly[static_cast<std::size_t>(det.firstLane() / 64)] = 1;
-        }
-      }
-      for (int s = 0; s < nsub; ++s) {
-        stall = newly[static_cast<std::size_t>(s)] ? 0 : stall + 1;
-        if (stall >= opts.stall_blocks) {
-          cut_sub = s + 1;
-          stall_exit = true;
-          break;
-        }
-      }
-    }
-    const int cut_lanes = std::min(lanes, 64 * cut_sub);
-    const Word cut_mask = Word::lowLanes(cut_lanes);
-
-    // Record detections (within the cut) and retire dropped faults. The
-    // narrow kernel stops mid-pass once the live list empties, so the
-    // sub-block of the last retirement bounds patterns_applied below.
-    int last_retire_sub = -1;
+    // Record detections and retire dropped faults.
     std::size_t out = 0;
     for (std::size_t k = 0; k < live.size(); ++k) {
       const std::uint32_t idx = live[k];
-      const Word det = (stalling ? det_buf[k] : detectOne(idx)) & cut_mask;
+      // Pair mode re-derives the per-block forced word inside detect(); the
+      // stuck-at path keeps the hoisted polarity.
+      const Word det = launch != nullptr
+                           ? detect(faults[idx])
+                           : detectStuckAt(faults[idx], sa1[idx] != 0);
       bool retire = false;
-      int retire_lane = 0;
       if (det.any()) {
         if (res.first_detect[idx] < 0) {
           res.first_detect[idx] = start + det.firstLane();
@@ -187,35 +140,16 @@ FaultSimResult CombFaultSimT<W>::run(std::span<const Fault> faults,
               const int lane = 64 * wi + std::countr_zero(d);
               d &= d - 1;
               list.push_back(static_cast<std::uint32_t>(start + lane));
-              retire_lane = lane;
             }
           }
           retire = list.size() >= static_cast<std::size_t>(record);
         } else {
           retire = true;
-          retire_lane = det.firstLane();
         }
       }
-      if (dropping && retire) {
-        if (retire_lane / 64 > last_retire_sub) {
-          last_retire_sub = retire_lane / 64;
-        }
-      } else {
-        live[out++] = idx;
-      }
+      if (!dropping || !retire) live[out++] = idx;
     }
     live.resize(out);
-
-    // patterns_applied replays the narrow kernel's early stops: blocks end
-    // at the stall cut, or at the sub-block whose retirement emptied the
-    // live list, whichever the narrow loop reached first.
-    int applied_sub = cut_sub;
-    if (live.empty() && last_retire_sub + 1 < applied_sub) {
-      applied_sub = last_retire_sub + 1;
-    }
-    res.patterns_applied +=
-        static_cast<std::size_t>(std::min(lanes, 64 * applied_sub));
-    if (stall_exit) break;
   }
 
   for (const auto fd : res.first_detect) {

@@ -13,10 +13,9 @@
 // propagation reads gate levels from it.
 //
 // Results are byte-identical at every W: lane indices map to global pattern
-// indices, wide stimulus fills decompose into the same per-64-lane sub-block
-// fills narrow kernels issue, and the stall exit replays the narrow kernel's
-// per-64-pattern-block accounting inside each wide pass (see run()).
-// tests/wide_fsim_test.cpp enforces this against the W=1 reference.
+// indices, and wide stimulus fills decompose into the same per-64-lane
+// sub-block fills a narrow kernel makes. tests/wide_fsim_test.cpp enforces
+// this against the W=1 reference.
 #ifndef COREBIST_FAULT_COMB_FSIM_HPP_
 #define COREBIST_FAULT_COMB_FSIM_HPP_
 
@@ -47,11 +46,12 @@ class CombFaultSimT final : public FaultSim {
                 std::span<const NetId> observed);
 
   /// Campaign entry point (FaultSim): grade `faults` against the pattern
-  /// stream, with fault dropping, stall exit, per-window masks and first-K
-  /// dictionary records. Stuck-at campaigns use `patterns` alone; transition
-  /// campaigns additionally set `opts.launch` (the v1 stream) and every
-  /// block pair is applied through loadPairBlock with detection evaluated
-  /// on v2. MISR compaction is a sequential-engine feature and is rejected.
+  /// stream, with fault dropping, per-window masks and first-K dictionary
+  /// records; a run ends at its budget or once every fault has retired.
+  /// Stuck-at campaigns use `patterns` alone; transition campaigns
+  /// additionally set `opts.launch` (the v1 stream) and every block pair is
+  /// applied through loadPairBlock with detection evaluated on v2. MISR
+  /// compaction is a sequential-engine feature and is rejected.
   [[nodiscard]] FaultSimResult run(std::span<const Fault> faults,
                                    const PatternSource& patterns,
                                    const FaultSimOptions& opts) override;

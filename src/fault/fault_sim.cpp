@@ -4,6 +4,7 @@
 #include <cassert>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "fault/lane.hpp"
 
@@ -95,17 +96,17 @@ void VectorPatternSource::append(std::span<const std::uint8_t> bits) {
   ++count_;
 }
 
-void VectorPatternSource::appendBlock(const PatternBlock& block) {
+void VectorPatternSource::appendBlock(PatternBlock block) {
   assert(count_ % 64 == 0 &&
          "VectorPatternSource: appendBlock on an unaligned source");
   assert(block.clampedWords() == 1 && block.inputs.size() == width_ &&
          "VectorPatternSource: appendBlock expects a narrow width-matched "
          "block");
   const int n = block.clampedCount();
-  auto& col = blocks_.emplace_back(block.inputs.begin(), block.inputs.end());
   // Mask lanes past the block's count so a partial hand-built block can
   // never leak stale bits into the campaign.
   const std::uint64_t mask = block.laneMask();
+  auto& col = blocks_.emplace_back(std::move(block.inputs));
   for (auto& w : col) w &= mask;
   count_ += n;
 }

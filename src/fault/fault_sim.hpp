@@ -105,7 +105,13 @@ struct FaultSimOptions {
   /// Sequential engines apply one pattern per clock, so this is also the
   /// cycle count.
   int cycles = 4096;
-  int prepass_cycles = 256;  // 0 disables the two-pass schedule
+  /// First stage of the fault-dropping ladder: a dropping campaign that
+  /// records nothing past first detections grades every fault over this many
+  /// patterns, then over 4x longer stages up to the budget, so easy faults
+  /// retire before anyone pays full length; 0 disables it. ShardedFaultSim
+  /// runs the ladder over any engine it wraps and SeqFaultSim runs its
+  /// own; the comb kernel ignores the field.
+  int prepass_cycles = 256;
   bool drop_detected = true;
   /// >0: record a per-window detection mask per fault (diagnosis syndromes);
   /// implies full-length simulation of every fault. At most kMaxWindows.
@@ -119,11 +125,6 @@ struct FaultSimOptions {
   /// (stop-on-first-error diagnosis dictionaries). Combinational engines
   /// record up to K; sequential engines record the first detection only.
   int record_detections = 0;
-  /// >0: stop the campaign after this many consecutive 64-pattern blocks
-  /// with no new detection (random-pattern stall exit; combinational
-  /// engines only — orchestrators strip it so shard-local stalls can never
-  /// change the detected set).
-  int stall_blocks = 0;
   /// Launch (v1) stimulus for transition-delay campaigns: when set,
   /// `patterns` serves the capture (v2) vectors, every block pair is applied
   /// through the pair-block path (detection evaluated on v2) and the fault
@@ -154,8 +155,6 @@ struct FaultSimResult {
   /// Per fault, when record_detections > 0: detecting pattern indices in
   /// ascending order (at most `record_detections` entries).
   std::vector<std::vector<std::uint32_t>> detect_patterns;
-  /// Patterns actually applied (== the budget unless a stall exit fired).
-  std::size_t patterns_applied = 0;
   std::size_t detected = 0;
   std::size_t total = 0;
 
@@ -269,9 +268,10 @@ class VectorPatternSource final : public PatternSource {
   /// equal width().
   void append(std::span<const std::uint8_t> bits);
   /// Append a whole narrow block (words_per_input == 1, block.count
-  /// patterns). The source must be 64-aligned (patternCount() % 64 == 0):
-  /// the ATPG pair loops only ever append full hand-built blocks.
-  void appendBlock(const PatternBlock& block);
+  /// patterns); the block's words become the source's column. The source
+  /// must be 64-aligned (patternCount() % 64 == 0): the ATPG random phases
+  /// only ever append full blocks.
+  void appendBlock(PatternBlock block);
   /// Drop all patterns (the accumulator is reused batch after batch).
   void clear() {
     blocks_.clear();

@@ -378,7 +378,6 @@ inline void serializeResult(std::vector<std::uint8_t>& out,
   putPod(out, shard_id);
   const std::uint32_t n = static_cast<std::uint32_t>(sub.first_detect.size());
   putPod(out, n);
-  putPod(out, static_cast<std::uint64_t>(sub.patterns_applied));
   putBytes(out, sub.first_detect.data(),
            sub.first_detect.size() * sizeof(std::int32_t));
   const std::uint8_t has_window = wopts.windows > 0 ? 1 : 0;
@@ -413,7 +412,6 @@ inline void serializeResult(std::vector<std::uint8_t>& out,
 /// truncation or trailing bytes; no allocation outgrows the payload.
 inline bool parseResult(Cursor& c, std::size_t n, FaultSimResult& sub) {
   if (c.get<std::uint32_t>() != n) return false;
-  sub.patterns_applied = c.get<std::uint64_t>();
   c.getVec(sub.first_detect, n);
   if (c.get<std::uint8_t>() != 0) c.getVec(sub.window_mask, n);
   if (c.get<std::uint8_t>() != 0) c.getVec(sub.misr_detect, n);
@@ -570,7 +568,6 @@ inline bool writeFrameInjected(int fd, const std::vector<std::uint8_t>& frame,
     FaultSimOptions wopts = base;
     wopts.cycles = w.cycles;
     wopts.prepass_cycles = 0;  // the stage ladder lives in the parent
-    wopts.stall_blocks = 0;    // shard-local stalls would change results
     wopts.drop_detected = w.drop_detected != 0;
     wopts.windows = w.windows;
     wopts.record_detections = w.record_detections;

@@ -355,7 +355,6 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
   for (const auto fd : result.first_detect) {
     if (fd >= 0) ++result.detected;
   }
-  result.patterns_applied = static_cast<std::size_t>(opts.cycles);
   // Sequential machines latch only the first divergence; dictionary
   // consumers get a one-entry list per detected fault.
   if (opts.record_detections > 0) {
@@ -381,7 +380,6 @@ FaultSimResult SeqFaultSim::run(std::span<const Fault> faults,
   }
   FaultSimOptions o = opts;
   o.cycles = opts.cycles > 0 ? opts.cycles : patterns.patternCount();
-  o.stall_blocks = 0;  // stall exits are a combinational-campaign notion
 
   const auto packed = patterns.packedWords();
   if (!packed.empty()) {

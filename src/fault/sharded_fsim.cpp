@@ -199,7 +199,6 @@ FaultSimResult ShardedFaultSim::run(std::span<const Fault> faults,
   FaultSimResult result;
   result.total = faults.size();
   result.first_detect.assign(faults.size(), -1);
-  result.patterns_applied = static_cast<std::size_t>(total_cycles);
   if (opts.windows > 0) result.window_mask.assign(faults.size(), 0);
   if (opts.misr) result.misr_detect.assign(faults.size(), 0);
   if (opts.windows > 0 && opts.misr) {
@@ -254,7 +253,6 @@ FaultSimResult ShardedFaultSim::run(std::span<const Fault> faults,
     FaultSimOptions wopts = opts;
     wopts.cycles = stage_cycles;
     wopts.prepass_cycles = 0;  // the stage ladder lives up here
-    wopts.stall_blocks = 0;    // shard-local stalls would change results
     const Stage st{faults, patterns, live, shard, wopts, result};
     stage_shards = st.count();
     std::vector<std::size_t> todo(stage_shards);

@@ -40,7 +40,7 @@
 //
 // Byte-identity: every shard is graded with identical semantics on every
 // executor and attempt — same fault slice, same stage budget, prepass 0,
-// one thread, no stall exit — and merged into disjoint result rows, so
+// one thread — and merged into disjoint result rows, so
 // results equal the serial engine's at any worker count, shard size and
 // injected failure schedule that eventually succeeds. Engine errors (the
 // engine rejecting the campaign, e.g. MISR on a comb kernel) are

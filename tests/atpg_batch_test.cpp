@@ -10,6 +10,7 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "fault/fault.hpp"
 #include "fault/parallel_fsim.hpp"
 #include "fault/seq_fsim.hpp"
+#include "fixtures.hpp"
 #include "ldpc/gatelevel.hpp"
 #include "netlist/builder.hpp"
 #include "scan/scan.hpp"
@@ -92,6 +94,39 @@ PatternBlock losSuccessor(const PatternBlock& v1, const ScanView& view,
   return v2;
 }
 
+/// The stuck-at random phase, one 64-pattern block at a time on the 64-lane
+/// kernel: a per-fault detect() loop per block and a stall counter. Marks
+/// `detected` (all clear on entry) and returns the patterns applied.
+std::size_t referenceRandomPhase(const Netlist& scanned, const ScanView& view,
+                                 std::span<const Fault> faults,
+                                 const FullScanAtpgOptions& opts,
+                                 std::vector<char>& detected) {
+  CombFaultSimT<1> fsim(scanned, view.inputs, view.observed);
+  const RandomPatternSource random(opts.seed, view.inputs.size(),
+                                   opts.max_random_blocks * 64);
+  std::size_t live = faults.size();
+  std::size_t patterns = 0;
+  int stall = 0;
+  PatternBlock blk;
+  for (int b = 0; b < opts.max_random_blocks && live > 0; ++b) {
+    random.fill(64 * b, blk);
+    fsim.loadBlock(blk);
+    std::size_t newly = 0;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      if (detected[i]) continue;
+      if (fsim.detect(faults[i]).any()) {
+        detected[i] = 1;
+        ++newly;
+        --live;
+      }
+    }
+    patterns += 64;
+    stall = newly == 0 ? stall + 1 : 0;
+    if (stall >= opts.random_stall_blocks) break;
+  }
+  return patterns;
+}
+
 /// The pre-batching full-scan driver, replicated verbatim as the per-fault
 /// baseline: 64-pattern pending blocks, a per-fault detect() loop per flush,
 /// targets pre-marked detected on PODEM success.
@@ -100,22 +135,9 @@ FullScanAtpgResult referenceAtpg(const Netlist& scanned, const ScanView& view,
                                  const FullScanAtpgOptions& opts) {
   FullScanAtpgResult res;
   res.total_faults = faults.size();
-  CombFaultSim fsim(scanned, view.inputs, view.observed);
   std::vector<char> detected(faults.size(), 0);
   std::mt19937_64 rng(opts.seed);
-  {
-    const RandomPatternSource random_patterns(opts.seed, view.inputs.size(),
-                                              opts.max_random_blocks * 64);
-    FaultSimOptions fopts;
-    fopts.cycles = opts.max_random_blocks * 64;
-    fopts.prepass_cycles = 0;
-    fopts.stall_blocks = opts.random_stall_blocks;
-    const FaultSimResult rr = fsim.run(faults, random_patterns, fopts);
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (rr.first_detect[i] >= 0) detected[i] = 1;
-    }
-    res.patterns += rr.patterns_applied;
-  }
+  res.patterns = referenceRandomPhase(scanned, view, faults, opts, detected);
   CombFaultSimT<1> confirm_fsim(scanned, view.inputs, view.observed);
   Podem podem(scanned, view.inputs, view.observed, opts.backtrack_limit);
   PatternBlock pending;
@@ -498,6 +520,71 @@ TEST(BatchedAtpg, TransitionMatchesPerBlockReferenceAtAnyBatchSize) {
       EXPECT_EQ(got.patterns, ref.patterns) << "batch " << batch;
       EXPECT_EQ(got.test_cycles, ref.test_cycles) << "batch " << batch;
     }
+  }
+}
+
+TEST(BatchedAtpg, RandomPhaseMatchesPerBlockReferenceAtAnyBatchSize) {
+  // With no PODEM budget only the random phase grades, so runFullScanAtpg
+  // must match a block-at-a-time loop at every batch size, stall limit and
+  // thread count. randomComb(4, 6, 12) detects every fault in
+  // the first block, which ends the phase on an empty live list.
+  const Netlist seq = randomSeqModule(9, 8, 9, 55);
+  const struct {
+    const char* name;
+    Netlist netlist;
+    bool all_in_block0;
+  } inputs[] = {{"random module", buildScannedModule(seq), false},
+                {"BIT_NODE", buildScannedModule(ldpc::buildBitNode()), false},
+                {"randomComb(4, 6, 12)", fixtures::randomComb(4, 6, 12), true}};
+  for (const auto& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const ScanView view = makeScanView(in.netlist);
+    const FaultUniverse u = enumerateStuckAt(in.netlist);
+    FullScanAtpgOptions opts;
+    opts.podem_budget_seconds = 0.0;
+    for (const int stall : {1, 3}) {
+      opts.random_stall_blocks = stall;
+      std::vector<char> detected(u.faults.size(), 0);
+      const std::size_t patterns =
+          referenceRandomPhase(in.netlist, view, u.faults, opts, detected);
+      const auto ref_detected = static_cast<std::size_t>(
+          std::count(detected.begin(), detected.end(), 1));
+      if (in.all_in_block0) {
+        ASSERT_EQ(patterns, 64u);
+        ASSERT_EQ(ref_detected, u.faults.size());
+      }
+      for (const int batch : {64, 256, 1000, 4096}) {
+        for (const int threads : {1, 2}) {
+          opts.batch_patterns = batch;
+          opts.num_threads = threads;
+          const FullScanAtpgResult got =
+              runFullScanAtpg(in.netlist, view, u.faults, opts);
+          SCOPED_TRACE("stall " + std::to_string(stall) + " batch " +
+                       std::to_string(batch) + " threads " +
+                       std::to_string(threads));
+          EXPECT_EQ(got.patterns, patterns);
+          EXPECT_EQ(got.detected, ref_detected);
+          EXPECT_EQ(got.aborted, u.faults.size() - ref_detected);
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchedAtpg, RandomStallBlocksBelowOneThrow) {
+  const Netlist scanned = buildScannedModule(randomSeqModule(5, 6, 6, 40));
+  const ScanView view = makeScanView(scanned);
+  const FaultUniverse u = enumerateStuckAt(scanned);
+  const auto tdf = toTransitionFaults(u.faults);
+  for (const int stall : {0, -1}) {
+    FullScanAtpgOptions opts;
+    opts.random_stall_blocks = stall;
+    EXPECT_THROW((void)runFullScanAtpg(scanned, view, u.faults, opts),
+                 std::invalid_argument)
+        << stall;
+    EXPECT_THROW((void)runFullScanTransition(scanned, view, tdf, opts),
+                 std::invalid_argument)
+        << stall;
   }
 }
 

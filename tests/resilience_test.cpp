@@ -44,7 +44,6 @@ void expectSameResult(const FaultSimResult& ref, const FaultSimResult& got,
   EXPECT_EQ(ref.sig_words_per_fault, got.sig_words_per_fault) << what;
   EXPECT_EQ(ref.window_sig, got.window_sig) << what;
   EXPECT_EQ(ref.detect_patterns, got.detect_patterns) << what;
-  EXPECT_EQ(ref.patterns_applied, got.patterns_applied) << what;
   EXPECT_EQ(ref.detected, got.detected) << what;
   EXPECT_EQ(ref.total, got.total) << what;
 }
