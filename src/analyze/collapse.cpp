@@ -119,40 +119,27 @@ CollapseResult collapseStuckAt(const Netlist& nl,
       case GateType::kAnd:
         for (std::uint8_t p = 0; p < 2; ++p) {
           unite(out_sa0, inputSite(gate, g, p, FaultKind::kSa0));
-          r.dominance.emplace_back(out_sa1, inputSite(gate, g, p,
-                                                      FaultKind::kSa1));
         }
         break;
       case GateType::kNand:
         for (std::uint8_t p = 0; p < 2; ++p) {
           unite(out_sa1, inputSite(gate, g, p, FaultKind::kSa0));
-          r.dominance.emplace_back(out_sa0, inputSite(gate, g, p,
-                                                      FaultKind::kSa1));
         }
         break;
       case GateType::kOr:
         for (std::uint8_t p = 0; p < 2; ++p) {
           unite(out_sa1, inputSite(gate, g, p, FaultKind::kSa1));
-          r.dominance.emplace_back(out_sa0, inputSite(gate, g, p,
-                                                      FaultKind::kSa0));
         }
         break;
       case GateType::kNor:
         for (std::uint8_t p = 0; p < 2; ++p) {
           unite(out_sa0, inputSite(gate, g, p, FaultKind::kSa1));
-          r.dominance.emplace_back(out_sa1, inputSite(gate, g, p,
-                                                      FaultKind::kSa0));
         }
         break;
       default:
         break;  // XOR/XNOR/MUX2: no intra-gate equivalences
     }
   }
-  // Drop dominance edges whose input site did not resolve (visible net or
-  // const), and re-express the fault pairs as class pairs below.
-  std::erase_if(r.dominance, [](const auto& e) {
-    return e.first == kNoFault || e.second == kNoFault;
-  });
 
   // Materialize classes: representative = lowest universe index (the unite
   // above always parents toward the minimum).
@@ -168,14 +155,6 @@ CollapseResult collapseStuckAt(const Netlist& nl,
     r.class_of[i] = root_class[root];
     r.classes[root_class[root]].push_back(i);
   }
-  for (auto& [dominator, dominated] : r.dominance) {
-    dominator = r.class_of[dominator];
-    dominated = r.class_of[dominated];
-  }
-  std::sort(r.dominance.begin(), r.dominance.end());
-  r.dominance.erase(std::unique(r.dominance.begin(), r.dominance.end()),
-                    r.dominance.end());
-  std::erase_if(r.dominance, [](const auto& e) { return e.first == e.second; });
   return r;
 }
 

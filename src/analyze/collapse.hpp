@@ -19,10 +19,9 @@
 // for any pattern stream and any FaultSim engine (verified per-class by the
 // proveEquivalenceOnStimulus check mode).
 //
-// Dominance ("every test for g also detects f") is recorded as edges for
-// reporting but never used to shrink the graded list: dropping a dominator
-// loses its private detections, which is a coverage approximation, not an
-// identity.
+// Dominance ("every test for g also detects f") is not used: dropping a
+// dominator loses its private detections, which is a coverage
+// approximation, not an identity.
 #ifndef COREBIST_ANALYZE_COLLAPSE_HPP_
 #define COREBIST_ANALYZE_COLLAPSE_HPP_
 
@@ -47,10 +46,6 @@ struct CollapseResult {
   std::vector<std::size_t> class_of;
   /// One representative fault per class (== universe[classes[c][0]]).
   std::vector<Fault> representatives;
-  /// Dominance edges (dominator class, dominated class): every test
-  /// detecting the dominated class also detects the dominator. Reporting
-  /// data only — see the header comment for why grading ignores these.
-  std::vector<std::pair<std::size_t, std::size_t>> dominance;
 
   [[nodiscard]] std::size_t collapsedAway() const noexcept {
     return universe.size() - classes.size();

@@ -57,7 +57,7 @@ struct FullScanAtpgOptions {
   /// replayed from global first-detection indices, not cut inside a shard.
   int num_threads = 1;
   /// Orchestrator for batch grading when num_threads > 1: kThreaded shards
-  /// across worker threads (the historical behavior), kProcess across
+  /// across worker threads (the historical behavior), kResilient across
   /// forked worker processes, kSerial ignores num_threads and grades on the
   /// wide kernel directly.
   FsimBackend grading_backend = FsimBackend::kThreaded;

@@ -110,7 +110,7 @@ class BistEngine {
   /// Signature-qualification coverage of module `m`: fault-simulates
   /// `faults` under the BIST stimulus with the module's MISR compaction
   /// model attached, on `num_threads` workers (0 => hardware concurrency)
-  /// of the requested backend (worker threads by default; kProcess shards
+  /// of the requested backend (worker threads by default; kResilient shards
   /// the faults across forked worker processes, kSerial grades on one
   /// sequential engine and ignores num_threads). `misr_detect` tells which
   /// faults the signature actually catches (the coverage minus aliasing

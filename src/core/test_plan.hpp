@@ -123,11 +123,11 @@ struct TestPlan {
   /// Fault-sim backend for coverage measurement. kSerial by default: the
   /// session channel is the unit of parallelism in this layer, and coverage
   /// probes run on scheduler worker threads, where forking a process fleet
-  /// per module (kProcess) or nesting a thread pool (kThreaded) only pays
+  /// per module (kResilient) or nesting a thread pool (kThreaded) only pays
   /// off for big modules — opt in per plan or per core when it does.
   FsimBackend coverage_backend = FsimBackend::kSerial;
-  /// Orchestrator workers for coverage measurement (kThreaded / kProcess);
-  /// 0 => one per hardware thread.
+  /// Orchestrator workers for coverage measurement (kThreaded /
+  /// kResilient); 0 => one per hardware thread.
   int coverage_workers = 1;
 
   // ---- resilience (see src/core/README.md, "Quarantine") ----

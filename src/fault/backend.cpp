@@ -14,8 +14,6 @@ const char* fsimBackendName(FsimBackend b) noexcept {
       return "serial";
     case FsimBackend::kThreaded:
       return "threaded";
-    case FsimBackend::kProcess:
-      return "process";
     case FsimBackend::kResilient:
       return "resilient";
   }
@@ -25,7 +23,6 @@ const char* fsimBackendName(FsimBackend b) noexcept {
 FsimBackend parseFsimBackend(std::string_view name) {
   if (name == "serial") return FsimBackend::kSerial;
   if (name == "threaded") return FsimBackend::kThreaded;
-  if (name == "process") return FsimBackend::kProcess;
   if (name == "resilient") return FsimBackend::kResilient;
   throw std::invalid_argument("unknown fsim backend: " + std::string(name));
 }

@@ -7,13 +7,13 @@
 //   kSerial    - the prototype engine itself (one process, one thread)
 //   kThreaded  - ShardedFaultSim's thread executor: fault shards graded on
 //                worker-thread engine clones, unsupervised
-//   kProcess   - ShardedFaultSim's fork executor: fault shards graded in
-//                forked workers; the first worker failure throws
-//   kResilient - the fork executor under the supervision policy: shard
-//                retry with backoff, then the degradation ladder
-//                (process -> threaded -> serial)
+//   kResilient - ShardedFaultSim's fork executor: fault shards graded in
+//                forked workers under the supervision policy (shard retry
+//                with backoff, then the degradation ladder process ->
+//                threaded -> serial); {max_shard_retries = 0,
+//                degrade_on_failure = false} throws on the first failure
 //
-// The three sharded backends are one orchestrator (fault/sharded_fsim.hpp)
+// The two sharded backends are one orchestrator (fault/sharded_fsim.hpp)
 // with one sharding loop; they differ only in executor and policy.
 //
 // Orthogonally, makeCombFaultSim() picks the lane width of the PPSFP kernel
@@ -35,12 +35,11 @@ namespace corebist {
 enum class FsimBackend {
   kSerial,
   kThreaded,
-  kProcess,
   kResilient,
 };
 
-/// Stable lowercase name ("serial" / "threaded" / "process" /
-/// "resilient"), for logs and test traces.
+/// Stable lowercase name ("serial" / "threaded" / "resilient"), for logs
+/// and test traces.
 [[nodiscard]] const char* fsimBackendName(FsimBackend b) noexcept;
 
 /// Inverse of fsimBackendName; throws std::invalid_argument on unknown
@@ -57,21 +56,20 @@ struct FsimBackendOptions {
   int num_workers = 0;
   /// Faults per work unit for the orchestrated backends.
   int shard_faults = 63;
-  /// Worker-hang watchdog for kProcess / kResilient: milliseconds a
-  /// dispatched shard has to come back as a complete response, against a
-  /// monotonic deadline armed at dispatch. Partial reads and poll() wakeups
-  /// do not reset it, so a slow-dribbling worker cannot evade it (kTimeout).
-  /// <= 0 waits forever, only sensible under a debugger.
+  /// Worker-hang watchdog for kResilient: milliseconds a dispatched shard
+  /// has to come back as a complete response, against a monotonic deadline
+  /// armed at dispatch. Partial reads and poll() wakeups do not reset it,
+  /// so a slow-dribbling worker cannot evade it (kTimeout). <= 0 waits
+  /// forever, only sensible under a debugger.
   int timeout_ms = 120'000;
   /// kResilient only: re-dispatches one shard gets before the supervisor
-  /// leaves the process rung (kProcess always uses 0).
+  /// leaves the process rung.
   int max_shard_retries = 3;
   /// kResilient only: exponential-backoff base before a worker respawn
   /// (backoffMs in fault/failpoint.hpp; capped at kMaxBackoffMs).
   int backoff_base_ms = 1;
   /// kResilient only: after the retry budget, step down the ladder
-  /// (process -> threaded -> serial) instead of throwing (kProcess always
-  /// throws).
+  /// (process -> threaded -> serial) instead of throwing ProcessFsimError.
   bool degrade_on_failure = true;
 };
 

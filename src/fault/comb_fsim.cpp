@@ -75,12 +75,8 @@ FaultSimResult CombFaultSimT<W>::run(std::span<const Fault> faults,
         "width and cover the pattern budget");
   }
 
-  FaultSimResult res;
-  res.total = faults.size();
-  res.first_detect.assign(faults.size(), -1);
-  if (opts.windows > 0) res.window_mask.assign(faults.size(), 0);
+  FaultSimResult res(faults.size(), opts);
   const int record = opts.record_detections;
-  if (record > 0) res.detect_patterns.assign(faults.size(), {});
   // Window masks and dictionary lists must see every pattern, so detection
   // alone cannot retire a fault (mirrors the sequential engine, which runs
   // every machine full-length in windowed/MISR modes).
@@ -152,9 +148,7 @@ FaultSimResult CombFaultSimT<W>::run(std::span<const Fault> faults,
     live.resize(out);
   }
 
-  for (const auto fd : res.first_detect) {
-    if (fd >= 0) ++res.detected;
-  }
+  res.recountDetected();
   return res;
 }
 

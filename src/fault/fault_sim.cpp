@@ -18,6 +18,40 @@ void checkWindows(const FaultSimOptions& opts) {
   }
 }
 
+std::vector<int> ladderStages(const FaultSimOptions& opts, int total_cycles) {
+  std::vector<int> stages;
+  const bool full_length =
+      opts.windows > 0 || opts.misr || opts.record_detections > 0;
+  if (!full_length && opts.drop_detected && opts.prepass_cycles > 0) {
+    for (int c = opts.prepass_cycles; c < total_cycles; c *= 4) {
+      stages.push_back(c);
+      if (c > total_cycles / 4) break;  // 4c > total: never overflow
+    }
+  }
+  stages.push_back(total_cycles);
+  return stages;
+}
+
+FaultSimResult::FaultSimResult(std::size_t faults, const FaultSimOptions& opts)
+    : total(faults) {
+  first_detect.assign(faults, -1);
+  if (opts.windows > 0) window_mask.assign(faults, 0);
+  if (opts.misr) misr_detect.assign(faults, 0);
+  if (opts.windows > 0 && opts.misr) {
+    sig_words_per_fault = (opts.windows * opts.misr->width + 63) / 64;
+    window_sig.assign(faults * static_cast<std::size_t>(sig_words_per_fault),
+                      0);
+  }
+  if (opts.record_detections > 0) detect_patterns.assign(faults, {});
+}
+
+std::size_t FaultSimResult::recountDetected() {
+  detected = static_cast<std::size_t>(
+      std::count_if(first_detect.begin(), first_detect.end(),
+                    [](std::int32_t fd) { return fd >= 0; }));
+  return detected;
+}
+
 void PatternSource::fillWide(int start, int lane_words,
                              PatternBlock& out) const {
   assert(lane_words >= 1 && lane_words <= 8 &&
@@ -43,46 +77,19 @@ void PatternSource::fillWide(int start, int lane_words,
   }
 }
 
-const std::vector<std::uint64_t>& CyclePatternSource::transposedBlock(
-    int block) const {
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    const auto it = cache_.find(block);
-    if (it != cache_.end()) return it->second;
-  }
-  // Build outside the lock — concurrent first touches may both transpose,
-  // but try_emplace keeps exactly one copy and both produce identical bits.
-  std::uint64_t m[64] = {};
-  const int start = 64 * block;
-  const int n = std::min<int>(64, patternCount() - start);
-  for (int k = 0; k < n; ++k) {
-    m[k] = words_[static_cast<std::size_t>(start + k)];
-  }
-  transpose64(m);
-  std::vector<std::uint64_t> lanes(m, m + width_);
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return cache_.try_emplace(block, std::move(lanes)).first->second;
-}
-
 void CyclePatternSource::fill(int start, PatternBlock& out) const {
   const int n = std::min<int>(64, patternCount() - start);
   assert(n >= 1 && "CyclePatternSource: fill past end of pattern source");
   out.words_per_input = 1;
   out.count = std::max(n, 1);
-  if (start % 64 == 0) {
-    const auto& lanes = transposedBlock(start / 64);
-    out.inputs.assign(lanes.begin(), lanes.end());
-    return;
-  }
-  // Unaligned starts fall back to the bit loop (no kernel issues these; the
-  // path exists for ad-hoc callers).
-  out.inputs.assign(width_, 0);
+  // Row k holds cycle start + k; after the transpose row j holds input j's
+  // lanes, and rows past n stay zero.
+  std::uint64_t m[64] = {};
   for (int k = 0; k < n; ++k) {
-    const std::uint64_t w = words_[static_cast<std::size_t>(start + k)];
-    for (std::size_t j = 0; j < width_; ++j) {
-      if ((w >> j) & 1u) out.inputs[j] |= std::uint64_t{1} << k;
-    }
+    m[k] = words_[static_cast<std::size_t>(start + k)];
   }
+  transpose64(m);
+  out.inputs.assign(m, m + width_);
 }
 
 void VectorPatternSource::append(std::span<const std::uint8_t> bits) {

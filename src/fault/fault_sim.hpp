@@ -26,10 +26,8 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "analyze/hazards.hpp"
@@ -105,12 +103,12 @@ struct FaultSimOptions {
   /// Sequential engines apply one pattern per clock, so this is also the
   /// cycle count.
   int cycles = 4096;
-  /// First stage of the fault-dropping ladder: a dropping campaign that
-  /// records nothing past first detections grades every fault over this many
-  /// patterns, then over 4x longer stages up to the budget, so easy faults
-  /// retire before anyone pays full length; 0 disables it. ShardedFaultSim
-  /// runs the ladder over any engine it wraps and SeqFaultSim runs its
-  /// own; the comb kernel ignores the field.
+  /// First stage of the fault-dropping ladder (`ladderStages`): a dropping
+  /// campaign that records nothing past first detections grades every fault
+  /// over this many patterns, then over 4x longer stages up to the budget,
+  /// so easy faults retire before anyone pays full length; 0 disables it.
+  /// ShardedFaultSim runs the ladder over any engine it wraps and
+  /// SeqFaultSim runs its own; the comb kernel ignores the field.
   int prepass_cycles = 256;
   bool drop_detected = true;
   /// >0: record a per-window detection mask per fault (diagnosis syndromes);
@@ -141,7 +139,21 @@ inline constexpr int kMaxWindows = 64;
 /// engine and orchestrator calls it before simulating (or forking).
 void checkWindows(const FaultSimOptions& opts);
 
+/// Pattern budgets of a campaign's stages, ending with `total_cycles`: the
+/// geometric ladder (`prepass_cycles`, x4, ...) for a dropping campaign,
+/// one full-length stage when anything past first detections is recorded
+/// (windows, MISR or `record_detections`).
+[[nodiscard]] std::vector<int> ladderStages(const FaultSimOptions& opts,
+                                            int total_cycles);
+
 struct FaultSimResult {
+  FaultSimResult() = default;
+  /// The campaign shape of `faults` rows under `opts`: every first_detect
+  /// -1, and each optional record sized (zeroed / empty lists) exactly when
+  /// `opts` asks for it. Every engine result and every decoded fork reply
+  /// has this shape.
+  FaultSimResult(std::size_t faults, const FaultSimOptions& opts);
+
   std::vector<std::int32_t> first_detect;  // -1 => undetected at outputs
   std::vector<std::uint64_t> window_mask;  // per fault, when windows > 0
   std::vector<char> misr_detect;           // per fault, when misr set
@@ -157,6 +169,9 @@ struct FaultSimResult {
   std::vector<std::vector<std::uint32_t>> detect_patterns;
   std::size_t detected = 0;
   std::size_t total = 0;
+
+  /// Sets `detected` to the rows with a first detection and returns it.
+  std::size_t recountDetected();
 
   [[nodiscard]] double coverage() const {
     return total == 0 ? 0.0
@@ -208,13 +223,10 @@ class PatternSource {
 };
 
 /// Recorded per-cycle stimulus (e.g. the ALFSR word stream of a BIST
-/// session): word c bit j drives input j at pattern/cycle c.
-///
-/// Block-aligned fills are served from a thread-safe transposition cache:
-/// each 64-cycle block is transposed once (word-level 64x64 transpose, not
-/// the old bit-at-a-time loop) and memoized by block index, so the N comb
-/// workers of a sharded campaign that all revisit the same ALFSR blocks pay
-/// the transpose exactly once per block instead of once per worker pass.
+/// session): word c bit j drives input j at pattern/cycle c. Sequential
+/// engines read the words through packedWords(); fill() transposes the 64
+/// cycles from any start with one word-level 64x64 transpose and keeps no
+/// state.
 class CyclePatternSource final : public PatternSource {
  public:
   /// `width` must fit one packed cycle word (one bit per input). The limit
@@ -235,17 +247,8 @@ class CyclePatternSource final : public PatternSource {
   }
 
  private:
-  /// Transposed lanes of the 64-cycle block `block`, built on first use.
-  /// The returned reference stays valid for the source's lifetime
-  /// (unordered_map never invalidates value references on insert, and
-  /// entries are never erased).
-  [[nodiscard]] const std::vector<std::uint64_t>& transposedBlock(
-      int block) const;
-
   std::span<const std::uint64_t> words_;
   std::size_t width_;
-  mutable std::mutex cache_mu_;
-  mutable std::unordered_map<int, std::vector<std::uint64_t>> cache_;
 };
 
 /// Hand-assembled patterns as a first-class campaign stimulus: an

@@ -12,14 +12,33 @@
 //    u32 fnv1a(the four words before it)}
 //
 // followed by the payload. Both ends are forks of the same binary, so POD
-// fields are memcpy'd without cross-ABI concern; the framing and the FNV-1a
-// checksums exist so transport corruption (a failpoint bit-flip today, a
-// flaky remote link tomorrow) is *detected* — a corrupted frame surfaces
-// as a structured protocol error, never as silently wrong grading results.
-// The header checksum is verified before the length is trusted, so a
-// flipped length bit is caught at once instead of sizing a buffer and
-// waiting for bytes that never come; kMaxFrameBytes bounds what an intact
-// header may announce.
+// fields are memcpy'd in native byte order without cross-ABI concern. The
+// payloads:
+//
+//   shard request  u32 shard id, i32 stage cycles, the two injections (u8
+//                  kind, i32 delay_ms, i32 jitter_ms, u64 arg each), u32
+//                  fault count, then per fault u32 net, u32 gate, u8 pin,
+//                  u8 kind. Everything else the worker grades with (netlist,
+//                  pattern sources, the stage's FaultSimOptions) is in its
+//                  fork-time snapshot.
+//   shutdown       empty.
+//   ok reply       u32 shard id, then the rows of FaultSimResult(rows,
+//                  options) in field order: first_detect, window_mask,
+//                  misr_detect, window_sig, and per fault a u32 count and
+//                  that many detection indices. Both ends derive which rows
+//                  exist from the same (rows, options), so nothing in the
+//                  payload describes its layout, and the parent rejects a
+//                  header announcing more than maxReplyBytes before it
+//                  allocates.
+//   engine error   the engine's what(), cut to kMaxEngineErrorBytes.
+//
+// The framing and the FNV-1a checksums exist so transport corruption (a
+// failpoint bit-flip today, a flaky remote link tomorrow) is *detected* — a
+// corrupted frame surfaces as a structured protocol error, never as
+// silently wrong grading results. The header checksum is verified before
+// the length is trusted, so a flipped length bit is caught at once instead
+// of sizing a buffer and waiting for bytes that never come; kMaxFrameBytes
+// bounds what an intact header may announce.
 //
 // Failpoint transport. Worker-side injections ("kill worker N at shard K",
 // "stall the reply past the watchdog", "truncate/bit-flip the response")
@@ -54,6 +73,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -73,6 +93,8 @@ constexpr std::size_t kHeaderWords = 5;
 constexpr std::size_t kHeaderBytes = kHeaderWords * sizeof(std::uint32_t);
 /// A frame announcing a larger payload is corruption, not a real message.
 constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
+/// Longest engine-error reply; serializeEngineError cuts what() to it.
+constexpr std::size_t kMaxEngineErrorBytes = 4096;
 
 // Failpoint site names compiled into the fork executor. process.* sites
 // pass FailpointContext{worker index, shard id}.
@@ -216,8 +238,14 @@ void putPod(std::vector<std::uint8_t>& b, const T& v) {
 
 inline void putBytes(std::vector<std::uint8_t>& b, const void* p,
                      std::size_t n) {
+  if (n == 0) return;  // an empty vector's data() may be null
   const auto* q = static_cast<const std::uint8_t*>(p);
   b.insert(b.end(), q, q + n);
+}
+
+template <typename T>
+void putVec(std::vector<std::uint8_t>& b, const std::vector<T>& v) {
+  putBytes(b, v.data(), v.size() * sizeof(T));
 }
 
 /// Bounds-checked payload reader; `ok` latches false on any overrun so a
@@ -227,11 +255,15 @@ struct Cursor {
   const std::uint8_t* end;
   bool ok = true;
 
+  [[nodiscard]] std::size_t left() const {
+    return static_cast<std::size_t>(end - p);
+  }
+
   template <typename T>
   T get() {
     static_assert(std::is_trivially_copyable_v<T>);
     T v{};
-    if (!ok || static_cast<std::size_t>(end - p) < sizeof(T)) {
+    if (!ok || left() < sizeof(T)) {
       ok = false;
       return v;
     }
@@ -241,7 +273,7 @@ struct Cursor {
   }
 
   bool getBytes(void* dst, std::size_t n) {
-    if (!ok || static_cast<std::size_t>(end - p) < n) {
+    if (!ok || left() < n) {
       ok = false;
       return false;
     }
@@ -254,12 +286,18 @@ struct Cursor {
   /// left before anything is allocated.
   template <typename T>
   bool getVec(std::vector<T>& v, std::size_t n) {
-    if (!ok || static_cast<std::size_t>(end - p) / sizeof(T) < n) {
+    if (!ok || left() / sizeof(T) < n) {
       ok = false;
       return false;
     }
     v.resize(n);
     return getBytes(v.data(), n * sizeof(T));
+  }
+
+  /// Read exactly `v.size()` elements into `v`.
+  template <typename T>
+  bool getAll(std::vector<T>& v) {
+    return getBytes(v.data(), v.size() * sizeof(T));
   }
 };
 
@@ -313,15 +351,11 @@ struct WireInject {
   }
 };
 
-/// The per-shard varying slice of FaultSimOptions that crosses the wire,
-/// plus the parent-evaluated failure injections for this dispatch.
+/// What a shard request carries besides its faults: the stage budget, the
+/// one option that varies between the stages a worker lives through, plus
+/// the parent-evaluated failure injections for this dispatch.
 struct WireOptions {
   std::int32_t cycles = 0;
-  std::int32_t windows = 0;
-  std::int32_t record_detections = 0;
-  std::uint8_t drop_detected = 0;
-  std::uint8_t has_misr = 0;
-  std::uint8_t has_launch = 0;
   WireInject inject_shard;  // applied on shard receipt (crash/hang/delay)
   WireInject inject_reply;  // applied around the response frame
 };
@@ -349,11 +383,6 @@ inline void serializeShardRequest(std::vector<std::uint8_t>& out,
   beginFrame(out, kReqMagic, kMsgShard);
   putPod(out, shard_id);
   putPod(out, wopts.cycles);
-  putPod(out, wopts.windows);
-  putPod(out, wopts.record_detections);
-  putPod(out, wopts.drop_detected);
-  putPod(out, wopts.has_misr);
-  putPod(out, wopts.has_launch);
   putInject(out, wopts.inject_shard);
   putInject(out, wopts.inject_reply);
   putPod(out, static_cast<std::uint32_t>(shard_faults.size()));
@@ -366,73 +395,100 @@ inline void serializeShardRequest(std::vector<std::uint8_t>& out,
   sealFrame(out);
 }
 
+/// Wire bytes of one fault in a shard request: net, gate, pin, kind.
+constexpr std::size_t kFaultWireBytes = 2 * sizeof(std::uint32_t) + 2;
+
+/// Inverse of serializeShardRequest past the header. False on truncation or
+/// trailing bytes; the fault count is checked against the bytes left before
+/// anything is reserved.
+inline bool parseShardRequest(Cursor& c, std::uint32_t& shard_id,
+                              WireOptions& wopts, std::vector<Fault>& faults) {
+  shard_id = c.get<std::uint32_t>();
+  wopts.cycles = c.get<std::int32_t>();
+  wopts.inject_shard = getInject(c);
+  wopts.inject_reply = getInject(c);
+  const auto n = c.get<std::uint32_t>();
+  faults.clear();
+  if (!c.ok || c.left() / kFaultWireBytes < n) return false;
+  faults.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Fault f;
+    f.net = c.get<std::uint32_t>();
+    f.gate = c.get<std::uint32_t>();
+    f.pin = c.get<std::uint8_t>();
+    f.kind = static_cast<FaultKind>(c.get<std::uint8_t>());
+    faults.push_back(f);
+  }
+  return c.ok && c.p == c.end;
+}
+
 inline void serializeShutdown(std::vector<std::uint8_t>& out) {
   beginFrame(out, kReqMagic, kMsgShutdown);
   sealFrame(out);
 }
 
+/// `sub` must have the shape of FaultSimResult(rows, options) for the
+/// options the parent decodes with; every engine result does.
 inline void serializeResult(std::vector<std::uint8_t>& out,
-                            std::uint32_t shard_id, const FaultSimResult& sub,
-                            const FaultSimOptions& wopts) {
+                            std::uint32_t shard_id,
+                            const FaultSimResult& sub) {
   beginFrame(out, kRespMagic, kStatusOk);
   putPod(out, shard_id);
-  const std::uint32_t n = static_cast<std::uint32_t>(sub.first_detect.size());
-  putPod(out, n);
-  putBytes(out, sub.first_detect.data(),
-           sub.first_detect.size() * sizeof(std::int32_t));
-  const std::uint8_t has_window = wopts.windows > 0 ? 1 : 0;
-  const std::uint8_t has_misr = wopts.misr.has_value() ? 1 : 0;
-  const std::uint8_t has_record = wopts.record_detections > 0 ? 1 : 0;
-  putPod(out, has_window);
-  if (has_window != 0) {
-    putBytes(out, sub.window_mask.data(),
-             sub.window_mask.size() * sizeof(std::uint64_t));
-  }
-  putPod(out, has_misr);
-  if (has_misr != 0) {
-    putBytes(out, sub.misr_detect.data(), sub.misr_detect.size());
-  }
-  putPod(out, static_cast<std::uint32_t>(sub.sig_words_per_fault));
-  if (sub.sig_words_per_fault > 0) {
-    putBytes(out, sub.window_sig.data(),
-             sub.window_sig.size() * sizeof(std::uint64_t));
-  }
-  putPod(out, has_record);
-  if (has_record != 0) {
-    for (const auto& list : sub.detect_patterns) {
-      putPod(out, static_cast<std::uint32_t>(list.size()));
-      putBytes(out, list.data(), list.size() * sizeof(std::uint32_t));
-    }
+  putVec(out, sub.first_detect);
+  putVec(out, sub.window_mask);
+  putVec(out, sub.misr_detect);
+  putVec(out, sub.window_sig);
+  for (const auto& list : sub.detect_patterns) {
+    putPod(out, static_cast<std::uint32_t>(list.size()));
+    putVec(out, list);
   }
   sealFrame(out);
 }
 
 /// Inverse of serializeResult past the shard id: decode the reply for a
-/// shard of `n` faults into `sub`. False on a row-count mismatch,
-/// truncation or trailing bytes; no allocation outgrows the payload.
-inline bool parseResult(Cursor& c, std::size_t n, FaultSimResult& sub) {
-  if (c.get<std::uint32_t>() != n) return false;
-  c.getVec(sub.first_detect, n);
-  if (c.get<std::uint8_t>() != 0) c.getVec(sub.window_mask, n);
-  if (c.get<std::uint8_t>() != 0) c.getVec(sub.misr_detect, n);
-  sub.sig_words_per_fault = static_cast<int>(c.get<std::uint32_t>());
-  if (sub.sig_words_per_fault > 0) {
-    c.getVec(sub.window_sig,
-             n * static_cast<std::size_t>(sub.sig_words_per_fault));
-  }
-  if (c.get<std::uint8_t>() != 0) {
-    sub.detect_patterns.resize(n);
-    for (auto& list : sub.detect_patterns) {
-      if (!c.getVec(list, c.get<std::uint32_t>())) break;
+/// shard of `rows` faults graded under `opts` into `sub`, which gets the
+/// shape of FaultSimResult(rows, opts). False on truncation, trailing bytes
+/// or a detection list longer than `opts.record_detections`.
+inline bool parseResult(Cursor& c, std::size_t rows,
+                        const FaultSimOptions& opts, FaultSimResult& sub) {
+  sub = FaultSimResult(rows, opts);
+  c.getAll(sub.first_detect);
+  c.getAll(sub.window_mask);
+  c.getAll(sub.misr_detect);
+  c.getAll(sub.window_sig);
+  for (auto& list : sub.detect_patterns) {
+    const auto n = c.get<std::uint32_t>();
+    if (n > static_cast<std::uint32_t>(opts.record_detections) ||
+        !c.getVec(list, n)) {
+      return false;
     }
   }
+  sub.recountDetected();
   return c.ok && c.p == c.end;
+}
+
+/// Largest ok-reply payload for a shard of `rows` faults graded under
+/// `opts`: the shard id, the rows of FaultSimResult(rows, opts) and every
+/// detection list full.
+inline std::size_t maxReplyBytes(std::size_t rows,
+                                 const FaultSimOptions& opts) {
+  const FaultSimResult shape(rows, opts);
+  const auto bytes = [](const auto& v) {
+    return v.size() * sizeof(v.front());
+  };
+  return sizeof(std::uint32_t) + bytes(shape.first_detect) +
+         bytes(shape.window_mask) + bytes(shape.misr_detect) +
+         bytes(shape.window_sig) +
+         shape.detect_patterns.size() * sizeof(std::uint32_t) *
+             (1 + static_cast<std::size_t>(opts.record_detections));
 }
 
 inline void serializeEngineError(std::vector<std::uint8_t>& out,
                                  const char* what) {
   beginFrame(out, kRespMagic, kStatusEngineError);
-  putBytes(out, what, std::strlen(what));
+  const std::string_view msg =
+      std::string_view(what).substr(0, kMaxEngineErrorBytes);
+  putBytes(out, msg.data(), msg.size());
   sealFrame(out);
 }
 
@@ -487,9 +543,9 @@ inline bool writeFrameInjected(int fd, const std::vector<std::uint8_t>& frame,
 
 // ---- worker side ---------------------------------------------------------
 
-/// Request/grade/respond loop of one forked worker. Immutable campaign
-/// state (netlist, pattern sources, MISR spec, observe set) is already in
-/// this process via the fork snapshot; only shards, scalar options and the
+/// Request/grade/respond loop of one forked worker. Campaign state
+/// (netlist, pattern sources, the stage options `base`) is already in this
+/// process via the fork snapshot; only shards, the stage budget and the
 /// parent-evaluated failure injections arrive over the pipe. Never returns:
 /// _exit(0) on shutdown, _exit(1) on any protocol violation (the parent
 /// turns the EOF into a structured error), _exit(42) on an injected crash.
@@ -507,6 +563,7 @@ inline bool writeFrameInjected(int fd, const std::vector<std::uint8_t>& frame,
   std::vector<std::uint8_t> buf;
   std::vector<std::uint8_t> out;
   std::vector<Fault> shard_faults;
+  FaultSimOptions wopts = base;
   for (;;) {
     std::uint32_t hdr[kHeaderWords];
     if (!readAll(req_fd, hdr, sizeof hdr) || !headerOk(hdr, kReqMagic)) {
@@ -522,33 +579,9 @@ inline bool writeFrameInjected(int fd, const std::vector<std::uint8_t>& frame,
     if (fnv1a(buf.data(), buf.size()) != hdr[3]) _exit(1);
 
     Cursor c{buf.data(), buf.data() + buf.size()};
-    const auto shard_id = c.get<std::uint32_t>();
+    std::uint32_t shard_id = 0;
     WireOptions w;
-    w.cycles = c.get<std::int32_t>();
-    w.windows = c.get<std::int32_t>();
-    w.record_detections = c.get<std::int32_t>();
-    w.drop_detected = c.get<std::uint8_t>();
-    w.has_misr = c.get<std::uint8_t>();
-    w.has_launch = c.get<std::uint8_t>();
-    w.inject_shard = getInject(c);
-    w.inject_reply = getInject(c);
-    const auto n_faults = c.get<std::uint32_t>();
-    shard_faults.clear();
-    shard_faults.reserve(n_faults);
-    for (std::uint32_t i = 0; i < n_faults; ++i) {
-      Fault f;
-      f.net = c.get<std::uint32_t>();
-      f.gate = c.get<std::uint32_t>();
-      f.pin = c.get<std::uint8_t>();
-      f.kind = static_cast<FaultKind>(c.get<std::uint8_t>());
-      shard_faults.push_back(f);
-    }
-    // Wire flags must agree with the fork-time snapshot the non-POD
-    // payloads ride on; a mismatch means frames desynchronized.
-    if (!c.ok || (w.has_misr != 0) != base.misr.has_value() ||
-        (w.has_launch != 0) != (base.launch != nullptr)) {
-      _exit(1);
-    }
+    if (!parseShardRequest(c, shard_id, w, shard_faults)) _exit(1);
 
     // Injected receipt action ("kill worker N before shard K" / stall).
     const FailpointAction on_shard = w.inject_shard.action();
@@ -565,17 +598,11 @@ inline bool writeFrameInjected(int fd, const std::vector<std::uint8_t>& frame,
         break;
     }
 
-    FaultSimOptions wopts = base;
     wopts.cycles = w.cycles;
-    wopts.prepass_cycles = 0;  // the stage ladder lives in the parent
-    wopts.drop_detected = w.drop_detected != 0;
-    wopts.windows = w.windows;
-    wopts.record_detections = w.record_detections;
-
     if (engine == nullptr) engine = proto.clone();
     try {
-      const FaultSimResult sub = engine->run(shard_faults, patterns, wopts);
-      serializeResult(out, shard_id, sub, wopts);
+      serializeResult(out, shard_id,
+                      engine->run(shard_faults, patterns, wopts));
     } catch (const std::exception& e) {
       serializeEngineError(out, e.what());
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <stdexcept>
 
 #include "sim/comb_sim.hpp"
@@ -110,11 +111,9 @@ void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
   std::vector<std::uint64_t> window_masks(want_windows ? members.size() : 0,
                                           0);
   const bool want_sigs = want_windows && want_misr;
-  const int sig_words =
-      want_sigs ? (opts.windows * misr_w + 63) / 64 : 0;
+  const int sig_words = result.sig_words_per_fault;
   std::vector<std::uint64_t> window_sigs(
-      want_sigs ? members.size() * static_cast<std::size_t>(sig_words) : 0,
-      0);
+      members.size() * static_cast<std::size_t>(sig_words), 0);
 
   auto applySite = [](InjectSite& s, std::uint64_t& w, std::uint64_t cur) {
     // cur = raw site value restricted to s.mask.
@@ -293,77 +292,41 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
   ctx.observe =
       opts.observe.empty() ? nl_.primaryOutputs() : opts.observe;
 
-  SeqFsimResult result;
-  result.total = faults.size();
-  result.first_detect.assign(faults.size(), -1);
-  if (opts.windows > 0) result.window_mask.assign(faults.size(), 0);
-  if (opts.misr) result.misr_detect.assign(faults.size(), 0);
-  if (opts.windows > 0 && opts.misr) {
-    result.sig_words_per_fault = (opts.windows * opts.misr->width + 63) / 64;
-    result.window_sig.assign(
-        faults.size() * static_cast<std::size_t>(result.sig_words_per_fault),
-        0);
-  }
+  SeqFsimResult result(faults.size(), opts);
 
-  const bool full_length = opts.windows > 0 || opts.misr.has_value();
-
-  // A pass grades groups of 63 faulty machines one after another on the
-  // calling thread (sharding across threads or processes is the
-  // orchestrators' job); passes differ only in their cycle count.
+  // Each ladder stage grades groups of 63 faulty machines one after another
+  // on the calling thread (sharding across threads or processes is the
+  // orchestrators' job), regrouping the survivors densely so the expensive
+  // full-length stage only sees the hard tail.
   SeqFsimOptions pass_opts = opts;
   ctx.opts = &pass_opts;
   GroupScratch scratch;
   scratch.val.assign(nl_.numNets(), 0);
   scratch.dcapt.assign(nl_.dffs().size(), 0);
-  auto runPass = [&](std::span<const std::uint32_t> indices, int cycles) {
+  std::vector<std::uint32_t> live(faults.size());
+  std::iota(live.begin(), live.end(), 0u);
+  for (const int cycles : ladderStages(opts, opts.cycles)) {
     pass_opts.cycles = cycles;
+    const std::span<const std::uint32_t> indices(live);
     for (std::size_t at = 0; at < indices.size(); at += 63) {
       simulateGroup(ctx, faults,
                     indices.subspan(at, std::min<std::size_t>(
                                             63, indices.size() - at)),
                     scratch, result);
     }
-  };
-
-  std::vector<std::uint32_t> all(faults.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<std::uint32_t>(i);
-
-  if (!full_length && opts.prepass_cycles > 0 &&
-      opts.prepass_cycles < opts.cycles && opts.drop_detected) {
-    // Geometric prepass ladder: each stage re-groups the survivors densely,
-    // so the expensive full-length pass only sees the hard tail.
-    std::vector<int> stages;
-    for (int c = opts.prepass_cycles; c < opts.cycles; c *= 4) {
-      stages.push_back(c);
-    }
-    stages.push_back(opts.cycles);
-    std::vector<std::uint32_t> live = std::move(all);
-    for (const int cycles : stages) {
-      runPass(live, cycles);
-      std::vector<std::uint32_t> survivors;
-      for (const std::uint32_t i : live) {
-        if (result.first_detect[i] < 0) survivors.push_back(i);
-      }
-      live = std::move(survivors);
-      if (live.empty()) break;
-    }
-  } else {
-    runPass(all, opts.cycles);
+    std::erase_if(live, [&](std::uint32_t i) {
+      return result.first_detect[i] >= 0;
+    });
+    if (live.empty()) break;
   }
 
-  result.detected = 0;
-  for (const auto fd : result.first_detect) {
-    if (fd >= 0) ++result.detected;
-  }
+  result.recountDetected();
   // Sequential machines latch only the first divergence; dictionary
   // consumers get a one-entry list per detected fault.
-  if (opts.record_detections > 0) {
-    result.detect_patterns.assign(faults.size(), {});
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (result.first_detect[i] >= 0) {
-        result.detect_patterns[i].push_back(
-            static_cast<std::uint32_t>(result.first_detect[i]));
-      }
+  for (std::size_t i = 0; i < result.detect_patterns.size(); ++i) {
+    if (result.first_detect[i] >= 0) {
+      result.detect_patterns[i].push_back(
+          static_cast<std::uint32_t>(result.first_detect[i]));
     }
   }
   return result;

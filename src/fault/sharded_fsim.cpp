@@ -28,12 +28,6 @@ constexpr int kRungSerial = 2;
 // makes the threaded rung refuse, pushing degradation down to serial.
 constexpr const char* kFpResilientRung = "resilient.rung";
 
-std::size_t countDetected(const FaultSimResult& r) {
-  return static_cast<std::size_t>(
-      std::count_if(r.first_detect.begin(), r.first_detect.end(),
-                    [](std::int32_t fd) { return fd >= 0; }));
-}
-
 }  // namespace
 
 const char* resilienceEventName(ResilienceEvent::Kind k) noexcept {
@@ -110,19 +104,6 @@ struct ShardedFaultSim::Stage {
       out.push_back(faults[live[s * size + k]]);
     }
   }
-  /// True when `sub` holds shard `s`'s records in this campaign's shape
-  /// (a reply decoded from the wire is checked before it is merged).
-  [[nodiscard]] bool fits(std::size_t s, const FaultSimResult& sub) const {
-    const std::size_t n = rows(s);
-    const auto want = [n](const auto& rows_of_campaign) {
-      return rows_of_campaign.empty() ? std::size_t{0} : n;
-    };
-    return sub.first_detect.size() == n &&
-           sub.window_mask.size() == want(result.window_mask) &&
-           sub.misr_detect.size() == want(result.misr_detect) &&
-           sub.detect_patterns.size() == want(result.detect_patterns) &&
-           sub.sig_words_per_fault == result.sig_words_per_fault;
-  }
   /// Copy shard `s`'s records into the campaign rows. Shards partition
   /// `live`, so merges of different shards write disjoint rows and need no
   /// lock; a regraded shard simply overwrites its rows.
@@ -174,7 +155,7 @@ ShardedFaultSim::ShardedFaultSim(const FaultSim& prototype,
   if (opts_.shard_faults < 1) opts_.shard_faults = 63;
   opts_.max_shard_retries = std::max(opts_.max_shard_retries, 0);
   if (opts_.backend != FsimBackend::kResilient) {
-    // kProcess throws on the first worker failure; kThreaded is unsupervised.
+    // Only the fork executor is supervised; kThreaded is not.
     opts_.max_shard_retries = 0;
     opts_.degrade_on_failure = false;
   }
@@ -196,35 +177,11 @@ FaultSimResult ShardedFaultSim::run(std::span<const Fault> faults,
   const int total_cycles =
       opts.cycles > 0 ? opts.cycles : patterns.patternCount();
 
-  FaultSimResult result;
-  result.total = faults.size();
-  result.first_detect.assign(faults.size(), -1);
-  if (opts.windows > 0) result.window_mask.assign(faults.size(), 0);
-  if (opts.misr) result.misr_detect.assign(faults.size(), 0);
-  if (opts.windows > 0 && opts.misr) {
-    result.sig_words_per_fault = (opts.windows * opts.misr->width + 63) / 64;
-    result.window_sig.assign(
-        faults.size() * static_cast<std::size_t>(result.sig_words_per_fault),
-        0);
-  }
-  if (opts.record_detections > 0) {
-    result.detect_patterns.assign(faults.size(), {});
-  }
+  FaultSimResult result(faults.size(), opts);
+  const bool forked = opts_.backend == FsimBackend::kResilient;
+  int rung = forked ? kRungProcess : kRungThreaded;
+  log_.final_rung = rung;
   if (faults.empty()) return result;
-
-  // Windowed / MISR / dictionary records need every fault run full-length;
-  // otherwise fault dropping allows the staged ladder, whose short early
-  // stages retire the easy majority before anyone pays full price.
-  std::vector<int> stages;
-  const bool full_length =
-      opts.windows > 0 || opts.misr || opts.record_detections > 0;
-  if (!full_length && opts.drop_detected && opts.prepass_cycles > 0 &&
-      opts.prepass_cycles < total_cycles) {
-    for (int c = opts.prepass_cycles; c < total_cycles; c *= 4) {
-      stages.push_back(c);
-    }
-  }
-  stages.push_back(total_cycles);
 
   std::vector<std::uint32_t> live(faults.size());
   std::iota(live.begin(), live.end(), 0u);
@@ -234,10 +191,6 @@ FaultSimResult ShardedFaultSim::run(std::span<const Fault> faults,
                             : std::thread::hardware_concurrency(),
       1, (live.size() + shard - 1) / shard);
 
-  const bool forked = opts_.backend == FsimBackend::kProcess ||
-                      opts_.backend == FsimBackend::kResilient;
-  int rung = forked ? kRungProcess : kRungThreaded;
-  log_.final_rung = rung;
   auto stepDown = [&](int to_rung, std::string detail) {
     log_.events.push_back(ResilienceEvent{ResilienceEvent::Kind::kDegrade,
                                           to_rung, -1, -1, 0, 0, 0,
@@ -249,7 +202,7 @@ FaultSimResult ShardedFaultSim::run(std::span<const Fault> faults,
   if (forked) fleet.emplace(nworkers);
 
   std::size_t stage_shards = 0;
-  for (const int stage_cycles : stages) {
+  for (const int stage_cycles : ladderStages(opts, total_cycles)) {
     FaultSimOptions wopts = opts;
     wopts.cycles = stage_cycles;
     wopts.prepass_cycles = 0;  // the stage ladder lives up here
@@ -324,7 +277,7 @@ FaultSimResult ShardedFaultSim::run(std::span<const Fault> faults,
       if (!opts_.degrade_on_failure) {
         throw ProcessFsimError(Reason::kWorkerDied, static_cast<int>(i),
                                stage_shards, stage_shards,
-                               countDetected(result), detail);
+                               result.recountDetected(), detail);
       }
       log_.events.push_back(
           ResilienceEvent{ResilienceEvent::Kind::kStrayShutdown, kRungProcess,
@@ -332,7 +285,7 @@ FaultSimResult ShardedFaultSim::run(std::span<const Fault> faults,
     }
   }
 
-  result.detected = countDetected(result);
+  result.recountDetected();
   return result;
 }
 
@@ -380,14 +333,6 @@ void ShardedFaultSim::gradeForked(Fleet& fleet, const Stage& st,
   std::size_t ndone = 0;
   const auto who = [](std::size_t i) { return "worker " + std::to_string(i); };
 
-  w::WireOptions wire;
-  wire.cycles = st.wopts.cycles;
-  wire.windows = st.wopts.windows;
-  wire.record_detections = st.wopts.record_detections;
-  wire.drop_detected = st.wopts.drop_detected ? 1 : 0;
-  wire.has_misr = st.wopts.misr ? 1 : 0;
-  wire.has_launch = st.wopts.launch != nullptr ? 1 : 0;
-
   // Leave the rung; the shards not merged stay in `left` for the next one.
   auto abandon = [&](int worker, Reason reason, const std::string& detail) {
     left.clear();
@@ -395,7 +340,7 @@ void ShardedFaultSim::gradeForked(Fleet& fleet, const Stage& st,
       if (done[s] == 0) left.push_back(s);
     }
     throw ProcessFsimError(reason, worker, ndone, nshards,
-                           countDetected(st.result), detail);
+                           st.result.recountDetected(), detail);
   };
   // Kill the worker, requeue its shard and pay the backoff, or abandon the
   // rung once the shard has used up its retries.
@@ -448,7 +393,8 @@ void ShardedFaultSim::gradeForked(Fleet& fleet, const Stage& st,
       // Worker-side injections are consumed here, in the supervising
       // process, and shipped inside the frame — so a re-dispatch of this
       // shard runs clean once the armed entry is spent.
-      w::WireOptions send = wire;
+      w::WireOptions send;
+      send.cycles = st.wopts.cycles;
       std::optional<FailpointAction> req_inject;
       if (failpointsArmed()) {
         const auto index = static_cast<std::int64_t>(i);
@@ -506,6 +452,15 @@ void ShardedFaultSim::gradeForked(Fleet& fleet, const Stage& st,
     if (!w::headerOk(hdr, w::kRespMagic)) {
       return Failure{Reason::kProtocol, "bad response framing from " + who(i)};
     }
+    const std::size_t cap = hdr[1] == w::kStatusEngineError
+                                ? w::kMaxEngineErrorBytes
+                                : w::maxReplyBytes(st.rows(s), st.wopts);
+    if (hdr[2] > cap) {
+      return Failure{Reason::kProtocol,
+                     who(i) + " announced a " + std::to_string(hdr[2]) +
+                         "-byte reply; its shard's replies fit in " +
+                         std::to_string(cap)};
+    }
     payload.resize(hdr[2]);
     if (auto f = io(w::readAllDeadline(wk.resp_fd, payload.data(),
                                        payload.size(), wk.deadline),
@@ -525,7 +480,7 @@ void ShardedFaultSim::gradeForked(Fleet& fleet, const Stage& st,
     w::Cursor c{payload.data(), payload.data() + payload.size()};
     FaultSimResult sub;
     if (hdr[1] != w::kStatusOk || c.get<std::uint32_t>() != s ||
-        !w::parseResult(c, st.rows(s), sub) || !st.fits(s, sub)) {
+        !w::parseResult(c, st.rows(s), st.wopts, sub)) {
       return Failure{Reason::kProtocol, "malformed reply from " + who(i)};
     }
     st.merge(s, sub);

@@ -1,13 +1,13 @@
 // Fault-sharding orchestration over the FaultSim seam: the one sharding
-// loop behind FsimBackend::kThreaded, kProcess and kResilient.
+// loop behind FsimBackend::kThreaded and kResilient.
 //
-// ShardedFaultSim owns the campaign: the result skeleton, the geometric
-// stage ladder (short stages retire the easy majority before anyone pays
-// the full pattern budget), shard slicing of the live fault list, the
-// per-row merge, the survivor recompute between stages — cross-shard
-// dropping, so a fault detected anywhere stops being simulated everywhere —
-// and the detected count. Each stage's shards are graded by one of two
-// executors:
+// ShardedFaultSim owns the campaign: the result rows, the geometric stage
+// ladder (`ladderStages`: short stages retire the easy majority before
+// anyone pays the full pattern budget), shard slicing of the live fault
+// list, the per-row merge, the survivor recompute between stages —
+// cross-shard dropping, so a fault detected anywhere stops being simulated
+// everywhere — and the detected count. Each stage's shards are graded by
+// one of two executors:
 //
 //   * threads — N threads pull shards from an atomic counter, each grading
 //     on a private clone of the prototype engine. Clones share the
@@ -18,7 +18,7 @@
 //   * forked workers — the fleet is forked inside run() after argument
 //     validation, so immutable campaign state (netlist, pattern sources
 //     including the `launch` pair stream, MISR feeds) rides the fork-time
-//     copy-on-write snapshot; only shards, scalar options and injected
+//     copy-on-write snapshot; only shards, the stage budget and injected
 //     failures cross the checksummed pipe protocol (fault/process_wire.hpp).
 //     A worker owns its allocator arena and page tables, and a crashed or
 //     wedged worker cannot take the campaign down. Response pipes are read
@@ -34,9 +34,9 @@
 //
 //   kThreaded   the thread executor, unsupervised: an engine exception
 //               propagates from run() once every thread has joined;
-//   kProcess    the fork executor under {max_shard_retries = 0,
-//               degrade_on_failure = false}: the first failure throws;
-//   kResilient  the fork executor under the options' policy.
+//   kResilient  the fork executor under the options' policy; with
+//               {max_shard_retries = 0, degrade_on_failure = false} the
+//               first failure throws.
 //
 // Byte-identity: every shard is graded with identical semantics on every
 // executor and attempt — same fault slice, same stage budget, prepass 0,
@@ -154,10 +154,10 @@ struct ResilienceLog {
 class ShardedFaultSim : public FaultSim {
  public:
   /// Clones `prototype` once, so it may die before this object. `opts`
-  /// picks the backend (kThreaded, kProcess or kResilient), the worker
-  /// count (0 => one per hardware thread), the shard size and, for the
-  /// fork executor, the watchdog and supervision policy; lane_words is
-  /// ignored (the prototype fixes the kernel).
+  /// picks the backend (kThreaded or kResilient), the worker count (0 =>
+  /// one per hardware thread), the shard size and, for the fork executor,
+  /// the watchdog and supervision policy; lane_words is ignored (the
+  /// prototype fixes the kernel).
   ShardedFaultSim(const FaultSim& prototype, const FsimBackendOptions& opts);
 
   [[nodiscard]] const Netlist& netlist() const noexcept override;

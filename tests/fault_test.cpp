@@ -1,6 +1,7 @@
 // Fault model, collapsing, and both fault-simulation engines.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <random>
 #include <string>
 
@@ -512,6 +513,31 @@ TEST(FaultSimOptions, MoreThan64WindowsThrowOnEveryEngine) {
     EXPECT_EQ(rc.window_mask.size(), comb_u.faults.size());
     const auto rsh = sharded.run(seq_u.faults, cycle_source, seq_opts);
     EXPECT_EQ(rsh.window_mask, rs.window_mask);
+  }
+}
+
+TEST(FaultSimOptions, LadderStagesFollowTheOneFullLengthRule) {
+  FaultSimOptions o;
+  o.prepass_cycles = 256;
+  EXPECT_EQ(ladderStages(o, 4096), (std::vector<int>{256, 1024, 4096}));
+  EXPECT_EQ(ladderStages(o, 1024), (std::vector<int>{256, 1024}));
+  EXPECT_EQ(ladderStages(o, 256), (std::vector<int>{256}));
+  EXPECT_EQ(ladderStages(o, 100), (std::vector<int>{100}));
+  // 256 * 4^11 = 2^30 is the last stage below INT_MAX; 4 * 2^30 overflows.
+  const std::vector<int> longest = ladderStages(o, INT_MAX);
+  EXPECT_EQ(longest.size(), 13u);
+  EXPECT_EQ(longest[11], 1 << 30);
+  EXPECT_EQ(longest.back(), INT_MAX);
+  // Anything recorded past first detections, no dropping, or no prepass:
+  // one full-length stage.
+  for (int mode = 0; mode < 5; ++mode) {
+    FaultSimOptions full = o;
+    if (mode == 0) full.windows = 4;
+    if (mode == 1) full.misr = MisrSpec{};
+    if (mode == 2) full.record_detections = 1;
+    if (mode == 3) full.drop_detected = false;
+    if (mode == 4) full.prepass_cycles = 0;
+    EXPECT_EQ(ladderStages(full, 4096), (std::vector<int>{4096})) << mode;
   }
 }
 

@@ -1,7 +1,7 @@
 // ParallelFaultSim orchestration: byte-identical results to the serial
 // engines on randomized netlists, under any thread count and shard size,
-// with and without fault dropping — plus PatternBlock lane-count hygiene
-// and pattern-source determinism.
+// with and without fault dropping, and the rung every run reports — plus
+// PatternBlock lane-count hygiene and pattern-source determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -150,6 +150,26 @@ TEST(ParallelFaultSimErrors, EngineErrorPropagatesAndEnginesSurviveIt) {
   EXPECT_EQ(r.first_detect, ref.first_detect);
   EXPECT_EQ(r.detected, ref.detected);
   EXPECT_EQ(r.total, ref.total);
+}
+
+TEST(ParallelFaultSimLog, EveryRunReportsTheThreadedRung) {
+  // An empty campaign returns before any shard is cut, and must still say
+  // which rung it ran on.
+  const Netlist nl = randomComb(56, 8, 30);
+  const FaultUniverse u = enumerateStuckAt(nl);
+  const RandomPatternSource patterns(3, nl.primaryInputs().size(), 128);
+  ParallelFaultSim psim(
+      CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()},
+      {.num_threads = 2});
+  FaultSimOptions opts;
+  opts.cycles = 128;
+  const FaultSimResult empty = psim.run({}, patterns, opts);
+  EXPECT_EQ(empty.total, 0u);
+  EXPECT_EQ(psim.lastLog().final_rung, 1);
+  EXPECT_STREQ(resilienceRungName(psim.lastLog().final_rung), "threaded");
+  const FaultSimResult full = psim.run(u.faults, patterns, opts);
+  EXPECT_EQ(full.total, u.faults.size());
+  EXPECT_EQ(psim.lastLog().final_rung, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalence,

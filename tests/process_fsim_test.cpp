@@ -1,31 +1,42 @@
-// The fork executor (FsimBackend::kProcess): byte-identical results to the
-// serial engines on randomized netlists across 1/2/4 worker processes — plain
-// dropping campaigns, transition pair campaigns (FaultSimOptions::launch),
-// first-K dictionary records, and the windowed-MISR sequential path — plus
-// the failure-path regressions driven through the failpoint registry: a
-// crashed worker, a hung worker, truncated / bit-flipped frames (checksum
-// detection) and dribbled partial writes must surface as structured
-// ProcessFsimError (or be absorbed) with every child reaped (no hang, no
-// zombies), and the backend factory: every backend at every lane width
-// equals serial, on random netlists and the LDPC full-scan views, and the
-// parse/name round-trip.
+// The fork executor (FsimBackend::kResilient; most cases run its fail-fast
+// policy, no retries and no ladder, so the first failure surfaces):
+// byte-identical results to the serial engines on randomized netlists
+// across 1/2/4 worker processes — plain dropping campaigns, transition pair
+// campaigns (FaultSimOptions::launch), first-K dictionary records, and the
+// windowed-MISR sequential path — plus the failure-path regressions driven
+// through the failpoint registry: a crashed worker, a hung worker,
+// truncated / bit-flipped frames (checksum detection) and dribbled partial
+// writes must surface as structured ProcessFsimError (or be absorbed) with
+// every child reaped (no hang, no zombies), and the backend factory: every
+// backend at every lane width equals serial, on random netlists and the
+// LDPC full-scan views, and the parse/name round-trip. The wire itself:
+// every reply shape round-trips within its exact bound, replies past the
+// bound and overlong engine errors are refused or cut, and fixed-seed
+// mutants of request and reply payloads never make a parser read out of
+// bounds or allocate past the bytes.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
+#include <memory>
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "atpg/atpg.hpp"
+#include "bist/misr.hpp"
 #include "fault/backend.hpp"
 #include "fault/comb_fsim.hpp"
 #include "fault/failpoint.hpp"
 #include "fault/fault.hpp"
+#include "fault/process_wire.hpp"
 #include "fault/seq_fsim.hpp"
 #include "fault/sharded_fsim.hpp"
 #include "fixtures.hpp"
@@ -48,6 +59,15 @@ void expectSameResult(const FaultSimResult& ref, const FaultSimResult& got,
   EXPECT_EQ(ref.detect_patterns, got.detect_patterns) << what;
   EXPECT_EQ(ref.detected, got.detected) << what;
   EXPECT_EQ(ref.total, got.total) << what;
+}
+
+/// The fork executor that fails the campaign on its first worker failure:
+/// kResilient with no shard retries and no degradation ladder.
+FsimBackendOptions failFastFork() {
+  FsimBackendOptions o{.backend = FsimBackend::kResilient};
+  o.max_shard_retries = 0;
+  o.degrade_on_failure = false;
+  return o;
 }
 
 /// True when this process has no unreaped children: the orchestrator must
@@ -92,7 +112,7 @@ TEST_P(ProcessEquivalence, CombCampaignsMatchSerialByteForByte) {
   for (std::size_t m = 0; m < modes.size(); ++m) {
     const FaultSimResult ref = serial.run(u.faults, patterns, modes[m]);
     for (const int workers : {1, 2, 4}) {
-      FsimBackendOptions popts{.backend = FsimBackend::kProcess};
+      FsimBackendOptions popts = failFastFork();
       popts.num_workers = workers;
       popts.shard_faults = workers == 4 ? 17 : 63;  // odd shards too
       ShardedFaultSim psim(
@@ -134,7 +154,7 @@ TEST_P(ProcessEquivalence, TransitionPairCampaignMatchesSerial) {
   CombFaultSim serial(nl, nl.primaryInputs(), nl.primaryOutputs());
   const FaultSimResult ref = serial.run(tdf, capture_src, o);
   for (const int workers : {1, 2, 4}) {
-    FsimBackendOptions popts{.backend = FsimBackend::kProcess};
+    FsimBackendOptions popts = failFastFork();
     popts.num_workers = workers;
     popts.shard_faults = 21;
     ShardedFaultSim psim(
@@ -171,7 +191,7 @@ TEST_P(ProcessEquivalence, SeqWindowedMisrMatchesSerial) {
   const SeqFsimResult ref = serial.run(u.faults, stim, opts);
 
   for (const int workers : {2, 4}) {
-    FsimBackendOptions popts{.backend = FsimBackend::kProcess};
+    FsimBackendOptions popts = failFastFork();
     popts.num_workers = workers;
     popts.shard_faults = 29;
     ShardedFaultSim psim(SeqFaultSim{nl}, popts);
@@ -216,7 +236,7 @@ TEST_F(ProcessFsimFailure, CrashedWorkerRaisesStructuredErrorWithoutZombies) {
   o.cycles = 256;
   o.prepass_cycles = 0;
 
-  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
+  FsimBackendOptions popts = failFastFork();
   popts.num_workers = 2;
   popts.shard_faults = 8;  // many shards, so the crash lands mid-campaign
   // Worker 1 dies executing its first shard; the parent-side registry
@@ -263,7 +283,7 @@ TEST_F(ProcessFsimFailure, HungWorkerTimesOutStructuredNotForever) {
   o.cycles = 256;
   o.prepass_cycles = 0;
 
-  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
+  FsimBackendOptions popts = failFastFork();
   popts.num_workers = 2;
   popts.shard_faults = 8;
   popts.timeout_ms = 300;  // the watchdog under test
@@ -298,7 +318,7 @@ TEST_F(ProcessFsimFailure, BitflippedReplyIsCaughtByChecksumAsProtocolError) {
   o.cycles = 192;
   o.prepass_cycles = 0;
 
-  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
+  FsimBackendOptions popts = failFastFork();
   popts.num_workers = 2;
   popts.shard_faults = 16;
   // Flip a payload bit (bit 200 is past the 128-bit header) in one reply
@@ -326,7 +346,7 @@ TEST_F(ProcessFsimFailure, TruncatedReplySurfacesAsWorkerDeath) {
   o.cycles = 192;
   o.prepass_cycles = 0;
 
-  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
+  FsimBackendOptions popts = failFastFork();
   popts.num_workers = 2;
   popts.shard_faults = 16;
   popts.timeout_ms = 5'000;
@@ -353,7 +373,7 @@ TEST_F(ProcessFsimFailure, CorruptedRequestKillsWorkerNotCampaignIntegrity) {
   o.cycles = 192;
   o.prepass_cycles = 0;
 
-  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
+  FsimBackendOptions popts = failFastFork();
   popts.num_workers = 2;
   popts.shard_faults = 16;
   // Corrupt one request frame on the wire: the worker's checksum validation
@@ -382,7 +402,7 @@ TEST_F(ProcessFsimFailure, DribbledRequestWritesAreAbsorbedByteIdentically) {
   CombFaultSim serial(nl, nl.primaryInputs(), nl.primaryOutputs());
   const FaultSimResult ref = serial.run(u.faults, patterns, o);
 
-  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
+  FsimBackendOptions popts = failFastFork();
   popts.num_workers = 2;
   popts.shard_faults = 16;
   // Every request frame is dribbled in 1-byte / 7-byte / rest chunks with
@@ -413,7 +433,7 @@ std::pair<ProcessFsimError::Reason, double> runWithHeaderFlip(
   FaultSimOptions o;
   o.cycles = 192;
   o.prepass_cycles = 0;
-  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
+  FsimBackendOptions popts = failFastFork();
   popts.num_workers = 2;
   popts.shard_faults = 16;
   popts.timeout_ms = 60'000;
@@ -464,11 +484,96 @@ TEST(ProcessFsimValidation, EngineErrorsSurfaceAsInvalidArgument) {
   o.cycles = 64;
   o.prepass_cycles = 0;
   o.misr = MisrSpec{};
-  FsimBackendOptions popts{.backend = FsimBackend::kProcess};
+  FsimBackendOptions popts = failFastFork();
   popts.num_workers = 2;
   ShardedFaultSim psim(
       CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
   EXPECT_THROW((void)psim.run(u.faults, patterns, o), std::invalid_argument);
+  EXPECT_TRUE(noZombies());
+}
+
+/// An engine that breaks the reply contract the way a faulty engine would:
+/// it throws `error` when that is set, and otherwise returns the wrapped
+/// engine's result with every detection list one entry past
+/// record_detections.
+class RogueEngine final : public FaultSim {
+ public:
+  RogueEngine(const FaultSim& inner, std::string error)
+      : inner_(inner.clone()), error_(std::move(error)) {}
+  RogueEngine(const RogueEngine& other)
+      : inner_(other.inner_->clone()), error_(other.error_) {}
+
+  [[nodiscard]] const Netlist& netlist() const noexcept override {
+    return inner_->netlist();
+  }
+  [[nodiscard]] FaultSimResult run(std::span<const Fault> faults,
+                                   const PatternSource& patterns,
+                                   const FaultSimOptions& opts) override {
+    if (!error_.empty()) throw std::invalid_argument(error_);
+    FaultSimResult r = inner_->run(faults, patterns, opts);
+    for (auto& list : r.detect_patterns) {
+      list.assign(static_cast<std::size_t>(opts.record_detections) + 1, 0);
+    }
+    return r;
+  }
+  [[nodiscard]] std::unique_ptr<FaultSim> clone() const override {
+    return std::make_unique<RogueEngine>(*this);
+  }
+
+ private:
+  std::unique_ptr<FaultSim> inner_;
+  std::string error_;
+};
+
+TEST(ProcessFsimValidation, ReplyPastItsShardsBoundIsRefusedUnread) {
+  // Lists one entry past record_detections make every reply longer than its
+  // shard's exact bound: the parent refuses the header as a protocol error
+  // instead of sizing a buffer from it.
+  const Netlist nl = randomComb(8, 8, 30);
+  const FaultUniverse u = enumerateStuckAt(nl);
+  const RandomPatternSource patterns(2, nl.primaryInputs().size(), 64);
+  FaultSimOptions o;
+  o.cycles = 64;
+  o.prepass_cycles = 0;
+  o.record_detections = 2;
+  FsimBackendOptions popts = failFastFork();
+  popts.num_workers = 2;
+  ShardedFaultSim psim(
+      RogueEngine(CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()},
+                  ""),
+      popts);
+  try {
+    (void)psim.run(u.faults, patterns, o);
+    FAIL() << "expected ProcessFsimError";
+  } catch (const ProcessFsimError& e) {
+    EXPECT_EQ(e.reason(), ProcessFsimError::Reason::kProtocol);
+    EXPECT_NE(std::string(e.what()).find("announced"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(noZombies());
+}
+
+TEST(ProcessFsimValidation, LongEngineErrorsAreCutToTheCap) {
+  const Netlist nl = randomComb(8, 8, 30);
+  const FaultUniverse u = enumerateStuckAt(nl);
+  const RandomPatternSource patterns(2, nl.primaryInputs().size(), 64);
+  FaultSimOptions o;
+  o.cycles = 64;
+  o.prepass_cycles = 0;
+  FsimBackendOptions popts = failFastFork();
+  popts.num_workers = 2;
+  const std::string what(100'000, 'x');
+  ShardedFaultSim psim(
+      RogueEngine(CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()},
+                  what),
+      popts);
+  try {
+    (void)psim.run(u.faults, patterns, o);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              what.substr(0, fsimwire::kMaxEngineErrorBytes));
+  }
   EXPECT_TRUE(noZombies());
 }
 
@@ -486,7 +591,7 @@ TEST(ProcessFsimBackend, AtpgGradingOnProcessBackendMatchesThreaded) {
   const auto tdf_ref = runFullScanTransition(scanned, view, tdf, opts);
 
   opts.num_threads = 2;
-  opts.grading_backend = FsimBackend::kProcess;
+  opts.grading_backend = FsimBackend::kResilient;
   const auto saf_p = runFullScanAtpg(scanned, view, u.faults, opts);
   EXPECT_EQ(saf_p.detected, saf_ref.detected);
   EXPECT_EQ(saf_p.aborted, saf_ref.aborted);
@@ -510,17 +615,17 @@ FaultSimResult expectEveryBackendMatchesSerial(
   const auto ref_engine = makeCombFaultSim(nl, inputs, observed, ref_opts);
   const FaultSimResult ref = ref_engine->run(u.faults, patterns, o);
 
-  for (const FsimBackend backend :
-       {FsimBackend::kSerial, FsimBackend::kThreaded, FsimBackend::kProcess,
-        FsimBackend::kResilient}) {
+  for (const FsimBackendOptions& policy :
+       {FsimBackendOptions{}, FsimBackendOptions{.backend = FsimBackend::kThreaded},
+        failFastFork(), FsimBackendOptions{.backend = FsimBackend::kResilient}}) {
     for (const int lw : {1, 2, 4, 8}) {
-      FsimBackendOptions bopts;
-      bopts.backend = backend;
+      FsimBackendOptions bopts = policy;
       bopts.lane_words = lw;
       bopts.num_workers = 2;
       const auto engine = makeCombFaultSim(nl, inputs, observed, bopts);
       const FaultSimResult r = engine->run(u.faults, patterns, o);
-      SCOPED_TRACE(nl.name() + " " + fsimBackendName(backend) + " W=" +
+      SCOPED_TRACE(nl.name() + " " + fsimBackendName(bopts.backend) +
+                   (bopts.degrade_on_failure ? "" : " fail-fast") + " W=" +
                    std::to_string(lw));
       EXPECT_EQ(r.first_detect, ref.first_detect);
       EXPECT_EQ(r.detected, ref.detected);
@@ -575,14 +680,222 @@ TEST(ProcessFsimBackend, FactoryWrapsEveryBackendOverEveryLaneWidth) {
 
 TEST(ProcessFsimBackend, NamesParseAndRoundTrip) {
   for (const FsimBackend b : {FsimBackend::kSerial, FsimBackend::kThreaded,
-                              FsimBackend::kProcess, FsimBackend::kResilient}) {
+                              FsimBackend::kResilient}) {
     EXPECT_EQ(parseFsimBackend(fsimBackendName(b)), b);
   }
   EXPECT_THROW((void)parseFsimBackend("gpu"), std::invalid_argument);
+  // The fail-fast fork executor is a kResilient policy, not a backend.
+  EXPECT_THROW((void)parseFsimBackend("process"), std::invalid_argument);
   EXPECT_THROW((void)parseFsimBackend(""), std::invalid_argument);
   EXPECT_THROW((void)makeCombFaultSim(randomComb(1, 6, 10), {}, {},
                                       FsimBackendOptions{.lane_words = 3}),
                std::invalid_argument);
+}
+
+namespace wire = fsimwire;
+
+/// The payload of a frame built by one of the wire serializers.
+std::vector<std::uint8_t> payloadOf(const std::vector<std::uint8_t>& frame) {
+  return {frame.begin() + static_cast<std::ptrdiff_t>(wire::kHeaderBytes),
+          frame.end()};
+}
+
+/// Decode a reply payload the way the parent does: shard id, then rows.
+bool parseReply(const std::vector<std::uint8_t>& payload, std::uint32_t shard,
+                std::size_t rows, const FaultSimOptions& o,
+                FaultSimResult& sub) {
+  wire::Cursor c{payload.data(), payload.data() + payload.size()};
+  return c.get<std::uint32_t>() == shard && wire::parseResult(c, rows, o, sub);
+}
+
+/// One campaign per reply shape: plain, windows, MISR, windows + MISR and
+/// recording.
+std::vector<std::pair<std::string, FaultSimOptions>> replyShapes(
+    const Netlist& nl) {
+  FaultSimOptions plain;
+  plain.cycles = 96;
+  plain.prepass_cycles = 0;
+  std::vector<std::pair<std::string, FaultSimOptions>> shapes(5,
+                                                              {"", plain});
+  shapes[0].first = "plain";
+  shapes[1].first = "windows";
+  shapes[1].second.windows = 6;
+  shapes[2].first = "misr";
+  shapes[2].second.misr = makeMisrSpec(nl.primaryOutputs(), 8);
+  shapes[3].first = "windows+misr";
+  shapes[3].second.windows = 12;  // 96 signature bits: two words per fault
+  shapes[3].second.misr = makeMisrSpec(nl.primaryOutputs(), 8);
+  shapes[4].first = "recording";
+  shapes[4].second.record_detections = 3;
+  return shapes;
+}
+
+/// A sequential engine's result for a 40-fault shard, the one the wire
+/// cases serialize.
+struct WireShard {
+  Netlist nl = randomSeq(0x5A, 7, 4, 50);
+  std::vector<Fault> faults = enumerateStuckAt(nl).faults;
+  std::vector<std::uint64_t> stim = std::vector<std::uint64_t>(96);
+
+  WireShard() {
+    faults.resize(std::min<std::size_t>(40, faults.size()));
+    std::mt19937_64 rng(0x5EED);
+    for (auto& w : stim) w = rng() & 0x7F;
+  }
+  [[nodiscard]] FaultSimResult grade(const FaultSimOptions& o) const {
+    return SeqFaultSim(nl).run(faults, stim, o);
+  }
+};
+
+TEST(ProcessWire, EveryReplyShapeRoundTripsWithinItsExactBound) {
+  const WireShard shard;
+  ASSERT_EQ(shard.faults.size(), 40u);
+  for (const auto& [name, o] : replyShapes(shard.nl)) {
+    SCOPED_TRACE(name);
+    FaultSimResult ref = shard.grade(o);
+    std::vector<std::uint8_t> frame;
+    wire::serializeResult(frame, 7, ref);
+    FaultSimResult back;
+    ASSERT_TRUE(parseReply(payloadOf(frame), 7, 40, o, back));
+    expectSameResult(ref, back, "decoded reply");
+    EXPECT_LE(payloadOf(frame).size(), wire::maxReplyBytes(40, o));
+
+    // With every detection list full the reply is exactly its bound.
+    for (auto& list : ref.detect_patterns) {
+      list.assign(static_cast<std::size_t>(o.record_detections), 5);
+    }
+    wire::serializeResult(frame, 7, ref);
+    EXPECT_EQ(payloadOf(frame).size(), wire::maxReplyBytes(40, o));
+    ASSERT_TRUE(parseReply(payloadOf(frame), 7, 40, o, back));
+    expectSameResult(ref, back, "decoded full reply");
+    if (ref.detect_patterns.empty()) continue;
+
+    // One list past record_detections is refused even though the reply
+    // still fits its bound.
+    for (auto& list : ref.detect_patterns) list.clear();
+    ref.detect_patterns[3].assign(
+        static_cast<std::size_t>(o.record_detections) + 1, 5);
+    wire::serializeResult(frame, 7, ref);
+    EXPECT_LT(payloadOf(frame).size(), wire::maxReplyBytes(40, o));
+    EXPECT_FALSE(parseReply(payloadOf(frame), 7, 40, o, back));
+  }
+}
+
+/// A fixed-seed mutant of `in`: 1-4 flipped bits, a truncation, or 1-16
+/// appended bytes.
+std::vector<std::uint8_t> mutant(const std::vector<std::uint8_t>& in,
+                                 std::mt19937_64& rng) {
+  std::vector<std::uint8_t> m = in;
+  switch (rng() % 3) {
+    case 0:
+      for (int k = 1 + static_cast<int>(rng() % 4); k > 0; --k) {
+        const std::uint64_t bit = rng() % (m.size() * 8);
+        m[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      }
+      break;
+    case 1:
+      m.resize(rng() % m.size());
+      break;
+    default:
+      for (int k = 1 + static_cast<int>(rng() % 16); k > 0; --k) {
+        m.push_back(static_cast<std::uint8_t>(rng()));
+      }
+      break;
+  }
+  return m;
+}
+
+constexpr int kMutantsPerInput = 5'000;
+
+/// Every mutant of a request payload either fails to parse or parses into
+/// a request that serializes back to exactly those bytes; the fault list
+/// never reserves more than the payload's bytes can hold.
+void mutateRequest(const std::vector<std::uint8_t>& payload,
+                   std::mt19937_64& rng) {
+  int accepted = 0;
+  for (int k = 0; k < kMutantsPerInput; ++k) {
+    const std::vector<std::uint8_t> m = mutant(payload, rng);
+    wire::Cursor c{m.data(), m.data() + m.size()};
+    std::uint32_t shard_id = 0;
+    wire::WireOptions w;
+    std::vector<Fault> faults;
+    const bool ok = wire::parseShardRequest(c, shard_id, w, faults);
+    ASSERT_LE(faults.capacity() * wire::kFaultWireBytes, m.size());
+    if (!ok) continue;
+    ++accepted;
+    std::vector<std::uint8_t> again;
+    wire::serializeShardRequest(again, shard_id, w, faults);
+    ASSERT_EQ(payloadOf(again), m);
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutantsPerInput);
+}
+
+/// Every mutant of a reply payload either fails to parse or decodes into
+/// exactly the shape of FaultSimResult(rows, o), with each detection list
+/// within record_detections, a payload within the reply bound, and bytes
+/// that serialize back unchanged. No list outgrows the payload's bytes.
+void mutateReply(const std::vector<std::uint8_t>& payload, std::size_t rows,
+                 const FaultSimOptions& o, std::mt19937_64& rng) {
+  const FaultSimResult shape(rows, o);
+  int accepted = 0;
+  for (int k = 0; k < kMutantsPerInput; ++k) {
+    const std::vector<std::uint8_t> m = mutant(payload, rng);
+    FaultSimResult sub;
+    const bool ok = parseReply(m, 7, rows, o, sub);
+    std::size_t listed = 0;
+    for (const auto& list : sub.detect_patterns) listed += list.capacity();
+    ASSERT_LE(listed * sizeof(std::uint32_t), m.size());
+    if (!ok) continue;
+    ++accepted;
+    ASSERT_EQ(sub.total, rows);
+    ASSERT_EQ(sub.first_detect.size(), shape.first_detect.size());
+    ASSERT_EQ(sub.window_mask.size(), shape.window_mask.size());
+    ASSERT_EQ(sub.misr_detect.size(), shape.misr_detect.size());
+    ASSERT_EQ(sub.sig_words_per_fault, shape.sig_words_per_fault);
+    ASSERT_EQ(sub.window_sig.size(), shape.window_sig.size());
+    ASSERT_EQ(sub.detect_patterns.size(), shape.detect_patterns.size());
+    for (const auto& list : sub.detect_patterns) {
+      ASSERT_LE(list.size(), static_cast<std::size_t>(o.record_detections));
+    }
+    ASSERT_LE(m.size(), wire::maxReplyBytes(rows, o));
+    std::vector<std::uint8_t> again;
+    wire::serializeResult(again, 7, sub);
+    ASSERT_EQ(payloadOf(again), m);
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutantsPerInput);
+}
+
+TEST(ProcessWire, MutatedPayloadsNeverOverreadOrOverallocate) {
+  const WireShard shard;
+  std::mt19937_64 rng(0xF0220);
+
+  wire::WireOptions w;
+  w.cycles = 96;
+  w.inject_reply.kind = static_cast<std::uint8_t>(FailpointAction::Kind::kDelay);
+  w.inject_reply.delay_ms = 3;
+  std::vector<std::uint8_t> frame;
+  for (const std::size_t n : {std::size_t{40}, std::size_t{3}}) {
+    SCOPED_TRACE("request of " + std::to_string(n) + " faults");
+    wire::serializeShardRequest(frame, 11, w,
+                                std::span<const Fault>(shard.faults).first(n));
+    ASSERT_NO_FATAL_FAILURE(mutateRequest(payloadOf(frame), rng));
+  }
+
+  for (const auto& [name, o] : replyShapes(shard.nl)) {
+    SCOPED_TRACE(name);
+    FaultSimResult r = shard.grade(o);
+    wire::serializeResult(frame, 7, r);
+    ASSERT_NO_FATAL_FAILURE(mutateReply(payloadOf(frame), 40, o, rng));
+    if (r.detect_patterns.empty()) continue;
+    // Multi-entry lists too: the sequential engine records one at most.
+    for (std::size_t i = 0; i < r.detect_patterns.size(); ++i) {
+      r.detect_patterns[i].assign(i % 4, static_cast<std::uint32_t>(i));
+    }
+    wire::serializeResult(frame, 7, r);
+    ASSERT_NO_FATAL_FAILURE(mutateReply(payloadOf(frame), 40, o, rng));
+  }
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // reference CombFaultSimT<1> on randomized netlists across every campaign
 // mode — partial tail blocks, dropping and full-length runs, windowed
 // masks, first-K dictionary records and transition pair blocks — plus the
-// wide-fill decomposition contract of PatternSource and the thread-safe
-// transposition cache of CyclePatternSource.
+// wide-fill decomposition contract of PatternSource and CyclePatternSource's
+// word-level transpose at aligned and unaligned starts, under concurrent
+// fills too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -209,7 +210,13 @@ TEST(CyclePatternSourceCache, WordTransposeMatchesBitLoop) {
   for (auto& w : words) w = rng() & ((std::uint64_t{1} << width) - 1);
   const CyclePatternSource src(words, width);
   PatternBlock blk;
-  for (int start = 0; start < 300; start += 64) {
+  // Block-aligned starts, then unaligned ones (37 + 64k, ending in a
+  // 7-cycle tail).
+  std::vector<int> starts;
+  for (const int first : {0, 37}) {
+    for (int start = first; start < 300; start += 64) starts.push_back(start);
+  }
+  for (const int start : starts) {
     src.fill(start, blk);
     const int n = std::min<int>(64, 300 - start);
     ASSERT_EQ(blk.count, n);
@@ -246,7 +253,7 @@ TEST(CyclePatternSourceCache, CoherentUnderConcurrentFills) {
       for (int iter = 0; iter < 200; ++iter) {
         const int b = static_cast<int>(trng() % 16);
         if (iter % 3 == 0) {
-          // Wide fills must hit the same cache coherently.
+          // Wide fills must agree with narrow ones under concurrency.
           src.fillWide(64 * b, 1, blk);
           blk.words_per_input = 1;
         } else {
