@@ -26,7 +26,7 @@ SessionReport SocTestScheduler::run(const TestPlan& plan) {
 
 PlanForecast SocTestScheduler::predict(const TestPlan& plan) {
   const CampaignLayout layout =
-      layoutCampaign(plan, soc_, resolvePlanWorkers(plan), artifacts_.get());
+      layoutCampaign(plan, soc_, resolvePlanWorkers(plan), *artifacts_);
   return forecastFromLayout(layout, soc_, plan.placement);
 }
 

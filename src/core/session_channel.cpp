@@ -5,7 +5,6 @@
 #include <string>
 
 #include "fault/failpoint.hpp"
-#include "fault/fault.hpp"
 #include "service/artifacts.hpp"
 
 namespace corebist {
@@ -40,7 +39,7 @@ void fireChannelSite(const char* site, int core_index, std::int64_t seq,
 }  // namespace
 
 SessionChannel::SessionChannel(Soc& soc, int tam_index,
-                               ArtifactStore* artifacts)
+                               ArtifactStore& artifacts)
     : soc_(soc),
       tam_index_(tam_index),
       artifacts_(artifacts),
@@ -58,8 +57,8 @@ SessionChannel::SessionChannel(Soc& soc, int tam_index,
 }
 
 CoreReport SessionChannel::testCore(const CorePlan& p,
-                                    SessionObserver* observer,
-                                    std::mutex& observer_mu) {
+                                    const FsimBackendOptions& coverage_backend,
+                                    ObserverList& observers) {
   const Soc::CoreTopology& topo = soc_.topology(p.core_index);
   if (topo.tam != tam_index_) {
     throw std::logic_error("SessionChannel: core " +
@@ -80,7 +79,7 @@ CoreReport SessionChannel::testCore(const CorePlan& p,
 
   for (int attempt = 1; attempt <= 1 + p.max_retries; ++attempt) {
     fireChannelSite(kFpChannelAttempt, p.core_index, attempt, attempt);
-    notify(observer_mu, observer, [&](SessionObserver& o) {
+    observers.notify([&](SessionObserver& o) {
       o.onCoreStart(p.core_index, attempt);
     });
     ++report.attempts;
@@ -115,7 +114,7 @@ CoreReport SessionChannel::testCore(const CorePlan& p,
       break;
     }
     ++report.timeouts;
-    notify(observer_mu, observer, [&](SessionObserver& o) {
+    observers.notify([&](SessionObserver& o) {
       o.onCoreTimeout(p.core_index, attempt, attempt <= p.max_retries);
     });
   }
@@ -123,6 +122,7 @@ CoreReport SessionChannel::testCore(const CorePlan& p,
   if (report.end_test_seen) {
     // Upload each MISR signature through the Output Selector.
     report.verdict = CoreVerdict::kPass;
+    if (p.coverage_target > 0.0) report.coverage_target = p.coverage_target;
     for (int m = 0; m < core.moduleCount(); ++m) {
       ate_.sendCommand(BistCommand::kSelectResult,
                        static_cast<std::uint16_t>(m));
@@ -131,13 +131,18 @@ CoreReport SessionChannel::testCore(const CorePlan& p,
       // The golden signature is the good-machine simulation every uncached
       // campaign pays per core; the shared artifact store memoizes it per
       // (module content, patterns).
-      verdict.golden = artifacts_ != nullptr
-                           ? artifacts_->goldenSignature(core, m, p.patterns)
-                           : core.goldenSignature(m, p.patterns);
+      verdict.golden = artifacts_.goldenSignature(core, m, p.patterns);
       if (!verdict.pass()) report.verdict = CoreVerdict::kSignatureMismatch;
+      if (p.coverage_target > 0.0) {
+        // Memoized per (module content, patterns) too: coverage is
+        // backend-invariant, so the backend only steers how a miss is
+        // computed.
+        verdict.coverage = artifacts_.signatureCoverage(core, m, p.patterns,
+                                                        coverage_backend);
+        if (verdict.coverage < p.coverage_target) report.coverage_met = false;
+      }
       report.modules.push_back(verdict);
     }
-    if (p.coverage_target > 0.0) measureCoverage(core, p, report);
   } else {
     report.verdict = CoreVerdict::kTimeout;
   }
@@ -146,41 +151,8 @@ CoreReport SessionChannel::testCore(const CorePlan& p,
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  notify(observer_mu, observer,
-         [&](SessionObserver& o) { o.onCoreFinish(report); });
+  observers.notify([&](SessionObserver& o) { o.onCoreFinish(report); });
   return report;
-}
-
-void SessionChannel::measureCoverage(const WrappedCore& core,
-                                     const CorePlan& p, CoreReport& report) {
-  report.coverage_target = p.coverage_target;
-  for (int m = 0; m < core.moduleCount(); ++m) {
-    // Backend and worker count come from the resolved plan entry; the plan
-    // default is one serial worker — the channel itself is the unit of
-    // parallelism — but big-module plans can opt into the threaded,
-    // multi-process or resilient orchestrators per core. The plan's
-    // resilience knobs ride along so kResilient probes inherit the same
-    // retry budget the scheduler applies to channels.
-    FsimBackendOptions bopts;
-    bopts.backend = p.coverage_backend.value_or(FsimBackend::kSerial);
-    bopts.num_workers = p.coverage_workers;
-    bopts.max_shard_retries = p.max_shard_retries >= 0 ? p.max_shard_retries : 2;
-    bopts.backoff_base_ms = p.backoff_base_ms >= 0 ? p.backoff_base_ms : 1;
-    bopts.degrade_on_failure = p.degrade_on_failure.value_or(true);
-    double coverage;
-    if (artifacts_ != nullptr) {
-      // Memoized per (module content, patterns): coverage is
-      // backend-invariant, so bopts only steers how a miss is computed.
-      coverage = artifacts_->signatureCoverage(core, m, p.patterns, bopts);
-    } else {
-      const FaultUniverse u = enumerateStuckAt(core.engine().module(m));
-      coverage =
-          core.engine().signatureCoverage(m, u.faults, p.patterns, bopts)
-              .misrCoverage();
-    }
-    report.modules[static_cast<std::size_t>(m)].coverage = coverage;
-    if (coverage < p.coverage_target) report.coverage_met = false;
-  }
 }
 
 }  // namespace corebist

@@ -15,7 +15,6 @@
 #ifndef COREBIST_CORE_SESSION_CHANNEL_HPP_
 #define COREBIST_CORE_SESSION_CHANNEL_HPP_
 
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -61,35 +60,28 @@ class SessionChannel {
   /// Open a channel onto `soc` through TAM `tam_index`. The replica TAM
   /// attaches the same top-level wrappers under the same slot numbers as
   /// the chip TAM, so CoreTopology select paths are valid verbatim.
-  /// `artifacts` (optional, not owned, must outlive the channel) serves
-  /// golden signatures and coverage values from the shared content-keyed
-  /// cache instead of recomputing them per campaign; a hit is
+  /// `artifacts` (not owned, must outlive the channel) serves golden
+  /// signatures and coverage values from the shared content-keyed cache
+  /// instead of recomputing them per campaign; a hit is
   /// fingerprint-invisible — the cache key covers every input the value
   /// depends on (see service/artifacts.hpp).
-  explicit SessionChannel(Soc& soc, int tam_index = 0,
-                          ArtifactStore* artifacts = nullptr);
+  SessionChannel(Soc& soc, int tam_index, ArtifactStore& artifacts);
 
   /// Run one resolved plan entry's full protocol (all attempts) and
   /// report. `entry.core_index` must name a core served by this channel's
-  /// TAM — the scheduler guarantees it; a mismatch throws. `observer`
-  /// (optional) receives callbacks serialized under `observer_mu`.
-  CoreReport testCore(const CorePlan& entry, SessionObserver* observer,
-                      std::mutex& observer_mu);
+  /// TAM — the scheduler guarantees it; a mismatch throws. A coverage
+  /// probe (entry.coverage_target > 0) computes a cache miss on
+  /// `coverage_backend`; `observers` receive the core's events.
+  CoreReport testCore(const CorePlan& entry,
+                      const FsimBackendOptions& coverage_backend,
+                      ObserverList& observers);
 
   [[nodiscard]] int tamIndex() const noexcept { return tam_index_; }
 
  private:
-  void notify(std::mutex& mu, SessionObserver* obs, auto&& call) {
-    if (obs == nullptr) return;
-    const std::lock_guard<std::mutex> lock(mu);
-    call(*obs);
-  }
-  void measureCoverage(const WrappedCore& core, const CorePlan& p,
-                       CoreReport& report);
-
   Soc& soc_;
   int tam_index_;
-  ArtifactStore* artifacts_;
+  ArtifactStore& artifacts_;
   TapController tap_;
   Tam tam_;
   P1500Ate ate_;

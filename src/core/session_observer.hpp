@@ -1,11 +1,13 @@
 // Progress streaming for SoC test campaigns.
 //
-// The SocTestScheduler reports campaign progress through this callback
-// interface instead of printing: embedders plug in dashboards, loggers or
-// test probes. The scheduler serializes all observer calls under one mutex,
-// so implementations need no locking of their own; callbacks fire from
-// worker threads, in completion order (which is only deterministic for
-// single-shard campaigns).
+// A campaign reports its progress through this callback interface instead
+// of printing: embedders plug in dashboards, loggers or test probes. Each
+// campaign keeps its observers in one ObserverList (the tenant's observer
+// and, when asked for, its wire report stream), which runs every callback
+// under one mutex, so implementations need no locking of their own and
+// every observer of a campaign sees its events in the same order.
+// Callbacks fire from worker threads, in completion order (which is only
+// deterministic for single-shard campaigns).
 #ifndef COREBIST_CORE_SESSION_OBSERVER_HPP_
 #define COREBIST_CORE_SESSION_OBSERVER_HPP_
 
@@ -48,6 +50,34 @@ class SessionObserver {
   virtual void onCoreQuarantined(int /*core_index*/, int /*failures*/) {}
   virtual void onCoreFinish(const CoreReport& /*report*/) {}
   virtual void onCampaignFinish(const SessionReport& /*report*/) {}
+};
+
+/// The observers of one campaign. notify() runs `call` on each of them in
+/// the order they were added, all under one mutex; clear() detaches them,
+/// and once it returns no callback is running or can start.
+class ObserverList {
+ public:
+  /// Adds `observer` (not owned; null is ignored).
+  void add(SessionObserver* observer) {
+    if (observer == nullptr) return;
+    const std::lock_guard<std::mutex> lock(mu_);
+    observers_.push_back(observer);
+  }
+
+  template <class Call>
+  void notify(Call&& call) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (SessionObserver* o : observers_) call(*o);
+  }
+
+  void clear() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    observers_.clear();
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<SessionObserver*> observers_;
 };
 
 /// Prints one line per event to a stdio stream (default stdout).

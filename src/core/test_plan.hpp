@@ -15,7 +15,6 @@
 #define COREBIST_CORE_TEST_PLAN_HPP_
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -76,18 +75,6 @@ struct CorePlan {
   /// assigning a core to a TAM that does not serve it is rejected at
   /// resolve time.
   int tam = -1;
-  /// Fault-sim backend for this core's coverage measurement (only used when
-  /// the resolved coverage_target > 0). Unset inherits the plan default.
-  std::optional<FsimBackend> coverage_backend{};
-  /// Orchestrator workers for coverage measurement; <= 0 => plan default.
-  int coverage_workers = 0;
-  /// Channel-failure retries before this core is quarantined, and the
-  /// resilient coverage backend's shard retry budget; < 0 => plan default.
-  int max_shard_retries = -1;
-  /// Exponential-backoff base between channel retries; < 0 => plan default.
-  int backoff_base_ms = -1;
-  /// Unset inherits TestPlan::degrade_on_failure.
-  std::optional<bool> degrade_on_failure{};
 };
 
 /// Cap on concurrent session channels for one TAM.
@@ -124,13 +111,13 @@ struct TestPlan {
   /// session channel is the unit of parallelism in this layer, and coverage
   /// probes run on scheduler worker threads, where forking a process fleet
   /// per module (kResilient) or nesting a thread pool (kThreaded) only pays
-  /// off for big modules — opt in per plan or per core when it does.
+  /// off for big modules — opt in per plan when it does.
   FsimBackend coverage_backend = FsimBackend::kSerial;
   /// Orchestrator workers for coverage measurement (kThreaded /
   /// kResilient); 0 => one per hardware thread.
   int coverage_workers = 1;
 
-  // ---- resilience (see src/core/README.md, "Quarantine") ----
+  // ---- resilience, plan-wide (see src/core/README.md, "Quarantine") ----
   /// Times a core's session channel may fail (SessionChannelError) and be
   /// reopened before the scheduler stops retrying that core. Also the
   /// per-shard retry budget of kResilient coverage probes.

@@ -49,6 +49,7 @@ FaultSimResult CombFaultSimT<W>::run(std::span<const Fault> faults,
   // ATPG entry points, but a campaign pays once per fault per run.
   // (Transition forced words depend on each block's good values, so pair
   // campaigns go through detect() instead.)
+  checkFaultKinds(faults, "CombFaultSim::run");
   std::vector<std::uint8_t> sa1(faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (launch == nullptr && !isStuckAt(faults[i].kind)) {

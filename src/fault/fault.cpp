@@ -1,6 +1,7 @@
 #include "fault/fault.hpp"
 
 #include <numeric>
+#include <stdexcept>
 #include <unordered_map>
 
 namespace corebist {
@@ -193,6 +194,17 @@ std::vector<Fault> toTransitionFaults(const std::vector<Fault>& stuck) {
     out.push_back(t);
   }
   return out;
+}
+
+void checkFaultKinds(std::span<const Fault> faults, const char* engine) {
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (faults[i].kind > FaultKind::kSlowFall) {
+      throw std::invalid_argument(
+          std::string(engine) + ": fault " + std::to_string(i) +
+          " has unknown kind " +
+          std::to_string(static_cast<int>(faults[i].kind)));
+    }
+  }
 }
 
 }  // namespace corebist

@@ -13,6 +13,7 @@
 #define COREBIST_FAULT_FAULT_HPP_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,11 @@ struct FaultUniverse {
 /// (sa0 -> slow-to-rise, sa1 -> slow-to-fall).
 [[nodiscard]] std::vector<Fault> toTransitionFaults(
     const std::vector<Fault>& stuck);
+
+/// Throws std::invalid_argument, prefixed with `engine`, when a fault's
+/// kind is none of the four FaultKind enumerators (a byte off the fork
+/// wire, say). The engines call it before they grade anything.
+void checkFaultKinds(std::span<const Fault> faults, const char* engine);
 
 }  // namespace corebist
 

@@ -285,6 +285,7 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
     throw std::invalid_argument("SeqFaultSim: stimulus shorter than cycles");
   }
   checkWindows(opts);
+  checkFaultKinds(faults, "SeqFaultSim");
   RunContext ctx;
   ctx.nl = &nl_;
   ctx.prog = prog_.get();

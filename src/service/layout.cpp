@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "analyze/lint.hpp"
-#include "fault/failpoint.hpp"
 #include "service/artifacts.hpp"
 
 namespace corebist {
@@ -16,21 +15,13 @@ namespace {
 /// BIST engine's attach path never levelizes, so without this gate a
 /// combinational loop (or a floating/doubly-driven net) only surfaces as a
 /// mid-campaign levelize throw or a garbage signature; here it is rejected
-/// at plan-resolve time with the violated rule's name. With an artifact
-/// store the lint runs once per module content, not once per campaign.
-void lintCoreModules(Soc& soc, int core_index, ArtifactStore* artifacts) {
+/// at plan-resolve time with the violated rule's name. The artifact store
+/// runs the lint once per module content, not once per campaign.
+void lintCoreModules(Soc& soc, int core_index, ArtifactStore& artifacts) {
   const WrappedCore& core = soc.core(core_index);
   const BistEngine& engine = core.engine();
   for (int m = 0; m < engine.moduleCount(); ++m) {
-    LintReport local;
-    const LintReport* report;
-    if (artifacts != nullptr) {
-      report = &artifacts->lint(core, m);
-    } else {
-      local = lintNetlist(engine.module(m));
-      report = &local;
-    }
-    if (const Diagnostic* err = report->firstError()) {
+    if (const Diagnostic* err = artifacts.lint(core, m).firstError()) {
       throw std::invalid_argument(
           "TestPlan: core " + std::to_string(core_index) + " module " +
           std::to_string(m) + " ('" + engine.module(m).name() +
@@ -43,7 +34,7 @@ void lintCoreModules(Soc& soc, int core_index, ArtifactStore* artifacts) {
 /// Concretize a plan entry against the plan-wide defaults and validate it
 /// against the SoC (existence, TAM assignment, counter capacity).
 CorePlan resolveEntry(const TestPlan& plan, const CorePlan& entry, Soc& soc,
-                      ArtifactStore* artifacts) {
+                      ArtifactStore& artifacts) {
   CorePlan r = entry;
   if (r.core_index < 0 || r.core_index >= soc.coreCount()) {
     throw std::invalid_argument("TestPlan: no core with index " +
@@ -63,13 +54,6 @@ CorePlan resolveEntry(const TestPlan& plan, const CorePlan& entry, Soc& soc,
   if (r.poll_idle <= 0) r.poll_idle = plan.poll_idle;
   if (r.max_retries < 0) r.max_retries = plan.max_retries;
   if (r.coverage_target < 0.0) r.coverage_target = plan.coverage_target;
-  if (!r.coverage_backend.has_value()) r.coverage_backend = plan.coverage_backend;
-  if (r.coverage_workers <= 0) r.coverage_workers = plan.coverage_workers;
-  if (r.max_shard_retries < 0) r.max_shard_retries = plan.max_shard_retries;
-  if (r.backoff_base_ms < 0) r.backoff_base_ms = plan.backoff_base_ms;
-  if (!r.degrade_on_failure.has_value()) {
-    r.degrade_on_failure = plan.degrade_on_failure;
-  }
   if (r.warmup_idle < 0) r.warmup_idle = r.patterns + 4;
   const int max_patterns =
       soc.core(r.core_index).controlUnit().maxPatterns();
@@ -83,7 +67,7 @@ CorePlan resolveEntry(const TestPlan& plan, const CorePlan& entry, Soc& soc,
 }
 
 std::vector<CorePlan> resolvePlan(const TestPlan& plan, Soc& soc,
-                                  ArtifactStore* artifacts) {
+                                  ArtifactStore& artifacts) {
   std::vector<CorePlan> entries;
   if (plan.cores.empty()) {
     entries.reserve(static_cast<std::size_t>(soc.coreCount()));
@@ -310,9 +294,14 @@ int resolvePlanWorkers(const TestPlan& plan) {
 }
 
 CampaignLayout layoutCampaign(const TestPlan& plan, Soc& soc,
-                              int worker_budget, ArtifactStore* artifacts) {
+                              int worker_budget, ArtifactStore& artifacts) {
   CampaignLayout layout;
   layout.entries = resolvePlan(plan, soc, artifacts);
+  layout.policy.backend = plan.coverage_backend;
+  layout.policy.num_workers = plan.coverage_workers;
+  layout.policy.max_shard_retries = plan.max_shard_retries;
+  layout.policy.backoff_base_ms = plan.backoff_base_ms;
+  layout.policy.degrade_on_failure = plan.degrade_on_failure;
   const std::vector<int> limits = resolveChannelLimits(plan, soc);
   layout.groups = groupByTree(layout.entries, soc);
 
@@ -365,6 +354,21 @@ CampaignLayout layoutCampaign(const TestPlan& plan, Soc& soc,
   return layout;
 }
 
+ChannelLoad channelLoad(const CampaignLayout& layout, const ChannelUnit& unit,
+                        std::span<const CoreReport> done) {
+  ChannelLoad cl;
+  cl.channel = unit.channel;
+  cl.predicted_tcks = unit.predicted_tcks;
+  for (const int g : unit.group_idx) {
+    for (const std::size_t i :
+         layout.groups[static_cast<std::size_t>(g)].entry_idx) {
+      cl.cores.push_back(layout.entries[i].core_index);
+      if (!done.empty()) cl.actual_tcks += done[i].tap_clocks;
+    }
+  }
+  return cl;
+}
+
 PlanForecast forecastFromLayout(const CampaignLayout& layout, Soc& soc,
                                 PlacementPolicy placement) {
   PlanForecast forecast;
@@ -390,15 +394,7 @@ PlanForecast forecastFromLayout(const CampaignLayout& layout, Soc& soc,
     tf.channels = layout.channels_per_tam[static_cast<std::size_t>(t)];
     for (const ChannelUnit& unit : layout.units) {
       if (unit.tam != t) continue;
-      ChannelLoad cl;
-      cl.channel = unit.channel;
-      cl.predicted_tcks = unit.predicted_tcks;
-      for (const int g : unit.group_idx) {
-        for (const std::size_t i :
-             layout.groups[static_cast<std::size_t>(g)].entry_idx) {
-          cl.cores.push_back(layout.entries[i].core_index);
-        }
-      }
+      ChannelLoad cl = channelLoad(layout, unit);
       tf.predicted_tap_clocks += cl.predicted_tcks;
       tf.predicted_makespan_tcks =
           std::max(tf.predicted_makespan_tcks, cl.predicted_tcks);
@@ -449,16 +445,7 @@ void aggregateSessionReport(SessionReport& report,
     }
     for (const ChannelUnit& unit : layout.units) {
       if (unit.tam != t) continue;
-      ChannelLoad cl;
-      cl.channel = unit.channel;
-      cl.predicted_tcks = unit.predicted_tcks;
-      for (const int g : unit.group_idx) {
-        for (const std::size_t i :
-             layout.groups[static_cast<std::size_t>(g)].entry_idx) {
-          cl.cores.push_back(entries[i].core_index);
-          cl.actual_tcks += report.cores[i].tap_clocks;
-        }
-      }
+      ChannelLoad cl = channelLoad(layout, unit, report.cores);
       tr.predicted_makespan_tcks =
           std::max(tr.predicted_makespan_tcks, cl.predicted_tcks);
       tr.actual_makespan_tcks =
@@ -470,51 +457,6 @@ void aggregateSessionReport(SessionReport& report,
     report.actual_makespan_tcks =
         std::max(report.actual_makespan_tcks, tr.actual_makespan_tcks);
     report.tams.push_back(std::move(tr));
-  }
-}
-
-CoreReport testCoreResilient(Soc& soc, std::unique_ptr<SessionChannel>& ch,
-                             const CorePlan& entry, SessionObserver* observer,
-                             std::mutex& observer_mu,
-                             ArtifactStore* artifacts) {
-  int failures = 0;
-  for (;;) {
-    if (ch == nullptr) {
-      ch = std::make_unique<SessionChannel>(soc, entry.tam, artifacts);
-    }
-    try {
-      CoreReport r = ch->testCore(entry, observer, observer_mu);
-      r.channel_failures = failures;
-      return r;
-    } catch (const SessionChannelError&) {
-      ++failures;
-      // The replica TAP/TAM state behind a failed channel is suspect;
-      // reopening rebuilds it from the SoC, like respawning a dead worker.
-      ch.reset();
-      const bool will_retry = failures <= entry.max_shard_retries;
-      if (observer != nullptr) {
-        const std::lock_guard<std::mutex> lock(observer_mu);
-        observer->onChannelFailure(entry.core_index, failures, will_retry);
-      }
-      if (will_retry) {
-        failpointSleepMs(backoffMs(entry.backoff_base_ms, failures));
-        continue;
-      }
-      if (!entry.degrade_on_failure.value_or(true)) throw;
-      CoreReport q;
-      q.core_index = entry.core_index;
-      q.core_name = soc.core(entry.core_index).name();
-      q.tam = entry.tam;
-      q.depth = soc.topology(entry.core_index).depth();
-      q.patterns = entry.patterns;
-      q.verdict = CoreVerdict::kQuarantined;
-      q.channel_failures = failures;
-      if (observer != nullptr) {
-        const std::lock_guard<std::mutex> lock(observer_mu);
-        observer->onCoreQuarantined(entry.core_index, failures);
-      }
-      return q;
-    }
   }
 }
 

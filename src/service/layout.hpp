@@ -4,12 +4,15 @@
 // CampaignService) so the resident service and the facade share one
 // resolution + placement pass: concretize plan entries against the SoC
 // (sentinel inheritance, validation, artifact-gated structural lint),
-// group entries by core tree (cores sharing a top-level ancestor share one
-// wrapper chain and clock domain — the unit of placement), predict every
-// entry's TCK cost with the P1500Ate cost model, and partition each TAM's
-// trees over its channels under the plan's PlacementPolicy. The resulting
-// ChannelUnits are the service's unit of scheduling: one unit = one TAM
-// channel's serial work list, claimed whole by a reactor worker.
+// resolve the plan-wide campaign policy (coverage backend, channel retry
+// budget, backoff, degradation) once, group entries by core tree (cores
+// sharing a top-level ancestor share one wrapper chain and clock domain —
+// the unit of placement), predict every entry's TCK cost with the P1500Ate
+// cost model, and partition each TAM's trees over its channels under the
+// plan's PlacementPolicy. The resulting ChannelUnits are the service's
+// unit of scheduling: one unit = one TAM channel's serial work list,
+// claimed whole by a reactor worker. Running them is the service's job
+// (service.cpp); nothing here opens a channel.
 //
 // Everything here is a pure function of (plan, SoC topology, cost model):
 // deterministic tie-breaks, no wall-clock feedback, so the same plan always
@@ -19,16 +22,14 @@
 #define COREBIST_SERVICE_LAYOUT_HPP_
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/session_channel.hpp"
-#include "core/session_observer.hpp"
 #include "core/session_report.hpp"
 #include "core/soc.hpp"
 #include "core/test_plan.hpp"
+#include "fault/backend.hpp"
 #include "tam/ate.hpp"
 
 namespace corebist {
@@ -90,7 +91,8 @@ struct ChannelUnit {
 };
 
 /// Everything execution and prediction share: the resolved entries, their
-/// predicted costs, the tree groups and the channel placement.
+/// predicted costs, the tree groups, the channel placement and the
+/// campaign policy.
 struct CampaignLayout {
   std::vector<CorePlan> entries;
   std::vector<P1500Ate::SessionCost> entry_costs;  // parallel to entries
@@ -98,6 +100,10 @@ struct CampaignLayout {
   std::vector<ChannelUnit> units;  // ascending (tam, channel)
   std::vector<int> channels_per_tam;  // 0 for TAMs with no work
   int threads = 1;  // worker budget capped by the available work
+  /// The plan's coverage backend and workers, and its retry budget,
+  /// backoff and degradation, which both a kResilient coverage probe's
+  /// shards and the service's channel reopen loop follow.
+  FsimBackendOptions policy;
 
   /// Summed predicted TCKs over every entry — the admission-control load
   /// number quotas are charged against.
@@ -114,11 +120,18 @@ struct CampaignLayout {
 /// std::invalid_argument for plans that name unknown or duplicated cores,
 /// assign a core to a TAM that does not serve it, carry invalid channel
 /// limits, request pattern budgets beyond a core's counter capacity, or
-/// reference a module failing structural lint. `artifacts` (optional)
-/// serves the lint gate from the shared cache.
+/// reference a module failing structural lint. `artifacts` serves the
+/// lint gate from the shared cache.
 [[nodiscard]] CampaignLayout layoutCampaign(const TestPlan& plan, Soc& soc,
                                             int worker_budget,
-                                            ArtifactStore* artifacts = nullptr);
+                                            ArtifactStore& artifacts);
+
+/// One channel's cores in execution order and its predicted load; with
+/// `done` (the campaign's reports, parallel to `layout.entries`) also the
+/// TCKs those cores actually spent.
+[[nodiscard]] ChannelLoad channelLoad(const CampaignLayout& layout,
+                                      const ChannelUnit& unit,
+                                      std::span<const CoreReport> done = {});
 
 /// Project a layout into the what-if forecast shape (zero TCKs spent).
 [[nodiscard]] PlanForecast forecastFromLayout(const CampaignLayout& layout,
@@ -132,22 +145,6 @@ struct CampaignLayout {
 /// are the caller's.
 void aggregateSessionReport(SessionReport& report,
                             const CampaignLayout& layout, Soc& soc);
-
-/// Run one core with channel-level self-healing. A SessionChannelError
-/// means the test-access plumbing (not the core) failed, so the suspect
-/// channel is dropped, a fresh replica is opened, and the core is re-run
-/// from the top — CoreReport attempts/polls reset with the channel, which
-/// is what keeps a recovered core's fingerprint identical to a never-failed
-/// run. After `entry.max_shard_retries` reopens the core is quarantined
-/// (verdict kQuarantined, identity fields only, zero TCK/at-speed
-/// accounting so campaign totals stay deterministic) — or, when the plan
-/// sets degrade_on_failure=false, the error propagates and fails the
-/// campaign. All other exception types propagate untouched. `artifacts`
-/// (optional) is threaded into every channel this call opens.
-CoreReport testCoreResilient(Soc& soc, std::unique_ptr<SessionChannel>& ch,
-                             const CorePlan& entry, SessionObserver* observer,
-                             std::mutex& observer_mu,
-                             ArtifactStore* artifacts = nullptr);
 
 }  // namespace corebist
 

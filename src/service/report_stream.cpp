@@ -1,6 +1,7 @@
 #include "service/report_stream.hpp"
 
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -24,6 +25,9 @@ std::vector<std::uint8_t> buildFrame(StreamEventKind kind,
   fsimwire::sealFrame(frame);
   return frame;
 }
+
+/// Serializes every frame write of every stream (see the header).
+std::mutex frame_mu;
 
 }  // namespace
 
@@ -55,12 +59,17 @@ WireReportStream::WireReportStream(int fd, std::uint64_t campaign_id)
 void WireReportStream::emit(StreamEventKind kind, const std::string& json) {
   const std::vector<std::uint8_t> frame =
       buildFrame(kind, campaign_id_, json);
-  const std::lock_guard<std::mutex> lock(mu_);
+  const std::lock_guard<std::mutex> lock(frame_mu);
   if (dropped_) return;
   // A tenant that closed its reader must not fail (or stall) the campaign:
   // SIGPIPE is ignored for the write, EPIPE latches the dropped state.
   fsimwire::ScopedSigpipeIgnore guard;
   if (!fsimwire::writeAll(fd_, frame.data(), frame.size())) dropped_ = true;
+}
+
+bool WireReportStream::dropped() const {
+  const std::lock_guard<std::mutex> lock(frame_mu);
+  return dropped_;
 }
 
 void WireReportStream::onCampaignStart(int cores, int threads) {

@@ -17,14 +17,18 @@
 // The campaign id rides in every frame because one fd may carry interleaved
 // streams from many concurrent campaigns; the FNV-1a payload checksum makes
 // transport corruption a structured decode error, never silently wrong
-// results. Frames are written atomically under a per-stream mutex, so
-// events from different worker threads (or different campaigns sharing a
-// stream) never shear mid-frame.
+// results. Every frame of every stream in the process is written under one
+// process-wide lock, so frames never shear mid-frame: not those of one
+// campaign's worker threads, and not those of campaigns whose streams
+// share one descriptor. (A frame larger than PIPE_BUF is not written
+// atomically by the kernel, so a per-stream lock could not promise that.)
+// The campaign's ObserverList already orders its own events; the lock
+// only keeps whole frames apart. The price: a tenant that stops draining
+// its descriptor without closing it stalls every stream's writes.
 #ifndef COREBIST_SERVICE_REPORT_STREAM_HPP_
 #define COREBIST_SERVICE_REPORT_STREAM_HPP_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "core/session_observer.hpp"
@@ -71,15 +75,14 @@ class WireReportStream final : public SessionObserver {
 
   /// True once a frame write failed (the reader closed its end); later
   /// events are dropped silently.
-  [[nodiscard]] bool dropped() const noexcept { return dropped_; }
+  [[nodiscard]] bool dropped() const;
 
  private:
   void emit(StreamEventKind kind, const std::string& json);
 
   int fd_;
   std::uint64_t campaign_id_;
-  std::mutex mu_;
-  bool dropped_ = false;
+  bool dropped_ = false;  // guarded by the process-wide frame lock
 };
 
 /// One decoded report-stream frame.

@@ -6,8 +6,8 @@
 #include <optional>
 
 #include "core/session_channel.hpp"
+#include "fault/failpoint.hpp"
 #include "service/report_stream.hpp"
-#include "tam/ate.hpp"
 
 namespace corebist {
 
@@ -28,70 +28,11 @@ const char* campaignStateName(CampaignState s) noexcept {
 }
 
 /// One admitted campaign: its resolved layout, the report being filled,
-/// and its observer bundle. The Mux fans every session event out to the
-/// tenant's observer and the optional wire stream; all calls into it are
-/// serialized under `observer_mu` (testCoreResilient locks it, and the
-/// service locks it for the start/placement/finish events it fires
-/// itself), which is also the lock detach happens under — after finalize
-/// clears `user_observer`, no callback can reach the tenant's object.
+/// and its observers — the tenant's and, when asked for, the wire stream,
+/// in that order. Every callback runs under the list's one mutex, which is
+/// also the lock clear() takes: once finalize cleared the list, no
+/// callback can reach the tenant's object.
 struct CampaignService::Campaign {
-  struct Mux final : SessionObserver {
-    Campaign* c;
-    explicit Mux(Campaign* owner) : c(owner) {}
-    void onCampaignStart(int cores, int threads) override {
-      if (c->user_observer != nullptr) {
-        c->user_observer->onCampaignStart(cores, threads);
-      }
-      if (c->stream) c->stream->onCampaignStart(cores, threads);
-    }
-    void onChannelPlaced(int tam, int channel, const std::vector<int>& cores,
-                         std::size_t predicted_tcks) override {
-      if (c->user_observer != nullptr) {
-        c->user_observer->onChannelPlaced(tam, channel, cores, predicted_tcks);
-      }
-      if (c->stream) {
-        c->stream->onChannelPlaced(tam, channel, cores, predicted_tcks);
-      }
-    }
-    void onCoreStart(int core_index, int attempt) override {
-      if (c->user_observer != nullptr) {
-        c->user_observer->onCoreStart(core_index, attempt);
-      }
-      if (c->stream) c->stream->onCoreStart(core_index, attempt);
-    }
-    void onCoreTimeout(int core_index, int attempt, bool will_retry) override {
-      if (c->user_observer != nullptr) {
-        c->user_observer->onCoreTimeout(core_index, attempt, will_retry);
-      }
-      if (c->stream) c->stream->onCoreTimeout(core_index, attempt, will_retry);
-    }
-    void onChannelFailure(int core_index, int failures,
-                          bool will_retry) override {
-      if (c->user_observer != nullptr) {
-        c->user_observer->onChannelFailure(core_index, failures, will_retry);
-      }
-      if (c->stream) {
-        c->stream->onChannelFailure(core_index, failures, will_retry);
-      }
-    }
-    void onCoreQuarantined(int core_index, int failures) override {
-      if (c->user_observer != nullptr) {
-        c->user_observer->onCoreQuarantined(core_index, failures);
-      }
-      if (c->stream) c->stream->onCoreQuarantined(core_index, failures);
-    }
-    void onCoreFinish(const CoreReport& report) override {
-      if (c->user_observer != nullptr) c->user_observer->onCoreFinish(report);
-      if (c->stream) c->stream->onCoreFinish(report);
-    }
-    void onCampaignFinish(const SessionReport& report) override {
-      if (c->user_observer != nullptr) {
-        c->user_observer->onCampaignFinish(report);
-      }
-      if (c->stream) c->stream->onCampaignFinish(report);
-    }
-  };
-
   std::uint64_t id = 0;
   std::string tenant;
   CampaignState state = CampaignState::kQueued;  // guarded by service mu_
@@ -104,20 +45,75 @@ struct CampaignService::Campaign {
   std::exception_ptr error;  // first failure; guarded by service mu_
   std::chrono::steady_clock::time_point t0{};
 
-  std::mutex observer_mu;
-  SessionObserver* user_observer = nullptr;  // guarded by observer_mu
   std::optional<WireReportStream> stream;
-  Mux mux{this};
+  ObserverList observers;
 };
+
+namespace {
+
+/// Run one core with channel-level self-healing. A SessionChannelError
+/// means the test-access plumbing (not the core) failed, so the suspect
+/// channel is dropped, a fresh replica is opened, and the core is re-run
+/// from the top — CoreReport attempts/polls reset with the channel, which
+/// is what keeps a recovered core's fingerprint identical to a never-failed
+/// run. After `policy.max_shard_retries` reopens the core is quarantined
+/// (verdict kQuarantined, identity fields only, zero TCK/at-speed
+/// accounting so campaign totals stay deterministic) — or, when the plan
+/// sets degrade_on_failure=false, the error propagates and fails the
+/// campaign. All other exception types propagate untouched.
+CoreReport testCoreResilient(Soc& soc, ArtifactStore& artifacts,
+                             std::unique_ptr<SessionChannel>& ch,
+                             const CorePlan& entry,
+                             const FsimBackendOptions& policy,
+                             ObserverList& observers) {
+  int failures = 0;
+  for (;;) {
+    if (ch == nullptr) {
+      ch = std::make_unique<SessionChannel>(soc, entry.tam, artifacts);
+    }
+    try {
+      CoreReport r = ch->testCore(entry, policy, observers);
+      r.channel_failures = failures;
+      return r;
+    } catch (const SessionChannelError&) {
+      ++failures;
+      // The replica TAP/TAM state behind a failed channel is suspect;
+      // reopening rebuilds it from the SoC, like respawning a dead worker.
+      ch.reset();
+      const bool will_retry = failures <= policy.max_shard_retries;
+      observers.notify([&](SessionObserver& o) {
+        o.onChannelFailure(entry.core_index, failures, will_retry);
+      });
+      if (will_retry) {
+        failpointSleepMs(backoffMs(policy.backoff_base_ms, failures));
+        continue;
+      }
+      if (!policy.degrade_on_failure) throw;
+      CoreReport q;
+      q.core_index = entry.core_index;
+      q.core_name = soc.core(entry.core_index).name();
+      q.tam = entry.tam;
+      q.depth = soc.topology(entry.core_index).depth();
+      q.patterns = entry.patterns;
+      q.verdict = CoreVerdict::kQuarantined;
+      q.channel_failures = failures;
+      observers.notify([&](SessionObserver& o) {
+        o.onCoreQuarantined(entry.core_index, failures);
+      });
+      return q;
+    }
+  }
+}
+
+}  // namespace
 
 CampaignService::CampaignService(Soc& soc, CampaignServiceConfig config)
     : soc_(soc),
       workers_(config.workers < 1 ? 1 : config.workers),
       default_quota_(config.default_quota),
       tenant_quotas_(std::move(config.tenant_quotas)),
-      artifacts_(config.artifacts != nullptr
-                     ? std::move(config.artifacts)
-                     : std::make_shared<ArtifactStore>()),
+      artifacts_(config.artifacts ? std::move(config.artifacts)
+                                  : std::make_shared<ArtifactStore>()),
       tree_mu_(std::make_unique<std::mutex[]>(
           soc.coreCount() > 0 ? static_cast<std::size_t>(soc.coreCount())
                               : 1)) {
@@ -162,10 +158,10 @@ CampaignHandle CampaignService::submit(const TestPlan& plan,
   // Resolve outside the lock: layout is the expensive part (lint, cost
   // model) and must never stall the reactor or other submitters.
   auto c = std::make_shared<Campaign>();
-  c->layout = layoutCampaign(plan, soc_, workers_, artifacts_.get());
+  c->layout = layoutCampaign(plan, soc_, workers_, *artifacts_);
   c->predicted_total_tcks = c->layout.predictedTotalTcks();
   c->tenant = opts.tenant;
-  c->user_observer = opts.observer;
+  c->observers.add(opts.observer);
   c->report.soc_name = soc_.name();
   c->report.threads = c->layout.threads;
   c->report.placement = std::string(placementPolicyName(plan.placement));
@@ -196,7 +192,9 @@ CampaignHandle CampaignService::submit(const TestPlan& plan,
             std::to_string(quota.max_predicted_tcks));
   }
   c->id = next_id_++;
-  if (opts.stream_fd >= 0) c->stream.emplace(opts.stream_fd, c->id);
+  if (opts.stream_fd >= 0) {
+    c->observers.add(&c->stream.emplace(opts.stream_fd, c->id));
+  }
   use.in_flight += 1;
   use.predicted_tcks += c->predicted_total_tcks;
   campaigns_.emplace(c->id, c);
@@ -205,22 +203,15 @@ CampaignHandle CampaignService::submit(const TestPlan& plan,
   // Start + placement events, outside mu_ (tenant code runs here) but
   // under the campaign's observer lock — the deterministic ascending
   // (TAM, channel) placement stream the one-shot scheduler always emitted.
-  {
-    const std::lock_guard<std::mutex> obs(c->observer_mu);
-    c->mux.onCampaignStart(static_cast<int>(c->layout.entries.size()),
-                           c->layout.threads);
+  c->observers.notify([&](SessionObserver& o) {
+    o.onCampaignStart(static_cast<int>(c->layout.entries.size()),
+                      c->layout.threads);
     for (const ChannelUnit& unit : c->layout.units) {
-      std::vector<int> cores;
-      for (const int g : unit.group_idx) {
-        for (const std::size_t i :
-             c->layout.groups[static_cast<std::size_t>(g)].entry_idx) {
-          cores.push_back(c->layout.entries[i].core_index);
-        }
-      }
-      c->mux.onChannelPlaced(unit.tam, unit.channel, cores,
-                             unit.predicted_tcks);
+      o.onChannelPlaced(unit.tam, unit.channel,
+                        channelLoad(c->layout, unit).cores,
+                        unit.predicted_tcks);
     }
-  }
+  });
   c->t0 = std::chrono::steady_clock::now();
 
   lock.lock();
@@ -274,13 +265,12 @@ void CampaignService::runUnit(Campaign& c, std::size_t u) {
       // a system-clock tick into the *previous* tree after its lock was
       // released, racing whichever campaign holds that tree now. A fresh
       // replica has no selection latched, so its reset ticks nothing.
-      auto ch = std::make_unique<SessionChannel>(soc_, unit.tam,
-                                                 artifacts_.get());
+      auto ch = std::make_unique<SessionChannel>(soc_, unit.tam, *artifacts_);
       for (const std::size_t i : grp.entry_idx) {
         if (c.cancel_requested.load(std::memory_order_relaxed)) return;
         c.report.cores[i] =
-            testCoreResilient(soc_, ch, c.layout.entries[i], &c.mux,
-                              c.observer_mu, artifacts_.get());
+            testCoreResilient(soc_, *artifacts_, ch, c.layout.entries[i],
+                              c.layout.policy, c.observers);
         c.cores_done.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -318,18 +308,17 @@ void CampaignService::finalize(std::unique_lock<std::mutex>& lock,
     soc_.tap().creditTcks(c.report.total_tap_clocks);
   }
 
-  // Finish event + observer detach, outside mu_ (tenant code). Detach
+  // Finish event + observer detach, outside mu_ (tenant code). Every unit
+  // has finished, so nothing else notifies this campaign any more. Detach
   // happens BEFORE the terminal state is published below, so a tenant that
   // saw await()/status() report a terminal state can destroy its observer
   // immediately — no callback can still be in flight.
   lock.unlock();
-  {
-    const std::lock_guard<std::mutex> obs(c.observer_mu);
-    if (final_state == CampaignState::kDone) {
-      c.mux.onCampaignFinish(c.report);
-    }
-    c.user_observer = nullptr;
+  if (final_state == CampaignState::kDone) {
+    c.observers.notify(
+        [&](SessionObserver& o) { o.onCampaignFinish(c.report); });
   }
+  c.observers.clear();
   lock.lock();
   c.state = final_state;
   done_cv_.notify_all();
@@ -343,8 +332,13 @@ SessionReport CampaignService::await(CampaignHandle h) {
            c->state == CampaignState::kFailed ||
            c->state == CampaignState::kCancelled;
   });
-  if (c->state == CampaignState::kFailed) std::rethrow_exception(c->error);
-  if (c->state == CampaignState::kCancelled) throw CampaignCancelled(h.id);
+  // The record goes whatever the outcome. A terminal campaign never
+  // changes again, so `c` is read without the lock.
+  const CampaignState state = c->state;
+  campaigns_.erase(h.id);
+  lock.unlock();
+  if (state == CampaignState::kFailed) std::rethrow_exception(c->error);
+  if (state == CampaignState::kCancelled) throw CampaignCancelled(h.id);
   return c->report;
 }
 
@@ -377,7 +371,7 @@ CampaignStatus CampaignService::status(CampaignHandle h) const {
 
 PlanForecast CampaignService::predict(const TestPlan& plan) {
   const CampaignLayout layout =
-      layoutCampaign(plan, soc_, workers_, artifacts_.get());
+      layoutCampaign(plan, soc_, workers_, *artifacts_);
   return forecastFromLayout(layout, soc_, plan.placement);
 }
 

@@ -21,9 +21,10 @@
 //     charged the campaign's predicted TCKs against its quota, and
 //     over-quota submissions fail fast with a typed AdmissionError —
 //     admission never blocks the reactor;
-//   * streaming results — per-campaign observers plus an optional
-//     WireReportStream (service/report_stream.hpp) deliver progress and
-//     incremental CoreReport JSON while the campaign runs.
+//   * streaming results — each campaign's ObserverList holds the tenant's
+//     observer and an optional WireReportStream
+//     (service/report_stream.hpp), which deliver progress and incremental
+//     CoreReport JSON while the campaign runs.
 //
 // Determinism: a campaign's SessionReport fingerprint is a pure function of
 // (SoC core-tree state, plan). Every attempt starts from TAP reset + BIST
@@ -34,10 +35,15 @@
 //
 // Observer lifecycle (the checked-registration contract): callbacks for a
 // campaign fire only between submit() returning and its terminal state
-// being published. finalize detaches the observer BEFORE the terminal
-// state becomes visible, so once await()/drain() returns, no further
-// callback can touch the caller's observer — it may be destroyed
+// being published. finalize clears the campaign's ObserverList BEFORE the
+// terminal state becomes visible, so once await()/drain() returns, no
+// further callback can touch the caller's observer — it may be destroyed
 // immediately.
+//
+// Records: the service keeps a campaign's record until await() collects
+// it, whatever the outcome; afterwards status(), cancel() and await() on
+// that handle throw std::out_of_range. Campaigns never awaited are kept
+// until the service is destroyed.
 #ifndef COREBIST_SERVICE_SERVICE_HPP_
 #define COREBIST_SERVICE_SERVICE_HPP_
 
@@ -183,7 +189,8 @@ class CampaignService {
   /// Block until `h` reaches a terminal state. kDone returns the report;
   /// kFailed rethrows the exception that failed the campaign; kCancelled
   /// throws CampaignCancelled. By the time this returns, the campaign's
-  /// observer is detached and safe to destroy.
+  /// observer is detached and safe to destroy, and its record is released
+  /// (returned or thrown): `h` is unknown to the service from then on.
   SessionReport await(CampaignHandle h);
 
   /// Request cancellation: already-started cores finish (a core test is
@@ -191,6 +198,8 @@ class CampaignService {
   /// false when the campaign is already terminal.
   bool cancel(CampaignHandle h);
 
+  /// Like await() and cancel(), throws std::out_of_range for a handle the
+  /// service does not know: never issued, or already awaited.
   [[nodiscard]] CampaignStatus status(CampaignHandle h) const;
 
   /// What-if forecast under this service's worker budget: same resolution,
@@ -217,9 +226,9 @@ class CampaignService {
   [[nodiscard]] std::shared_ptr<Campaign> findLocked(std::uint64_t id) const;
   void workerLoop();
   void runUnit(Campaign& c, std::size_t u);
-  /// Aggregate, release quota, credit the TAP, detach observers, publish
-  /// the terminal state. Called with `lock` held; drops and reacquires it
-  /// around the observer callbacks.
+  /// Aggregate, release quota, credit the TAP, clear the observer list,
+  /// publish the terminal state. Called with `lock` held; drops and
+  /// reacquires it around the observer callbacks.
   void finalize(std::unique_lock<std::mutex>& lock, Campaign& c);
 
   struct TenantUsage {
@@ -236,8 +245,8 @@ class CampaignService {
   /// One mutex per SoC core index; a unit locks its group's tree root for
   /// the whole group, so two campaigns never drive one wrapper chain
   /// concurrently. Workers hold at most one tree lock at a time, and lock
-  /// order is always tree -> artifact store -> observer, so no cycle
-  /// exists.
+  /// order is always tree -> artifact store -> observer list -> stream
+  /// frame lock, so no cycle exists.
   std::unique_ptr<std::mutex[]> tree_mu_;
 
   mutable std::mutex mu_;  // guards everything below

@@ -19,6 +19,7 @@
 #include "core/soc.hpp"
 #include "fixtures.hpp"
 #include "netlist/builder.hpp"
+#include "service/artifacts.hpp"
 
 namespace corebist {
 namespace {
@@ -310,11 +311,12 @@ TEST(HierTam, ChannelRefusesCoresOfOtherTams) {
   const int t1 = soc.addTam();
   (void)soc.attachCore(makeCore("a", 1, 9), 0);
   const int b = soc.attachCore(makeCore("b", 2, 9), t1);
-  SessionChannel channel(soc, 0);
-  std::mutex mu;
+  ArtifactStore artifacts;
+  SessionChannel channel(soc, 0, artifacts);
+  ObserverList observers;
   EXPECT_THROW(
-      (void)channel.testCore(CorePlan{.core_index = b, .patterns = 64},
-                             nullptr, mu),
+      (void)channel.testCore(CorePlan{.core_index = b, .patterns = 64}, {},
+                             observers),
       std::logic_error);
 }
 

@@ -13,7 +13,8 @@
 // every reply shape round-trips within its exact bound, replies past the
 // bound and overlong engine errors are refused or cut, and fixed-seed
 // mutants of request and reply payloads never make a parser read out of
-// bounds or allocate past the bytes.
+// bounds or allocate past the bytes. Unknown fault kinds are engine errors
+// on every engine and executor.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -489,6 +490,47 @@ TEST(ProcessFsimValidation, EngineErrorsSurfaceAsInvalidArgument) {
   ShardedFaultSim psim(
       CombFaultSim{nl, nl.primaryInputs(), nl.primaryOutputs()}, popts);
   EXPECT_THROW((void)psim.run(u.faults, patterns, o), std::invalid_argument);
+  EXPECT_TRUE(noZombies());
+}
+
+TEST(ProcessFsimValidation, UnknownFaultKindsAreRejectedBeforeGrading) {
+  // A kind byte outside the four FaultKind enumerators is an engine error,
+  // never a stuck-at-0 in disguise: on the sequential engine, on a comb
+  // pair campaign, and through both sharded executors. The fork wire
+  // carries the byte to the worker unchecked; its engine rejects it, and
+  // the engine-error reply is rethrown, never retried.
+  const auto unknown = static_cast<FaultKind>(7);
+
+  const Netlist seq = randomSeq(3, 7, 4, 50);
+  std::vector<Fault> seq_faults = enumerateStuckAt(seq).faults;
+  for (Fault& f : seq_faults) f.kind = unknown;
+  std::mt19937_64 rng(0x7);
+  std::vector<std::uint64_t> stim(256);
+  for (auto& w : stim) w = rng() & 0x7F;
+  const CyclePatternSource cycles(stim, seq.primaryInputs().size());
+  FaultSimOptions so;
+  so.cycles = 256;
+  SeqFaultSim serial(seq);
+  EXPECT_THROW((void)serial.run(seq_faults, cycles, so), std::invalid_argument);
+  const FsimBackendOptions threaded{.backend = FsimBackend::kThreaded};
+  for (FsimBackendOptions popts : {threaded, failFastFork()}) {
+    popts.num_workers = 2;
+    ShardedFaultSim psim(SeqFaultSim{seq}, popts);
+    EXPECT_THROW((void)psim.run(seq_faults, cycles, so), std::invalid_argument)
+        << fsimBackendName(popts.backend);
+  }
+
+  const Netlist comb = randomComb(4, 6, 12);
+  std::vector<Fault> comb_faults = enumerateStuckAt(comb).faults;
+  for (Fault& f : comb_faults) f.kind = unknown;
+  const RandomPatternSource launch(5, comb.primaryInputs().size(), 64);
+  const RandomPatternSource capture(6, comb.primaryInputs().size(), 64);
+  FaultSimOptions po;
+  po.cycles = 64;
+  po.prepass_cycles = 0;
+  po.launch = &launch;
+  CombFaultSim pair(comb, comb.primaryInputs(), comb.primaryOutputs());
+  EXPECT_THROW((void)pair.run(comb_faults, capture, po), std::invalid_argument);
   EXPECT_TRUE(noZombies());
 }
 

@@ -3,19 +3,23 @@
 // facade, any pool size and any multi-tenant interleaving; artifact reuse
 // fingerprint-invisible; typed admission control that never blocks the
 // reactor; observer detach on completion; streamed wire frames that
-// reconstruct the report; and a multi-tenant soak that leaks neither
+// reconstruct the report, carry the same events as the tenant's observer,
+// and never shear when campaigns share one descriptor; await() releasing
+// every campaign record; and a multi-tenant soak that leaks neither
 // threads nor campaigns. Runs under TSan in CI (no fork in this file) and
 // under the chaos matrix (channel failpoints within the retry budget are
 // fingerprint-invisible by design). One opt-in timing case checks that the
 // resident service beats one-shot campaigns.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <random>
 #include <semaphore>
@@ -230,13 +234,14 @@ TEST(CampaignService, CancelSkipsQueuedCampaigns) {
   EXPECT_TRUE(service.cancel(c2));
 
   gate.release.release();
-  EXPECT_TRUE(service.await(c1).pass());
-  EXPECT_THROW((void)service.await(c2), CampaignCancelled);
+  service.drain();
   const CampaignStatus s = service.status(c2);
   EXPECT_EQ(s.state, CampaignState::kCancelled);
   EXPECT_EQ(s.cores_done, 0);  // nothing ran
   EXPECT_FALSE(service.cancel(c2));  // already terminal
   EXPECT_STREQ(campaignStateName(s.state), "cancelled");
+  EXPECT_TRUE(service.await(c1).pass());
+  EXPECT_THROW((void)service.await(c2), CampaignCancelled);
 
   EXPECT_THROW((void)service.status(CampaignHandle{9999}), std::out_of_range);
 }
@@ -266,6 +271,8 @@ TEST(CampaignService, ObserverIsDetachedBeforeAwaitReturns) {
   SubmitOptions opts;
   opts.observer = observer.get();
   const CampaignHandle h = service.submit(makeMixedPlan(), opts);
+  service.drain();
+  EXPECT_EQ(service.status(h).state, CampaignState::kDone);
   const SessionReport report = service.await(h);
 
   // The full event stream arrived exactly once...
@@ -274,7 +281,6 @@ TEST(CampaignService, ObserverIsDetachedBeforeAwaitReturns) {
   EXPECT_EQ(observer->core_finish.load(), 6);
   EXPECT_GT(observer->channel_placed.load(), 0);
   EXPECT_EQ(report.cores.size(), 6u);
-  EXPECT_EQ(service.status(h).state, CampaignState::kDone);
 
   // ...and the registration is detached: destroying the observer now is
   // safe by contract (finalize cleared it before publishing the terminal
@@ -399,13 +405,75 @@ TEST(CampaignService, StreamedFramesReconstructTheReport) {
   EXPECT_STREQ(streamEventKindName(events.back().kind), "campaign_finish");
 }
 
+/// Records the kind of every event it receives, in arrival order.
+class KindRecorder final : public SessionObserver {
+ public:
+  std::vector<StreamEventKind> kinds;
+  void onCampaignStart(int, int) override {
+    kinds.push_back(StreamEventKind::kCampaignStart);
+  }
+  void onChannelPlaced(int, int, const std::vector<int>&,
+                       std::size_t) override {
+    kinds.push_back(StreamEventKind::kChannelPlaced);
+  }
+  void onCoreStart(int, int) override {
+    kinds.push_back(StreamEventKind::kCoreStart);
+  }
+  void onCoreTimeout(int, int, bool) override {
+    kinds.push_back(StreamEventKind::kCoreTimeout);
+  }
+  void onChannelFailure(int, int, bool) override {
+    kinds.push_back(StreamEventKind::kChannelFailure);
+  }
+  void onCoreQuarantined(int, int) override {
+    kinds.push_back(StreamEventKind::kCoreQuarantined);
+  }
+  void onCoreFinish(const CoreReport&) override {
+    kinds.push_back(StreamEventKind::kCoreFinish);
+  }
+  void onCampaignFinish(const SessionReport&) override {
+    kinds.push_back(StreamEventKind::kCampaignFinish);
+  }
+};
+
+TEST(CampaignService, ObserverAndStreamSeeTheSameEvents) {
+  // One campaign with both a tenant observer and a stream: the observer
+  // list hands each event to both under one lock, so the observer's event
+  // kinds equal the stream's frame kinds, in the same order.
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  auto soc = makeSoc();
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 2});
+
+  KindRecorder recorder;
+  SubmitOptions opts;
+  opts.observer = &recorder;
+  opts.stream_fd = fds[1];
+  (void)service.await(service.submit(makeMixedPlan(), opts));
+  close(fds[1]);
+
+  std::vector<StreamEventKind> framed;
+  StreamEvent ev;
+  while (readStreamEvent(fds[0], ev)) framed.push_back(ev.kind);
+  close(fds[0]);
+
+  EXPECT_EQ(recorder.kinds, framed);
+  ASSERT_FALSE(framed.empty());
+  EXPECT_EQ(framed.front(), StreamEventKind::kCampaignStart);
+  EXPECT_EQ(framed.back(), StreamEventKind::kCampaignFinish);
+  // The mixed plan's forced timeouts make the order worth comparing.
+  EXPECT_NE(std::find(framed.begin(), framed.end(),
+                      StreamEventKind::kCoreTimeout),
+            framed.end());
+}
+
 TEST(CampaignService, EmptyCampaignCompletesImmediately) {
   Soc soc("empty_soc");
   CampaignService service(soc);
   const CampaignHandle h = service.submit(TestPlan{});
+  EXPECT_EQ(service.status(h).state, CampaignState::kDone);
   const SessionReport report = service.await(h);
   EXPECT_TRUE(report.cores.empty());
-  EXPECT_EQ(service.status(h).state, CampaignState::kDone);
 }
 
 TEST(CampaignService, ServiceSoakLeaksNothing) {
@@ -441,9 +509,9 @@ TEST(CampaignService, ServiceSoakLeaksNothing) {
     }
     service.drain();
     for (const auto& [handle, p] : submitted) {
+      EXPECT_EQ(service.status(handle).state, CampaignState::kDone);
       EXPECT_EQ(service.await(handle).fingerprint(), references[p])
           << "plan " << p;
-      EXPECT_EQ(service.status(handle).state, CampaignState::kDone);
     }
     EXPECT_GT(service.artifactStats().hitRate(), 0.0);
   }
@@ -467,6 +535,125 @@ TEST(CampaignService, DestructorCancelsUnfinishedCampaigns) {
   EXPECT_EQ(service->status(queued).state, CampaignState::kQueued);
   gate.release.release();
   service.reset();  // dtor: cancel queued, drain, join — must not hang
+}
+
+/// Fails its campaign: the first core start throws.
+class FailingObserver final : public SessionObserver {
+ public:
+  void onCoreStart(int, int) override {
+    throw std::runtime_error("observer gave up");
+  }
+};
+
+TEST(CampaignService, AwaitReleasesTheRecordOfEveryOutcome) {
+  // 999 campaigns queue behind a gated one on a single worker: every third
+  // is cancelled while queued, every third fails (its observer throws).
+  // status() sees each terminal state before await(); once await() has
+  // returned or thrown, the service knows no campaign of the 1,000.
+  auto soc = makeSoc();
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 1});
+  const TestPlan plan = makeSubsetPlan({0}).withPatterns(64);
+
+  GateObserver gate;
+  SubmitOptions gated;
+  gated.observer = &gate;
+  std::vector<CampaignHandle> handles{service.submit(plan, gated)};
+  gate.started.acquire();
+  FailingObserver failing;
+  std::vector<CampaignState> expected{CampaignState::kDone};
+  for (int i = 1; i < 1000; ++i) {
+    SubmitOptions opts;
+    CampaignState want = CampaignState::kDone;
+    if (i % 3 == 2) {
+      opts.observer = &failing;
+      want = CampaignState::kFailed;
+    }
+    handles.push_back(service.submit(plan, opts));
+    if (i % 3 == 1) {
+      EXPECT_TRUE(service.cancel(handles.back()));
+      want = CampaignState::kCancelled;
+    }
+    expected.push_back(want);
+  }
+  gate.release.release();
+  service.drain();
+
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    ASSERT_EQ(service.status(handles[i]).state, expected[i])
+        << "campaign " << i;
+    switch (expected[i]) {
+      case CampaignState::kDone:
+        EXPECT_TRUE(service.await(handles[i]).pass());
+        break;
+      case CampaignState::kCancelled:
+        EXPECT_THROW((void)service.await(handles[i]), CampaignCancelled);
+        break;
+      default:
+        try {
+          (void)service.await(handles[i]);
+          ADD_FAILURE() << "campaign " << i << " did not fail";
+        } catch (const std::runtime_error& e) {
+          EXPECT_STREQ(e.what(), "observer gave up");
+        }
+    }
+  }
+  for (const CampaignHandle h : handles) {
+    EXPECT_THROW((void)service.status(h), std::out_of_range);
+    EXPECT_THROW((void)service.cancel(h), std::out_of_range);
+    EXPECT_THROW((void)service.await(h), std::out_of_range);
+  }
+}
+
+TEST(WireReportStream, StreamsSharingOneDescriptorNeverShear) {
+  // Two campaigns' streams on one pipe, each written from its own thread.
+  // A frame past PIPE_BUF (4 KiB) may be split by the kernel, and one past
+  // the pipe's capacity always is (shrunk to one page here, so that the
+  // frames can stay small), so the writes of the two streams interleave
+  // unless one lock keeps them apart. A concurrent reader must decode
+  // every frame whole and count exactly each campaign's frames.
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const int capacity = fcntl(fds[1], F_SETPIPE_SZ, 4096);
+  ASSERT_GE(capacity, 4096);
+  SessionReport big;
+  big.soc_name = std::string(3 * static_cast<std::size_t>(capacity), 's');
+  const std::string json = big.toJson();
+  constexpr int kFrames = 500;  // per stream
+
+  std::map<std::uint64_t, int> counted;
+  std::string error;
+  std::thread reader([&] {
+    StreamEvent ev;
+    try {
+      while (readStreamEvent(fds[0], ev)) {
+        ++counted[ev.campaign_id];
+        if (ev.kind != StreamEventKind::kCampaignFinish || ev.json != json) {
+          error = "frame of campaign " + std::to_string(ev.campaign_id) +
+                  " decoded to the wrong event";
+          break;
+        }
+      }
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+    close(fds[0]);  // a writer still running sees EPIPE and drops out
+  });
+  {
+    std::vector<std::jthread> writers;
+    for (const std::uint64_t id : {1u, 2u}) {
+      writers.emplace_back([&big, fd = fds[1], id] {
+        WireReportStream stream(fd, id);
+        for (int i = 0; i < kFrames; ++i) stream.onCampaignFinish(big);
+      });
+    }
+  }
+  close(fds[1]);
+  reader.join();
+
+  EXPECT_EQ(error, "");
+  EXPECT_GT(json.size(), 4096u);
+  EXPECT_EQ(counted[1], kFrames);
+  EXPECT_EQ(counted[2], kFrames);
 }
 
 TEST(StreamObserver, ConcurrentLinesNeverShear) {
