@@ -19,7 +19,7 @@ double coverageFor(const Netlist& nl, BistEngine& engine, int slot,
   const FaultUniverse u = enumerateStuckAt(nl);
   const auto stim = engine.stimulus(slot, cycles);
   SeqFaultSim fsim(nl);
-  SeqFsimOptions o;
+  FaultSimOptions o;
   o.cycles = cycles;
   return fsim.run(u.faults, stim, o).coverage();
 }

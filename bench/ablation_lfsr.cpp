@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     BistEngine engine(cfg);
     const int m = engine.attachModule(cs.cu);
     SeqFaultSim fsim(cs.cu);
-    SeqFsimOptions o;
+    FaultSimOptions o;
     o.cycles = cycles;
     const auto r = fsim.run(u.faults, engine.stimulus(m, cycles), o);
     std::printf("  %2d-bit primitive poly %15.2f%%%s\n", width, r.coverage(),
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     BistEngine engine(cfg);
     const int m = engine.attachModule(cs.cu);
     SeqFaultSim fsim(cs.cu);
-    SeqFsimOptions o;
+    FaultSimOptions o;
     o.cycles = cycles;
     const auto r = fsim.run(u.faults, engine.stimulus(m, cycles), o);
     std::printf("  20-bit NON-primitive taps %11.2f%%   <- short period "

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
               "misr-detect", "aliased", "2^-w bound");
   for (const int width : {4, 8, 12, 16, 20}) {
     SeqFaultSim fsim(cs.cu);
-    SeqFsimOptions o;
+    FaultSimOptions o;
     o.cycles = cycles;
     o.misr = makeMisrSpec(cs.cu.primaryOutputs(), width);
     const auto r = fsim.run(u.faults, stim, o);

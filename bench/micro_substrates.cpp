@@ -63,7 +63,7 @@ void BM_SeqFaultSimControlUnit(benchmark::State& state) {
   const int m = engine.attachModule(nl);
   const auto stim = engine.stimulus(m, 512);
   SeqFaultSim fsim(nl);
-  SeqFsimOptions o;
+  FaultSimOptions o;
   o.cycles = 512;
   for (auto _ : state) {
     const auto r = fsim.run(u.faults, stim, o);

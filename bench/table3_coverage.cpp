@@ -135,8 +135,9 @@ int main(int argc, char** argv) {
     // compaction model attached (full-length simulation, no dropping).
     if (!quick || mc.slot != cs.m_cn) {
       Stopwatch sw;
-      const auto sig =
-          cs.engine.signatureCoverage(mc.slot, u.faults, bist_cycles);
+      const auto sig = cs.engine.signatureCoverage(
+          mc.slot, u.faults, bist_cycles,
+          FsimBackendOptions{.backend = FsimBackend::kThreaded});
       const double fc_sig = sig.misrCoverage();
       std::printf("  %-10s %-4s  faults %7zu  FC %6.2f%%  cycles %8d  "
                   "cpu %7.1fs   (aliasing loss %.2f pts off %.2f%% "

@@ -135,12 +135,6 @@ bool Podem::faultDetectedAtOutput() const {
   return false;
 }
 
-bool Podem::faultActivated() const {
-  const Tv g = gval_[fault_.isStem() ? fault_.net : fault_.net];
-  const Tv bad = fault_.kind == FaultKind::kSa1 ? Tv::k1 : Tv::k0;
-  return g != Tv::kX && g != bad;
-}
-
 bool Podem::pickObjective(NetId& net, Tv& val) const {
   // 1) Activate the fault.
   const Tv site_g = gval_[fault_.net];

@@ -65,7 +65,6 @@ class Podem {
 
   void implyAll();
   [[nodiscard]] bool faultDetectedAtOutput() const;
-  [[nodiscard]] bool faultActivated() const;
   /// Find (input, value) for the current objective; false if none exists.
   [[nodiscard]] bool backtrace(NetId obj_net, Tv obj_val, int& input_index,
                                Tv& value) const;

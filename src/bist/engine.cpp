@@ -134,16 +134,6 @@ std::uint64_t BistEngine::runAndSign(int m, const Netlist& physical,
       stim, cycles, makeMisrSpec(physical.primaryOutputs(), cfg_.misr_width));
 }
 
-FaultSimResult BistEngine::signatureCoverage(int m,
-                                             std::span<const Fault> faults,
-                                             int cycles, int num_threads,
-                                             FsimBackend backend) const {
-  FsimBackendOptions bopts;
-  bopts.backend = backend;
-  bopts.num_workers = num_threads;
-  return signatureCoverage(m, faults, cycles, bopts);
-}
-
 FaultSimResult BistEngine::signatureCoverage(
     int m, std::span<const Fault> faults, int cycles,
     const FsimBackendOptions& bopts) const {

@@ -109,19 +109,13 @@ class BistEngine {
 
   /// Signature-qualification coverage of module `m`: fault-simulates
   /// `faults` under the BIST stimulus with the module's MISR compaction
-  /// model attached, on `num_threads` workers (0 => hardware concurrency)
-  /// of the requested backend (worker threads by default; kResilient shards
-  /// the faults across forked worker processes, kSerial grades on one
-  /// sequential engine and ignores num_threads). `misr_detect` tells which
-  /// faults the signature actually catches (the coverage minus aliasing
-  /// losses).
-  [[nodiscard]] FaultSimResult signatureCoverage(
-      int m, std::span<const Fault> faults, int cycles, int num_threads = 0,
-      FsimBackend backend = FsimBackend::kThreaded) const;
-
-  /// Same, but with full backend control — retry budgets, backoff and the
-  /// degradation ladder for FsimBackend::kResilient ride in `bopts`. The
-  /// convenience overload above delegates here.
+  /// model attached, on the backend `bopts` names (kSerial grades on one
+  /// sequential engine; kThreaded shards the faults across
+  /// `bopts.num_workers` worker threads, 0 => hardware concurrency;
+  /// kResilient shards them across forked worker processes, with its retry
+  /// budget, backoff and degradation ladder taken from `bopts`).
+  /// `misr_detect` tells which faults the signature actually catches (the
+  /// coverage minus aliasing losses).
   [[nodiscard]] FaultSimResult signatureCoverage(
       int m, std::span<const Fault> faults, int cycles,
       const FsimBackendOptions& bopts) const;

@@ -53,11 +53,6 @@ Alfsr::Alfsr(int width, std::vector<int> taps, std::uint64_t seed)
   if (state_ == 0) state_ = 1;  // the all-zero state is a lockup
 }
 
-void Alfsr::seed(std::uint64_t s) {
-  state_ = s & mask_;
-  if (state_ == 0) state_ = 1;
-}
-
 std::uint64_t Alfsr::step() {
   std::uint64_t fb = 0;
   for (const int t : taps_) fb ^= (state_ >> t) & 1u;

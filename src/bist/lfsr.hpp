@@ -31,7 +31,6 @@ class Alfsr {
   [[nodiscard]] std::uint64_t state() const noexcept { return state_; }
   [[nodiscard]] const std::vector<int>& taps() const noexcept { return taps_; }
 
-  void seed(std::uint64_t s);
   /// Advance one clock; returns the new state.
   std::uint64_t step();
 

@@ -1,6 +1,5 @@
 #include "bist/misr.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "bist/lfsr.hpp"
@@ -46,8 +45,6 @@ void Misr::stepWide(std::uint64_t response, int response_width) {
   }
   step(folded);
 }
-
-double Misr::aliasingBound() const { return std::pow(2.0, -width_); }
 
 std::vector<std::vector<NetId>> foldFeeds(const std::vector<NetId>& outputs,
                                           int width) {

@@ -39,10 +39,6 @@ class Misr {
   /// clock it in.
   void stepWide(std::uint64_t response, int response_width);
 
-  /// Probability that a random error sequence aliases to the good signature
-  /// (the classic 2^-w bound).
-  [[nodiscard]] double aliasingBound() const;
-
  private:
   int width_;
   std::uint64_t mask_;

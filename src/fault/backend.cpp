@@ -1,7 +1,6 @@
 #include "fault/backend.hpp"
 
 #include <stdexcept>
-#include <string>
 
 #include "fault/comb_fsim.hpp"
 #include "fault/sharded_fsim.hpp"
@@ -18,13 +17,6 @@ const char* fsimBackendName(FsimBackend b) noexcept {
       return "resilient";
   }
   return "serial";
-}
-
-FsimBackend parseFsimBackend(std::string_view name) {
-  if (name == "serial") return FsimBackend::kSerial;
-  if (name == "threaded") return FsimBackend::kThreaded;
-  if (name == "resilient") return FsimBackend::kResilient;
-  throw std::invalid_argument("unknown fsim backend: " + std::string(name));
 }
 
 std::unique_ptr<FaultSim> makeOrchestrator(const FaultSim& prototype,

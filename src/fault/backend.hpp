@@ -26,7 +26,6 @@
 
 #include <memory>
 #include <span>
-#include <string_view>
 
 #include "fault/fault_sim.hpp"
 
@@ -41,10 +40,6 @@ enum class FsimBackend {
 /// Stable lowercase name ("serial" / "threaded" / "resilient"), for logs
 /// and test traces.
 [[nodiscard]] const char* fsimBackendName(FsimBackend b) noexcept;
-
-/// Inverse of fsimBackendName; throws std::invalid_argument on unknown
-/// names (input validation).
-[[nodiscard]] FsimBackend parseFsimBackend(std::string_view name);
 
 struct FsimBackendOptions {
   FsimBackend backend = FsimBackend::kSerial;

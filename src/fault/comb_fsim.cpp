@@ -15,7 +15,6 @@ CombFaultSimT<W>::CombFaultSimT(const Netlist& nl,
       prog_(std::make_shared<const GateProgram>(nl)),
       readers_(&nl.readerCsr()),
       inputs_(inputs.begin(), inputs.end()),
-      observed_(observed.begin(), observed.end()),
       observed_flag_(nl.numNets(), 0),
       good_(nl.numNets(), Word::zero()),
       goodv1_(nl.numNets(), Word::zero()),
@@ -23,7 +22,7 @@ CombFaultSimT<W>::CombFaultSimT(const Netlist& nl,
       stamp_(nl.numNets(), 0),
       in_queue_(nl.numGates(), 0),
       level_buckets_(static_cast<std::size_t>(prog_->levels())) {
-  for (const NetId n : observed_) observed_flag_[n] = 1;
+  for (const NetId n : observed) observed_flag_[n] = 1;
 }
 
 template <int W>

@@ -69,17 +69,8 @@ class CombFaultSimT final : public FaultSim {
   /// Lanes (patterns of the loaded block) that detect `f`.
   [[nodiscard]] Word detect(const Fault& f);
 
-  /// Good value of a net in the loaded (v2) block.
-  [[nodiscard]] Word goodValue(NetId n) const { return good_[n]; }
-
   [[nodiscard]] const Netlist& netlist() const noexcept override {
     return nl_;
-  }
-  [[nodiscard]] std::span<const NetId> inputs() const noexcept {
-    return inputs_;
-  }
-  [[nodiscard]] std::span<const NetId> observed() const noexcept {
-    return observed_;
   }
 
  private:
@@ -97,7 +88,6 @@ class CombFaultSimT final : public FaultSim {
   std::shared_ptr<const GateProgram> prog_;
   const ReaderCsr* readers_;  // materialized at construction (thread safety)
   std::vector<NetId> inputs_;
-  std::vector<NetId> observed_;
   std::vector<char> observed_flag_;
 
   std::vector<Word> good_;    // v2 (capture) good values

@@ -14,28 +14,6 @@ namespace detail {
 std::atomic<int> g_failpoints_armed{0};
 }  // namespace detail
 
-const char* failpointActionName(FailpointAction::Kind k) noexcept {
-  switch (k) {
-    case FailpointAction::Kind::kOff:
-      return "off";
-    case FailpointAction::Kind::kCrash:
-      return "crash";
-    case FailpointAction::Kind::kHang:
-      return "hang";
-    case FailpointAction::Kind::kError:
-      return "error";
-    case FailpointAction::Kind::kTruncate:
-      return "truncate";
-    case FailpointAction::Kind::kBitflip:
-      return "bitflip";
-    case FailpointAction::Kind::kShortWrite:
-      return "shortwrite";
-    case FailpointAction::Kind::kDelay:
-      return "delay";
-  }
-  return "?";
-}
-
 namespace {
 
 FailpointAction::Kind parseActionKind(std::string_view name) {

@@ -72,8 +72,6 @@ struct FailpointAction {
   std::uint64_t arg = 0;
 };
 
-[[nodiscard]] const char* failpointActionName(FailpointAction::Kind k) noexcept;
-
 /// Site-specific coordinates a firing is matched against. Conventions:
 /// process.* sites pass {worker index, shard id}; channel.* sites pass
 /// {core index, attempt / poll number}.

@@ -54,15 +54,20 @@
 //   * parent-side reads go through readAllDeadline() on a non-blocking fd
 //     against a monotonic deadline, so a worker dribbling bytes slower than
 //     the watchdog cannot evade it by resetting per-wakeup timers;
-//   * ScopedSigpipeIgnore keeps a worker dying mid-request-write an EPIPE
+//   * ScopedSigpipeBlock keeps a worker dying mid-request-write an EPIPE
 //     (=> structured kWorkerDied), not a fatal SIGPIPE in the campaign
-//     parent; workers install SIG_IGN too, so a dead parent surfaces as a
-//     write error and a clean _exit.
+//     parent. It blocks SIGPIPE on the writing thread only, never touching
+//     the process-wide disposition, so concurrent runs and report-stream
+//     writes on other threads cannot unprotect each other; workers install
+//     SIG_IGN (each is a single-threaded fork), so a dead parent surfaces as
+//     a write error and a clean _exit.
 #ifndef COREBIST_FAULT_PROCESS_WIRE_HPP_
 #define COREBIST_FAULT_PROCESS_WIRE_HPP_
 
 #include <fcntl.h>
 #include <poll.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <time.h>
@@ -207,24 +212,46 @@ inline IoStatus readAllDeadline(int fd, void* buf, std::size_t n,
   return IoStatus::kOk;
 }
 
-/// SIGPIPE => SIG_IGN for the lifetime of one orchestrated run(), previous
-/// disposition restored on exit: a worker dying mid-request-write must
-/// surface as EPIPE on the write, not kill the campaign parent (and its
-/// caller) with an unhandled signal.
-class ScopedSigpipeIgnore {
+/// SIGPIPE blocked on the calling thread for the lifetime of the scope: a
+/// write to a pipe whose reader is gone (a worker dying mid-request, a
+/// tenant closing its report stream) fails with EPIPE instead of killing
+/// the process. The mask is per thread, so no other thread's scope can undo
+/// it; a process-wide SIG_IGN, saved and restored by each scope, could be
+/// restored to SIG_DFL by one thread while another was still writing. On
+/// exit the SIGPIPE that this scope's failed writes left pending is
+/// consumed, then the previous mask returns; a scope nested in another
+/// leaves both to the outer one.
+class ScopedSigpipeBlock {
  public:
-  ScopedSigpipeIgnore() {
-    struct sigaction sa = {};
-    sa.sa_handler = SIG_IGN;
-    sigemptyset(&sa.sa_mask);
-    ::sigaction(SIGPIPE, &sa, &prev_);
+  ScopedSigpipeBlock() {
+    const sigset_t pipe = onlySigpipe();
+    ::pthread_sigmask(SIG_BLOCK, &pipe, &prev_);
   }
-  ~ScopedSigpipeIgnore() { ::sigaction(SIGPIPE, &prev_, nullptr); }
-  ScopedSigpipeIgnore(const ScopedSigpipeIgnore&) = delete;
-  ScopedSigpipeIgnore& operator=(const ScopedSigpipeIgnore&) = delete;
+  ~ScopedSigpipeBlock() {
+    // Blocked already: the outer scope consumes and unblocks.
+    if (sigismember(&prev_, SIGPIPE) == 1) return;
+    const int saved_errno = errno;
+    const sigset_t pipe = onlySigpipe();
+    const timespec now{};
+    int sig = 0;
+    do {
+      sig = ::sigtimedwait(&pipe, nullptr, &now);
+    } while (sig == SIGPIPE || (sig < 0 && errno == EINTR));
+    ::pthread_sigmask(SIG_SETMASK, &prev_, nullptr);
+    errno = saved_errno;
+  }
+  ScopedSigpipeBlock(const ScopedSigpipeBlock&) = delete;
+  ScopedSigpipeBlock& operator=(const ScopedSigpipeBlock&) = delete;
 
  private:
-  struct sigaction prev_ = {};
+  static sigset_t onlySigpipe() {
+    sigset_t s;
+    sigemptyset(&s);
+    sigaddset(&s, SIGPIPE);
+    return s;
+  }
+
+  sigset_t prev_ = {};
 };
 
 // ---- serialization -------------------------------------------------------

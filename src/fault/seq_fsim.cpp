@@ -53,14 +53,14 @@ struct RunContext {
   const GateProgram* prog;
   std::vector<NetId> observe;
   std::span<const std::uint64_t> stimulus;
-  const SeqFsimOptions* opts;
+  const FaultSimOptions* opts;
 };
 
 void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
                    std::span<const std::uint32_t> members,
-                   GroupScratch& scratch, SeqFsimResult& result) {
+                   GroupScratch& scratch, FaultSimResult& result) {
   const Netlist& nl = *ctx.nl;
-  const SeqFsimOptions& opts = *ctx.opts;
+  const FaultSimOptions& opts = *ctx.opts;
   const int cycles = opts.cycles;
   const bool want_windows = opts.windows > 0;
   const bool want_misr = opts.misr.has_value();
@@ -278,9 +278,9 @@ void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
 
 }  // namespace
 
-SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
-                               std::span<const std::uint64_t> stimulus,
-                               const SeqFsimOptions& opts) const {
+FaultSimResult SeqFaultSim::run(std::span<const Fault> faults,
+                                std::span<const std::uint64_t> stimulus,
+                                const FaultSimOptions& opts) const {
   if (static_cast<int>(stimulus.size()) < opts.cycles) {
     throw std::invalid_argument("SeqFaultSim: stimulus shorter than cycles");
   }
@@ -293,13 +293,13 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
   ctx.observe =
       opts.observe.empty() ? nl_.primaryOutputs() : opts.observe;
 
-  SeqFsimResult result(faults.size(), opts);
+  FaultSimResult result(faults.size(), opts);
 
   // Each ladder stage grades groups of 63 faulty machines one after another
   // on the calling thread (sharding across threads or processes is the
   // orchestrators' job), regrouping the survivors densely so the expensive
   // full-length stage only sees the hard tail.
-  SeqFsimOptions pass_opts = opts;
+  FaultSimOptions pass_opts = opts;
   ctx.opts = &pass_opts;
   GroupScratch scratch;
   scratch.val.assign(nl_.numNets(), 0);

@@ -34,20 +34,15 @@
 
 namespace corebist {
 
-/// The option/result records live with the common interface; these aliases
-/// keep the sequential engine's historical names working.
-using SeqFsimOptions = FaultSimOptions;
-using SeqFsimResult = FaultSimResult;
-
 class SeqFaultSim final : public FaultSim {
  public:
   explicit SeqFaultSim(const Netlist& nl);
 
   /// Run `faults` against `stimulus` (stimulus[c] bit j drives the j-th
   /// primary input at cycle c; requires <= 64 primary inputs).
-  [[nodiscard]] SeqFsimResult run(std::span<const Fault> faults,
-                                  std::span<const std::uint64_t> stimulus,
-                                  const SeqFsimOptions& opts) const;
+  [[nodiscard]] FaultSimResult run(std::span<const Fault> faults,
+                                   std::span<const std::uint64_t> stimulus,
+                                   const FaultSimOptions& opts) const;
 
   /// Campaign entry point (FaultSim): uses the source's packed per-cycle
   /// words directly when available, otherwise transposes blocks into the

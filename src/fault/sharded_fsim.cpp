@@ -130,8 +130,9 @@ struct ShardedFaultSim::Stage {
 };
 
 /// The fork executor's workers, forked lazily at dispatch. SIGPIPE is
-/// ignored while a fleet exists (a worker dying mid-request-write is an
-/// EPIPE, not the parent's death), and the destructor SIGKILLs and reaps
+/// blocked on the run's thread while a fleet exists (a worker dying
+/// mid-request-write is an EPIPE, not the parent's death; every request
+/// write happens on that thread), and the destructor SIGKILLs and reaps
 /// every worker left, so no exit path leaks a child.
 struct ShardedFaultSim::Fleet {
   explicit Fleet(std::size_t n) : workers(n), respawn(n, 0) {}
@@ -144,7 +145,7 @@ struct ShardedFaultSim::Fleet {
     for (w::Worker& wk : workers) w::killWorker(wk);
   }
 
-  w::ScopedSigpipeIgnore sigpipe;
+  w::ScopedSigpipeBlock sigpipe;
   std::vector<w::Worker> workers;
   std::vector<char> respawn;  // slot lost a worker: its next fork respawns
 };

@@ -62,16 +62,4 @@ std::uint64_t TapDriver::shiftDr(std::uint64_t bits, int count) {
   return out;
 }
 
-std::vector<bool> TapDriver::shiftDrWide(const std::vector<bool>& bits) {
-  toShiftDr();
-  std::vector<bool> out(bits.size(), false);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    const bool last = i + 1 == bits.size();
-    out[i] = tap_.clock(last, bits[i]);
-  }
-  clockTms(true);
-  clockTms(false);
-  return out;
-}
-
 }  // namespace corebist

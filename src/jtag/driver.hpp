@@ -9,7 +9,6 @@
 #define COREBIST_JTAG_DRIVER_HPP_
 
 #include <cstdint>
-#include <vector>
 
 #include "jtag/tap.hpp"
 
@@ -31,9 +30,6 @@ class TapDriver {
   /// Shift `bits` (LSB-first) through the selected data register; returns
   /// the bits that came out of TDO (LSB-first).
   std::uint64_t shiftDr(std::uint64_t bits, int count);
-
-  /// Wide DR shift for registers longer than 64 bits.
-  std::vector<bool> shiftDrWide(const std::vector<bool>& bits);
 
   [[nodiscard]] std::size_t tckCount() const noexcept {
     return tap_.tckCount();

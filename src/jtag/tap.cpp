@@ -5,44 +5,6 @@
 
 namespace corebist {
 
-std::string_view tapStateName(TapState s) {
-  switch (s) {
-    case TapState::kTestLogicReset:
-      return "Test-Logic-Reset";
-    case TapState::kRunTestIdle:
-      return "Run-Test/Idle";
-    case TapState::kSelectDrScan:
-      return "Select-DR-Scan";
-    case TapState::kCaptureDr:
-      return "Capture-DR";
-    case TapState::kShiftDr:
-      return "Shift-DR";
-    case TapState::kExit1Dr:
-      return "Exit1-DR";
-    case TapState::kPauseDr:
-      return "Pause-DR";
-    case TapState::kExit2Dr:
-      return "Exit2-DR";
-    case TapState::kUpdateDr:
-      return "Update-DR";
-    case TapState::kSelectIrScan:
-      return "Select-IR-Scan";
-    case TapState::kCaptureIr:
-      return "Capture-IR";
-    case TapState::kShiftIr:
-      return "Shift-IR";
-    case TapState::kExit1Ir:
-      return "Exit1-IR";
-    case TapState::kPauseIr:
-      return "Pause-IR";
-    case TapState::kExit2Ir:
-      return "Exit2-IR";
-    case TapState::kUpdateIr:
-      return "Update-IR";
-  }
-  return "?";
-}
-
 TapState tapNextState(TapState s, bool tms) {
   switch (s) {
     case TapState::kTestLogicReset:

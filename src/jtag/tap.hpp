@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string_view>
 #include <vector>
 
 namespace corebist {
@@ -33,7 +32,6 @@ enum class TapState : std::uint8_t {
   kUpdateIr,
 };
 
-[[nodiscard]] std::string_view tapStateName(TapState s);
 [[nodiscard]] TapState tapNextState(TapState s, bool tms);
 
 class TapController {

@@ -236,25 +236,4 @@ std::uint64_t packBitNodeOut(const BitNodeOut& out) {
   return w;
 }
 
-BitNodeOut unpackBitNodeOut(std::uint64_t bits) {
-  BitNodeOut out;
-  int at = 0;
-  auto take = [&bits, &at](int n) {
-    const std::uint64_t v = (bits >> at) & ((std::uint64_t{1} << n) - 1u);
-    at += n;
-    return static_cast<unsigned>(v);
-  };
-  out.bn_msg = sext(take(8), 8);
-  out.hard_bit = take(1);
-  out.soft_out = sext(take(12), 12);
-  out.out_edge = take(6);
-  out.out_vnode = take(10);
-  out.state_dbg = take(10);
-  out.flags = take(5);
-  out.valid_out = take(1);
-  out.ready = take(1);
-  out.parity_out = take(1);
-  return out;
-}
-
 }  // namespace corebist::ldpc

@@ -118,7 +118,6 @@ class BitNodeModel {
 [[nodiscard]] std::uint64_t packBitNodeIn(const BitNodeIn& in);
 [[nodiscard]] BitNodeIn unpackBitNodeIn(std::uint64_t bits);
 [[nodiscard]] std::uint64_t packBitNodeOut(const BitNodeOut& out);
-[[nodiscard]] BitNodeOut unpackBitNodeOut(std::uint64_t bits);
 
 }  // namespace corebist::ldpc
 

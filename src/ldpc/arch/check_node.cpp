@@ -307,26 +307,4 @@ std::uint64_t packCheckNodeOut(const CheckNodeOut& out) {
   return w;
 }
 
-CheckNodeOut unpackCheckNodeOut(std::uint64_t bits) {
-  CheckNodeOut out;
-  int at = 0;
-  auto take = [&bits, &at](int n) {
-    const std::uint64_t v = (bits >> at) & ((std::uint64_t{1} << n) - 1u);
-    at += n;
-    return static_cast<unsigned>(v);
-  };
-  out.cn_msg = sext(take(8), 8);
-  out.out_edge = take(6);
-  out.out_cnode = take(9);
-  out.parity_ok = take(1);
-  out.min1_dbg = take(8);
-  out.min2_dbg = take(8);
-  out.sign_dbg = take(1);
-  out.argmin_dbg = take(6);
-  out.flags = take(4);
-  out.valid_out = take(1);
-  out.ready = take(1);
-  return out;
-}
-
 }  // namespace corebist::ldpc

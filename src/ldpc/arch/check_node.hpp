@@ -137,7 +137,6 @@ class CheckNodeModel {
 [[nodiscard]] std::uint64_t packCheckNodeIn(const CheckNodeIn& in);
 [[nodiscard]] CheckNodeIn unpackCheckNodeIn(std::uint64_t bits);
 [[nodiscard]] std::uint64_t packCheckNodeOut(const CheckNodeOut& out);
-[[nodiscard]] CheckNodeOut unpackCheckNodeOut(std::uint64_t bits);
 
 }  // namespace corebist::ldpc
 

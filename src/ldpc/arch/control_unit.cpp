@@ -209,25 +209,4 @@ std::uint64_t packControlUnitOut(const ControlUnitOut& out) {
   return w;
 }
 
-ControlUnitOut unpackControlUnitOut(std::uint64_t bits) {
-  ControlUnitOut out;
-  int at = 0;
-  auto take = [&bits, &at](int n) {
-    const std::uint64_t v = (bits >> at) & ((std::uint64_t{1} << n) - 1u);
-    at += n;
-    return static_cast<unsigned>(v);
-  };
-  out.mem_addr_a = take(10);
-  out.mem_addr_b = take(10);
-  out.we_a = take(1);
-  out.we_b = take(1);
-  out.node_sel = take(7);
-  out.phase = take(2);
-  out.iter_cnt = take(5);
-  out.busy = take(1);
-  out.done = take(1);
-  out.stat_flag = take(6);
-  return out;
-}
-
 }  // namespace corebist::ldpc

@@ -86,7 +86,6 @@ class ControlUnitModel {
 [[nodiscard]] std::uint64_t packControlUnitIn(const ControlUnitIn& in);
 [[nodiscard]] ControlUnitIn unpackControlUnitIn(std::uint64_t bits);
 [[nodiscard]] std::uint64_t packControlUnitOut(const ControlUnitOut& out);
-[[nodiscard]] ControlUnitOut unpackControlUnitOut(std::uint64_t bits);
 
 }  // namespace corebist::ldpc
 

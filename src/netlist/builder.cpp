@@ -143,20 +143,6 @@ NetId Builder::reduceAnd(const Bus& a) {
   return cur.front();
 }
 
-NetId Builder::reduceOr(const Bus& a) {
-  if (a.empty()) return lo();
-  Bus cur = a;
-  while (cur.size() > 1) {
-    Bus next;
-    for (std::size_t i = 0; i + 1 < cur.size(); i += 2) {
-      next.push_back(or2(cur[i], cur[i + 1]));
-    }
-    if (cur.size() % 2 != 0) next.push_back(cur.back());
-    cur = std::move(next);
-  }
-  return cur.front();
-}
-
 NetId Builder::reduceXor(const Bus& a) {
   if (a.empty()) return lo();
   Bus cur = a;
@@ -203,24 +189,6 @@ Bus Builder::inc(const Bus& a) {
 }
 
 Bus Builder::neg(const Bus& a) { return inc(bwNot(a)); }
-
-Bus Builder::satAddSigned(const Bus& a, const Bus& b) {
-  requireSameWidth(a, b, "satAddSigned");
-  const std::size_t w = a.size();
-  const Bus raw = add(a, b);
-  // Overflow iff operands share sign and the result sign differs.
-  const NetId sa = a[w - 1];
-  const NetId sb = b[w - 1];
-  const NetId sr = raw[w - 1];
-  const NetId same = g2(GateType::kXnor, sa, sb);
-  const NetId ovf = and2(same, xor2(sa, sr));
-  // Saturation value: 0111..1 if positive overflow, 1000..0 if negative.
-  Bus satv;
-  satv.reserve(w);
-  for (std::size_t i = 0; i + 1 < w; ++i) satv.push_back(not1(sa));
-  satv.push_back(sa);
-  return mux(raw, satv, ovf);
-}
 
 Bus Builder::absSigned(const Bus& a) {
   const NetId sign = a.back();
@@ -287,24 +255,6 @@ Bus Builder::shiftConst(const Bus& a, int k) {
                                         : lo());
   }
   return out;
-}
-
-Bus Builder::rotateLeft(const Bus& a, const Bus& amount) {
-  if (!isPowerOfTwo(a.size())) {
-    throw std::invalid_argument("rotateLeft: width must be a power of two");
-  }
-  Bus cur = a;
-  const int w = static_cast<int>(a.size());
-  for (std::size_t s = 0; s < amount.size(); ++s) {
-    const int k = (1 << s) % w;
-    Bus rotated;
-    rotated.reserve(cur.size());
-    for (int i = 0; i < w; ++i) {
-      rotated.push_back(cur[static_cast<std::size_t>((i - k + w) % w)]);
-    }
-    cur = mux(cur, rotated, amount[s]);
-  }
-  return cur;
 }
 
 Bus Builder::decode(const Bus& a) {

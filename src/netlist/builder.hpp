@@ -65,7 +65,6 @@ class Builder {
   /// by sel (k bits).
   [[nodiscard]] Bus muxN(std::span<const Bus> inputs, const Bus& sel);
   [[nodiscard]] NetId reduceAnd(const Bus& a);
-  [[nodiscard]] NetId reduceOr(const Bus& a);
   [[nodiscard]] NetId reduceXor(const Bus& a);
 
   // -- Arithmetic (unsigned / two's complement) -----------------------------
@@ -76,8 +75,6 @@ class Builder {
   [[nodiscard]] Bus sub(const Bus& a, const Bus& b);
   [[nodiscard]] Bus inc(const Bus& a);
   [[nodiscard]] Bus neg(const Bus& a);
-  /// Two's-complement saturating add of equal-width signed words.
-  [[nodiscard]] Bus satAddSigned(const Bus& a, const Bus& b);
   /// |a| for two's-complement a (width preserved; INT_MIN saturates).
   [[nodiscard]] Bus absSigned(const Bus& a);
 
@@ -92,8 +89,6 @@ class Builder {
   // -- Shifts / selection ------------------------------------------------
   /// Logical shift by a constant (left if k>0), zero fill.
   [[nodiscard]] Bus shiftConst(const Bus& a, int k);
-  /// Rotate-left by variable amount (amount width log2(a.size())).
-  [[nodiscard]] Bus rotateLeft(const Bus& a, const Bus& amount);
   /// One-hot decode of a k-bit value into 2^k lines.
   [[nodiscard]] Bus decode(const Bus& a);
 

@@ -12,13 +12,6 @@ NetId Netlist::newNet() {
   return n;
 }
 
-std::vector<NetId> Netlist::newNets(int n) {
-  std::vector<NetId> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) out.push_back(newNet());
-  return out;
-}
-
 NetId Netlist::addGate(GateType type, std::span<const NetId> inputs) {
   const int arity = gateArity(type);
   if (static_cast<int>(inputs.size()) != arity) {
@@ -190,11 +183,6 @@ GateId Netlist::driverOf(NetId n) const {
 }
 
 bool Netlist::isStateNet(NetId n) const { return dff_of_q_.contains(n); }
-
-int Netlist::dffIndexOf(NetId n) const {
-  const auto it = dff_of_q_.find(n);
-  return it == dff_of_q_.end() ? -1 : it->second;
-}
 
 const ReaderCsr& Netlist::readerCsr() const {
   if (reader_csr_.offsets.empty() && num_nets_ > 0) {

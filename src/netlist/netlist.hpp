@@ -63,9 +63,6 @@ class Netlist {
   /// Create a fresh, undriven net.
   NetId newNet();
 
-  /// Create `n` fresh nets.
-  std::vector<NetId> newNets(int n);
-
   /// Add a gate; creates and returns its output net.
   NetId addGate(GateType type, std::span<const NetId> inputs);
   NetId addGate1(GateType type, NetId a);
@@ -145,8 +142,6 @@ class Netlist {
 
   /// True if `n` is the Q output of some flip-flop.
   [[nodiscard]] bool isStateNet(NetId n) const;
-  /// Index into dffs() for a state net, or -1.
-  [[nodiscard]] int dffIndexOf(NetId n) const;
 
   /// All (gate, pin) readers of every net, flattened to CSR. Built on
   /// demand, invalidated by structural edits. Not thread-safe to *build*:

@@ -1,6 +1,7 @@
 #include "p1500/wrapper.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace corebist {
 
@@ -27,28 +28,6 @@ void loadReg(std::vector<bool>& reg, std::uint64_t value) {
   }
 }
 }  // namespace
-
-std::string_view wirName(WirInstruction i) {
-  switch (i) {
-    case WirInstruction::kWsBypass:
-      return "WS_BYPASS";
-    case WirInstruction::kWsExtest:
-      return "WS_EXTEST";
-    case WirInstruction::kWsIntest:
-      return "WS_INTEST";
-    case WirInstruction::kWsCdr:
-      return "WS_CDR";
-    case WirInstruction::kWsDr:
-      return "WS_DR";
-    case WirInstruction::kWsChildSel:
-      return "WS_CHILD_SEL";
-    case WirInstruction::kWsChildWir:
-      return "WS_CHILD_WIR";
-    case WirInstruction::kWsChildDr:
-      return "WS_CHILD_DR";
-  }
-  return "?";
-}
 
 P1500Wrapper::P1500Wrapper(int wbr_bits, Hooks hooks)
     : hooks_(std::move(hooks)),

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "bist/control_unit.hpp"
@@ -41,8 +40,6 @@ enum class WirInstruction : std::uint8_t {
   kWsChildWir = 6,  // forward the scan to the selected child's WIR
   kWsChildDr = 7,   // forward the scan to the child's selected register
 };
-
-[[nodiscard]] std::string_view wirName(WirInstruction i);
 
 /// One WRCK cycle's worth of WSC control signals.
 struct WscSignals {

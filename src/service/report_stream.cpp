@@ -62,14 +62,10 @@ void WireReportStream::emit(StreamEventKind kind, const std::string& json) {
   const std::lock_guard<std::mutex> lock(frame_mu);
   if (dropped_) return;
   // A tenant that closed its reader must not fail (or stall) the campaign:
-  // SIGPIPE is ignored for the write, EPIPE latches the dropped state.
-  fsimwire::ScopedSigpipeIgnore guard;
+  // SIGPIPE is blocked on this thread for the write, EPIPE latches the
+  // dropped state.
+  fsimwire::ScopedSigpipeBlock guard;
   if (!fsimwire::writeAll(fd_, frame.data(), frame.size())) dropped_ = true;
-}
-
-bool WireReportStream::dropped() const {
-  const std::lock_guard<std::mutex> lock(frame_mu);
-  return dropped_;
 }
 
 void WireReportStream::onCampaignStart(int cores, int threads) {

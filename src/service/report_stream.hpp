@@ -58,7 +58,10 @@ inline constexpr std::uint32_t kReportStreamMagic = 0xC0B15703u;
 /// own the descriptor — the tenant opened it, the tenant closes it (after
 /// awaiting the campaign). Write errors (EPIPE: reader gone) latch the
 /// stream into a dropped state and are otherwise ignored: a tenant
-/// abandoning its stream must never fail the campaign.
+/// abandoning its stream must never fail the campaign. Each frame write
+/// blocks SIGPIPE on the writing thread only (fsimwire::ScopedSigpipeBlock),
+/// so it cannot unprotect a fork fleet's writes on another thread, nor
+/// they it.
 class WireReportStream final : public SessionObserver {
  public:
   WireReportStream(int fd, std::uint64_t campaign_id);
@@ -72,10 +75,6 @@ class WireReportStream final : public SessionObserver {
   void onCoreQuarantined(int core_index, int failures) override;
   void onCoreFinish(const CoreReport& report) override;
   void onCampaignFinish(const SessionReport& report) override;
-
-  /// True once a frame write failed (the reader closed its end); later
-  /// events are dropped silently.
-  [[nodiscard]] bool dropped() const;
 
  private:
   void emit(StreamEventKind kind, const std::string& json);

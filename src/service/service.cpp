@@ -203,19 +203,28 @@ CampaignHandle CampaignService::submit(const TestPlan& plan,
   // Start + placement events, outside mu_ (tenant code runs here) but
   // under the campaign's observer lock — the deterministic ascending
   // (TAM, channel) placement stream the one-shot scheduler always emitted.
-  c->observers.notify([&](SessionObserver& o) {
-    o.onCampaignStart(static_cast<int>(c->layout.entries.size()),
-                      c->layout.threads);
-    for (const ChannelUnit& unit : c->layout.units) {
-      o.onChannelPlaced(unit.tam, unit.channel,
-                        channelLoad(c->layout, unit).cores,
-                        unit.predicted_tcks);
-    }
-  });
+  // The campaign is registered and charged by now, so an observer that
+  // throws fails it here, as one that throws during a unit would: finalize
+  // releases the quota and await() rethrows.
+  std::exception_ptr observer_error;
+  try {
+    c->observers.notify([&](SessionObserver& o) {
+      o.onCampaignStart(static_cast<int>(c->layout.entries.size()),
+                        c->layout.threads);
+      for (const ChannelUnit& unit : c->layout.units) {
+        o.onChannelPlaced(unit.tam, unit.channel,
+                          channelLoad(c->layout, unit).cores,
+                          unit.predicted_tcks);
+      }
+    });
+  } catch (...) {
+    observer_error = std::current_exception();
+  }
   c->t0 = std::chrono::steady_clock::now();
 
   lock.lock();
-  if (c->layout.units.empty()) {
+  c->error = observer_error;
+  if (c->error != nullptr || c->layout.units.empty()) {
     finalize(lock, *c);
   } else {
     for (std::size_t u = 0; u < c->layout.units.size(); ++u) {

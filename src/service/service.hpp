@@ -34,8 +34,8 @@
 // multi-tenant interleaving (pinned by tests/service_test.cpp).
 //
 // Observer lifecycle (the checked-registration contract): callbacks for a
-// campaign fire only between submit() returning and its terminal state
-// being published. finalize clears the campaign's ObserverList BEFORE the
+// campaign fire only inside submit() (the start and placement events) and
+// between submit() returning and its terminal state being published. finalize clears the campaign's ObserverList BEFORE the
 // terminal state becomes visible, so once await()/drain() returns, no
 // further callback can touch the caller's observer — it may be destroyed
 // immediately.
@@ -183,7 +183,9 @@ class CampaignService {
   /// std::invalid_argument (same rejections as the one-shot scheduler);
   /// quota violations throw AdmissionError. On return the campaign is
   /// registered, its tenant charged, its start/placement events delivered,
-  /// and its units queued to the reactor.
+  /// and its units queued to the reactor. An observer that throws from a
+  /// start or placement event does not make submit() throw: the campaign
+  /// fails (kFailed, its quota released) and await() rethrows.
   CampaignHandle submit(const TestPlan& plan, const SubmitOptions& opts = {});
 
   /// Block until `h` reaches a terminal state. kDone returns the report;

@@ -29,19 +29,4 @@ double ToggleMonitor::toggleActivity() const {
   return static_cast<double>(toggled) / static_cast<double>(prev_.size());
 }
 
-double ToggleMonitor::anyChangeActivity() const {
-  if (prev_.empty()) return 0.0;
-  std::size_t changed = 0;
-  for (std::size_t n = 0; n < prev_.size(); ++n) {
-    if ((rose_[n] | fell_[n]) != 0) ++changed;
-  }
-  return static_cast<double>(changed) / static_cast<double>(prev_.size());
-}
-
-void ToggleMonitor::clear() {
-  std::fill(rose_.begin(), rose_.end(), 0);
-  std::fill(fell_.begin(), fell_.end(), 0);
-  primed_ = false;
-}
-
 }  // namespace corebist

@@ -2,9 +2,8 @@
 //
 // The paper's first evaluation step measures, next to statement coverage,
 // the "percent number of variables toggled by the patterns". Here the
-// equivalent structural metric is the fraction of nets that change value at
-// least once (and, more strictly, see both a rising and a falling edge)
-// while a pattern sequence runs.
+// equivalent structural metric is the fraction of nets that see both a
+// rising and a falling edge while a pattern sequence runs.
 #ifndef COREBIST_SIM_TOGGLE_HPP_
 #define COREBIST_SIM_TOGGLE_HPP_
 
@@ -28,10 +27,6 @@ class ToggleMonitor {
 
   /// Fraction of nets that saw both a 0->1 and a 1->0 edge, in [0,1].
   [[nodiscard]] double toggleActivity() const;
-  /// Fraction of nets whose value changed at least once.
-  [[nodiscard]] double anyChangeActivity() const;
-
-  void clear();
 
  private:
   std::vector<std::uint64_t> prev_;

@@ -1,7 +1,5 @@
 #include "synth/area.hpp"
 
-#include <sstream>
-
 namespace corebist {
 
 AreaReport reportArea(const Netlist& nl, const TechLib& lib, bool scan_flops) {
@@ -16,14 +14,6 @@ AreaReport reportArea(const Netlist& nl, const TechLib& lib, bool scan_flops) {
   r.seq_um2 = static_cast<double>(r.flop_count) * ff.area_um2;
   r.total_um2 = (r.comb_um2 + r.seq_um2) * lib.wiringOverhead();
   return r;
-}
-
-std::string formatAreaReport(const AreaReport& r, const std::string& title) {
-  std::ostringstream os;
-  os << title << ": " << r.gate_count << " gates, " << r.flop_count
-     << " flops, comb " << r.comb_um2 << " um^2, seq " << r.seq_um2
-     << " um^2, total " << r.total_um2 << " um^2";
-  return os.str();
 }
 
 }  // namespace corebist

@@ -3,7 +3,6 @@
 #define COREBIST_SYNTH_AREA_HPP_
 
 #include <array>
-#include <string>
 
 #include "netlist/netlist.hpp"
 #include "synth/techlib.hpp"
@@ -23,10 +22,6 @@ struct AreaReport {
 /// costed as its muxed-D scan variant.
 [[nodiscard]] AreaReport reportArea(const Netlist& nl, const TechLib& lib,
                                     bool scan_flops = false);
-
-/// One line per gate type plus totals, human readable.
-[[nodiscard]] std::string formatAreaReport(const AreaReport& r,
-                                           const std::string& title);
 
 }  // namespace corebist
 

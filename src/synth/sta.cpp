@@ -1,7 +1,6 @@
 #include "synth/sta.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "netlist/levelize.hpp"
 
@@ -56,15 +55,6 @@ TimingReport analyzeTiming(const Netlist& nl, const TechLib& lib,
   }
   if (r.critical_path_ns > 0.0) r.fmax_mhz = 1000.0 / r.critical_path_ns;
   return r;
-}
-
-std::string formatTimingReport(const TimingReport& r,
-                               const std::string& title) {
-  std::ostringstream os;
-  os << title << ": period " << r.critical_path_ns << " ns, fmax "
-     << r.fmax_mhz << " MHz, depth " << r.logic_depth << " ("
-     << (r.endpoint_is_flop ? "reg" : "po") << " endpoint)";
-  return os.str();
 }
 
 }  // namespace corebist

@@ -9,7 +9,6 @@
 #ifndef COREBIST_SYNTH_STA_HPP_
 #define COREBIST_SYNTH_STA_HPP_
 
-#include <string>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -31,9 +30,6 @@ struct TimingReport {
 [[nodiscard]] TimingReport analyzeTiming(const Netlist& nl,
                                          const TechLib& lib,
                                          bool scan_flops = false);
-
-[[nodiscard]] std::string formatTimingReport(const TimingReport& r,
-                                             const std::string& title);
 
 }  // namespace corebist
 

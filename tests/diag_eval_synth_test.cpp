@@ -57,7 +57,7 @@ TEST(Diagnosis, WindowSyndromesSeparateFaults) {
   SeqFaultSim fsim(nl);
   std::vector<std::uint64_t> stim(256, 1);
   for (std::size_t c = 3; c < stim.size(); c += 5) stim[c] = 0;
-  SeqFsimOptions o;
+  FaultSimOptions o;
   o.cycles = 256;
   o.windows = 32;
   const auto r = fsim.run(u.faults, stim, o);
@@ -73,7 +73,7 @@ TEST(Diagnosis, SignatureSyndromesAreFinerThanWindowMasks) {
   const int m = engine.attachModule(nl);
   const auto stim = engine.stimulus(m, 512);
   SeqFaultSim fsim(nl);
-  SeqFsimOptions o;
+  FaultSimOptions o;
   o.cycles = 512;
   o.windows = 32;
   o.misr = makeMisrSpec(nl.primaryOutputs(), 16);

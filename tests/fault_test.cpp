@@ -276,20 +276,20 @@ TEST(SeqFaultSim, MatchesOneFaultAtATimeReference) {
     std::vector<std::uint64_t> stim(cycles);
     for (auto& w : stim) w = rng();
 
-    SeqFsimOptions opts;
+    FaultSimOptions opts;
     opts.cycles = cycles;
     opts.prepass_cycles = 0;
     opts.drop_detected = false;
     opts.windows = windows;
     opts.misr = makeMisrSpec(nl.primaryOutputs(), 8);
     SeqFaultSim fsim(nl);
-    const SeqFsimResult r = fsim.run(faults, stim, opts);
+    const FaultSimResult r = fsim.run(faults, stim, opts);
     ASSERT_EQ(r.sig_words_per_fault, 1);
 
-    SeqFsimOptions ladder;
+    FaultSimOptions ladder;
     ladder.cycles = cycles;
     ladder.prepass_cycles = 16;
-    const SeqFsimResult rl = fsim.run(faults, stim, ladder);
+    const FaultSimResult rl = fsim.run(faults, stim, ladder);
 
     for (std::size_t i = 0; i < faults.size(); ++i) {
       const SeqReference ref =
@@ -364,10 +364,10 @@ TEST(SeqFaultSim, DetectsCounterFaults) {
   // are exercised too.
   std::vector<std::uint64_t> stim(96, 1);
   for (std::size_t c = 5; c < stim.size(); c += 7) stim[c] = 0;
-  SeqFsimOptions opts;
+  FaultSimOptions opts;
   opts.cycles = 96;
   opts.prepass_cycles = 0;
-  const SeqFsimResult r = fsim.run(u.faults, stim, opts);
+  const FaultSimResult r = fsim.run(u.faults, stim, opts);
   // A handful of faults around the tied-off clear path are structurally
   // untestable, so ~90 % is the ceiling here.
   EXPECT_GT(r.coverage(), 85.0);
@@ -381,10 +381,10 @@ TEST(SeqFaultSim, PrepassAndFullRunAgree) {
   std::mt19937_64 rng(5);
   std::vector<std::uint64_t> stim(256);
   for (auto& w : stim) w = rng() & 1u;
-  SeqFsimOptions with_prepass;
+  FaultSimOptions with_prepass;
   with_prepass.cycles = 256;
   with_prepass.prepass_cycles = 32;
-  SeqFsimOptions without;
+  FaultSimOptions without;
   without.cycles = 256;
   without.prepass_cycles = 0;
   const auto r1 = fsim.run(u.faults, stim, with_prepass);
@@ -402,7 +402,7 @@ TEST(SeqFaultSim, StuckEnableNeverCounts) {
   const Fault f{nl.primaryInputs()[0], Fault::kNoGate, 0, FaultKind::kSa0};
   SeqFaultSim fsim(nl);
   std::vector<std::uint64_t> stim(16, 1);
-  SeqFsimOptions opts;
+  FaultSimOptions opts;
   opts.cycles = 16;
   opts.prepass_cycles = 0;
   const auto r = fsim.run(std::span<const Fault>(&f, 1), stim, opts);
@@ -418,7 +418,7 @@ TEST(SeqFaultSim, TransitionFaultSlowerThanStuck) {
   const auto tdf = toTransitionFaults(u.faults);
   SeqFaultSim fsim(nl);
   std::vector<std::uint64_t> stim(128, 1);
-  SeqFsimOptions opts;
+  FaultSimOptions opts;
   opts.cycles = 128;
   opts.prepass_cycles = 0;
   const auto rs = fsim.run(u.faults, stim, opts);
@@ -434,7 +434,7 @@ TEST(SeqFaultSim, WindowMaskMarksDetectionWindows) {
   const Fault f{nl.primaryInputs()[0], Fault::kNoGate, 0, FaultKind::kSa0};
   SeqFaultSim fsim(nl);
   std::vector<std::uint64_t> stim(64, 1);
-  SeqFsimOptions opts;
+  FaultSimOptions opts;
   opts.cycles = 64;
   opts.windows = 8;
   const auto r = fsim.run(std::span<const Fault>(&f, 1), stim, opts);
@@ -448,7 +448,7 @@ TEST(SeqFaultSim, MisrDetectionTracksOutputDetection) {
   const FaultUniverse u = enumerateStuckAt(nl);
   SeqFaultSim fsim(nl);
   std::vector<std::uint64_t> stim(128, 1);
-  SeqFsimOptions opts;
+  FaultSimOptions opts;
   opts.cycles = 128;
   opts.prepass_cycles = 0;
   MisrSpec misr;
@@ -480,7 +480,7 @@ TEST(FaultSimOptions, MoreThan64WindowsThrowOnEveryEngine) {
   const FaultUniverse seq_u = enumerateStuckAt(seq_nl);
   SeqFaultSim seq(seq_nl);
   std::vector<std::uint64_t> stim(128, 1);
-  SeqFsimOptions seq_opts;
+  FaultSimOptions seq_opts;
   seq_opts.cycles = 128;
 
   const Netlist comb_nl = makeSmallComb();

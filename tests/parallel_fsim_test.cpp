@@ -38,12 +38,12 @@ TEST_P(ParallelEquivalence, SeqShardsMatchSerialByteForByte) {
   const CyclePatternSource patterns(stim, nl.primaryInputs().size());
 
   for (const bool drop : {true, false}) {
-    SeqFsimOptions opts;
+    FaultSimOptions opts;
     opts.cycles = static_cast<int>(stim.size());
     opts.prepass_cycles = 32;
     opts.drop_detected = drop;
     const SeqFaultSim serial(nl);
-    const SeqFsimResult ref = serial.run(u.faults, stim, opts);
+    const FaultSimResult ref = serial.run(u.faults, stim, opts);
 
     for (const int threads : {1, 4, 8}) {
       ParallelFsimOptions popts;
@@ -101,12 +101,12 @@ TEST_P(ParallelEquivalence, WindowedMisrRecordsMatchSerial) {
     misr.feeds[i % 12].push_back(pos[i]);
   }
 
-  SeqFsimOptions opts;
+  FaultSimOptions opts;
   opts.cycles = 128;
   opts.windows = 16;
   opts.misr = misr;
   const SeqFaultSim serial(nl);
-  const SeqFsimResult ref = serial.run(u.faults, stim, opts);
+  const FaultSimResult ref = serial.run(u.faults, stim, opts);
 
   ParallelFsimOptions popts;
   popts.num_threads = 4;

@@ -9,25 +9,30 @@
 // writes must surface as structured ProcessFsimError (or be absorbed) with
 // every child reaped (no hang, no zombies), and the backend factory: every
 // backend at every lane width equals serial, on random netlists and the
-// LDPC full-scan views, and the parse/name round-trip. The wire itself:
-// every reply shape round-trips within its exact bound, replies past the
-// bound and overlong engine errors are refused or cut, and fixed-seed
+// LDPC full-scan views, and an unsupported lane width throws. The wire
+// itself: every reply shape round-trips within its exact bound, replies
+// past the bound and overlong engine errors are refused or cut, fixed-seed
 // mutants of request and reply payloads never make a parser read out of
-// bounds or allocate past the bytes. Unknown fault kinds are engine errors
-// on every engine and executor.
+// bounds or allocate past the bytes, and SIGPIPE guards on two threads
+// never unprotect each other. Unknown fault kinds are engine errors on
+// every engine and executor.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <memory>
 #include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -184,12 +189,12 @@ TEST_P(ProcessEquivalence, SeqWindowedMisrMatchesSerial) {
     misr.feeds[i % 12].push_back(pos[i]);
   }
 
-  SeqFsimOptions opts;
+  FaultSimOptions opts;
   opts.cycles = 128;
   opts.windows = 16;
   opts.misr = misr;
   const SeqFaultSim serial(nl);
-  const SeqFsimResult ref = serial.run(u.faults, stim, opts);
+  const FaultSimResult ref = serial.run(u.faults, stim, opts);
 
   for (const int workers : {2, 4}) {
     FsimBackendOptions popts = failFastFork();
@@ -720,15 +725,7 @@ TEST(ProcessFsimBackend, FactoryWrapsEveryBackendOverEveryLaneWidth) {
   EXPECT_TRUE(noZombies());
 }
 
-TEST(ProcessFsimBackend, NamesParseAndRoundTrip) {
-  for (const FsimBackend b : {FsimBackend::kSerial, FsimBackend::kThreaded,
-                              FsimBackend::kResilient}) {
-    EXPECT_EQ(parseFsimBackend(fsimBackendName(b)), b);
-  }
-  EXPECT_THROW((void)parseFsimBackend("gpu"), std::invalid_argument);
-  // The fail-fast fork executor is a kResilient policy, not a backend.
-  EXPECT_THROW((void)parseFsimBackend("process"), std::invalid_argument);
-  EXPECT_THROW((void)parseFsimBackend(""), std::invalid_argument);
+TEST(ProcessFsimBackend, UnsupportedLaneWidthThrows) {
   EXPECT_THROW((void)makeCombFaultSim(randomComb(1, 6, 10), {}, {},
                                       FsimBackendOptions{.lane_words = 3}),
                std::invalid_argument);
@@ -938,6 +935,64 @@ TEST(ProcessWire, MutatedPayloadsNeverOverreadOrOverallocate) {
     wire::serializeResult(frame, 7, r);
     ASSERT_NO_FATAL_FAILURE(mutateReply(payloadOf(frame), 40, o, rng));
   }
+}
+
+/// A child's body: `writes` writes to a pipe whose reader is closed, each
+/// under its own guard, while a second thread opens and closes guards in a
+/// loop. Exits 0 when every write failed with EPIPE.
+[[noreturn]] void runGuardedWrites(int writes) {
+  int fds[2];
+  if (::pipe(fds) != 0) _exit(2);
+  ::close(fds[0]);
+  std::atomic<bool> done{false};
+  std::thread churn([&done] {
+    while (!done.load(std::memory_order_relaxed)) {
+      const wire::ScopedSigpipeBlock guard;
+    }
+  });
+  const char byte = 0;
+  int epipe = 0;
+  for (int i = 0; i < writes; ++i) {
+    const wire::ScopedSigpipeBlock guard;
+    if (::write(fds[1], &byte, 1) < 0 && errno == EPIPE) ++epipe;
+  }
+  done.store(true, std::memory_order_relaxed);
+  churn.join();
+  _exit(epipe == writes ? 0 : 3);
+}
+
+TEST(ProcessWire, SigpipeGuardsOnTwoThreadsNeverUnprotectEachOther) {
+  // A guard that saved and restored the process-wide disposition could
+  // restore SIG_DFL in the middle of the writer's scope, and SIGPIPE would
+  // kill the process; so each trial runs in a forked child, whose death by
+  // signal is the failure. Children run two at a time, so that each one's
+  // threads mostly run in parallel: with guards that share the
+  // disposition, about half the children die.
+  constexpr int kChildren = 10;
+  constexpr int kAtOnce = 2;
+  constexpr int kWrites = 200'000;
+  int killed = 0;
+  for (int c = 0; c < kChildren; c += kAtOnce) {
+    std::vector<pid_t> children;
+    for (int k = 0; k < kAtOnce; ++k) {
+      const pid_t pid = ::fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) runGuardedWrites(kWrites);
+      children.push_back(pid);
+    }
+    for (const pid_t pid : children) {
+      int status = 0;
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+      if (WIFSIGNALED(status)) {
+        ++killed;
+        EXPECT_EQ(WTERMSIG(status), SIGPIPE);
+      } else {
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "wait status " << status;
+      }
+    }
+  }
+  EXPECT_EQ(killed, 0) << "of " << kChildren << " children";
 }
 
 }  // namespace

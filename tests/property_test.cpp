@@ -38,7 +38,7 @@ TEST_P(RandomCircuitProperty, CombAndSeqFaultSimAgreeOnCombCircuits) {
 
   // Sequential run.
   SeqFaultSim sfsim(nl);
-  SeqFsimOptions so;
+  FaultSimOptions so;
   so.cycles = cycles;
   so.prepass_cycles = 0;
   const auto seq = sfsim.run(u.faults, stim, so);

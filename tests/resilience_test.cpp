@@ -5,10 +5,13 @@
 // the scheduler's channel-retry / quarantine policy: a persistently failing
 // core is excluded with CoreVerdict::kQuarantined while every other core's
 // report slice stays field-identical to a healthy run, and a transient
-// channel failure is invisible in the campaign fingerprint.
+// channel failure is invisible in the campaign fingerprint. A service
+// campaign whose tenant abandoned its report stream survives the stream's
+// failed writes beside fork fleets and keeps its fingerprint.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -29,6 +32,7 @@
 #include "fault/fault.hpp"
 #include "fault/sharded_fsim.hpp"
 #include "fixtures.hpp"
+#include "service/service.hpp"
 
 namespace corebist {
 namespace {
@@ -517,6 +521,36 @@ TEST_F(Resilience, CoverageOnTheResilientBackendMatchesSerial) {
       FsimBackend::kResilient, /*workers=*/2);
   const SessionReport report = SocTestScheduler(*soc).run(plan);
   EXPECT_EQ(report.fingerprint(), serial_fp);
+  EXPECT_TRUE(noZombies());
+}
+
+TEST_F(Resilience, AbandonedStreamNeverFailsItsCampaign) {
+  // The tenant closes its stream's reader before submitting, so the
+  // stream's writes hit EPIPE while kResilient coverage probes run fork
+  // fleets on both service workers. Neither may let SIGPIPE kill the
+  // process, and the campaign ends as if it had no stream.
+  const TestPlan plan =
+      fixtures::makeMixedPlan().withCoverageTarget(30.0).withCoverageBackend(
+          FsimBackend::kResilient, /*workers=*/2);
+  const CampaignServiceConfig cfg{.workers = 2};
+  std::string reference;
+  {
+    auto soc = fixtures::makeToySoc("resilience_soc");
+    CampaignService service(*soc, cfg);
+    reference = service.await(service.submit(plan)).fingerprint();
+  }
+  EXPECT_NE(reference.find("coverage"), std::string::npos);
+
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ::close(fds[0]);
+  auto soc = fixtures::makeToySoc("resilience_soc");
+  CampaignService service(*soc, cfg);
+  SubmitOptions opts;
+  opts.stream_fd = fds[1];
+  const SessionReport report = service.await(service.submit(plan, opts));
+  ::close(fds[1]);
+  EXPECT_EQ(report.fingerprint(), reference);
   EXPECT_TRUE(noZombies());
 }
 

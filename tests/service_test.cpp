@@ -5,11 +5,12 @@
 // reactor; observer detach on completion; streamed wire frames that
 // reconstruct the report, carry the same events as the tenant's observer,
 // and never shear when campaigns share one descriptor; await() releasing
-// every campaign record; and a multi-tenant soak that leaks neither
-// threads nor campaigns. Runs under TSan in CI (no fork in this file) and
-// under the chaos matrix (channel failpoints within the retry budget are
-// fingerprint-invisible by design). One opt-in timing case checks that the
-// resident service beats one-shot campaigns.
+// every campaign record; an observer throwing from a start or placement
+// event failing only its own campaign; and a multi-tenant soak that leaks
+// neither threads nor campaigns. Runs under TSan in CI (no fork in this
+// file) and under the chaos matrix (channel failpoints within the retry
+// budget are fingerprint-invisible by design). One opt-in timing case
+// checks that the resident service beats one-shot campaigns.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -39,39 +40,9 @@
 namespace corebist {
 namespace {
 
-using fixtures::makeToyModule;
+using fixtures::makeMixedPlan;
 
-/// A 6-core SoC: cores 1 and 4 defective, the rest healthy.
-std::unique_ptr<Soc> makeSoc() {
-  auto soc = std::make_unique<Soc>("service_soc");
-  for (int c = 0; c < 6; ++c) {
-    auto core = std::make_unique<WrappedCore>("toy" + std::to_string(c));
-    core->addModule(makeToyModule(c));
-    soc->attachCore(std::move(core));
-  }
-  soc->core(1).injectDefect(0, 3, GateType::kXnor);
-  soc->core(4).injectDefect(0, 5, GateType::kNand);
-  return soc;
-}
-
-/// Mixed campaign: pass, mismatch, forced timeout, retried timeout.
-TestPlan makeMixedPlan() {
-  TestPlan plan = TestPlan{}.withPatterns(300);
-  plan.addCore(0).addCore(1);
-  plan.addCore(CorePlan{.core_index = 2,
-                        .patterns = 500,
-                        .warmup_idle = 16,
-                        .poll_budget = 3,
-                        .poll_idle = 8});
-  plan.addCore(3).addCore(4);
-  plan.addCore(CorePlan{.core_index = 5,
-                        .patterns = 500,
-                        .warmup_idle = 16,
-                        .poll_budget = 2,
-                        .poll_idle = 8,
-                        .max_retries = 2});
-  return plan;
-}
+std::unique_ptr<Soc> makeSoc() { return fixtures::makeToySoc("service_soc"); }
 
 TestPlan makeSubsetPlan(std::vector<int> cores) {
   TestPlan plan = TestPlan{}.withPatterns(200);
@@ -601,6 +572,78 @@ TEST(CampaignService, AwaitReleasesTheRecordOfEveryOutcome) {
     EXPECT_THROW((void)service.status(h), std::out_of_range);
     EXPECT_THROW((void)service.cancel(h), std::out_of_range);
     EXPECT_THROW((void)service.await(h), std::out_of_range);
+  }
+}
+
+/// Throws from the start event, or from every placement event.
+class RefusingObserver final : public SessionObserver {
+ public:
+  explicit RefusingObserver(bool at_placement) : at_placement_(at_placement) {}
+  void onCampaignStart(int, int) override {
+    if (!at_placement_) throw std::runtime_error("start refused");
+  }
+  void onChannelPlaced(int, int, const std::vector<int>&,
+                       std::size_t) override {
+    if (at_placement_) throw std::runtime_error("placement refused");
+  }
+
+ private:
+  bool at_placement_;
+};
+
+/// Polls status() until `h` is terminal; false once `limit` has passed, so
+/// a campaign that never finishes fails the test instead of hanging it.
+bool terminalWithin(const CampaignService& service, CampaignHandle h,
+                    std::chrono::seconds limit) {
+  const auto until = std::chrono::steady_clock::now() + limit;
+  for (;;) {
+    const CampaignState s = service.status(h).state;
+    if (s != CampaignState::kQueued && s != CampaignState::kRunning) {
+      return true;
+    }
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
+TEST(CampaignService, ThrowingStartOrPlacementObserverFailsItsCampaign) {
+  // submit() has registered the campaign and charged its tenant by the time
+  // the start and placement events run. An observer that throws there must
+  // still leave a terminal campaign and a released quota; otherwise the
+  // tenant's next submit is refused and drain() never returns.
+  const TestPlan plan = makeSubsetPlan({0, 3});
+  const std::string reference = referenceFingerprint(plan);
+  for (const bool at_placement : {false, true}) {
+    SCOPED_TRACE(at_placement ? "onChannelPlaced" : "onCampaignStart");
+    auto soc = makeSoc();
+    CampaignServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.default_quota = TenantQuota{.max_in_flight = 1};
+    CampaignService service(*soc, cfg);
+
+    RefusingObserver refusing(at_placement);
+    SubmitOptions opts;
+    opts.tenant = "t";
+    opts.observer = &refusing;
+    CampaignHandle failed;
+    ASSERT_NO_THROW(failed = service.submit(plan, opts));
+    ASSERT_TRUE(terminalWithin(service, failed, std::chrono::seconds(10)));
+    EXPECT_EQ(service.status(failed).state, CampaignState::kFailed);
+    try {
+      (void)service.await(failed);
+      ADD_FAILURE() << "await() did not rethrow the observer's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(),
+                   at_placement ? "placement refused" : "start refused");
+    }
+
+    SubmitOptions next;
+    next.tenant = "t";
+    CampaignHandle ok;
+    ASSERT_NO_THROW(ok = service.submit(plan, next));
+    ASSERT_TRUE(terminalWithin(service, ok, std::chrono::seconds(10)));
+    service.drain();
+    EXPECT_EQ(service.await(ok).fingerprint(), reference);
   }
 }
 

@@ -17,41 +17,10 @@
 namespace corebist {
 namespace {
 
+using fixtures::makeMixedPlan;
 using fixtures::makeToyModule;
 
-/// A 6-core SoC: cores 1 and 4 defective, the rest healthy.
-std::unique_ptr<Soc> makeSoc() {
-  auto soc = std::make_unique<Soc>("shard_soc");
-  for (int c = 0; c < 6; ++c) {
-    auto core = std::make_unique<WrappedCore>("toy" + std::to_string(c));
-    core->addModule(makeToyModule(c));
-    soc->attachCore(std::move(core));
-  }
-  soc->core(1).injectDefect(0, 3, GateType::kXnor);
-  soc->core(4).injectDefect(0, 5, GateType::kNand);
-  return soc;
-}
-
-/// Mixed campaign: defaults for most cores, a forced timeout on core 2 (the
-/// poll budget ends long before 500 at-speed cycles have been delivered)
-/// and a retried forced timeout on core 5.
-TestPlan makeMixedPlan() {
-  TestPlan plan = TestPlan{}.withPatterns(300);
-  plan.addCore(0).addCore(1);
-  plan.addCore(CorePlan{.core_index = 2,
-                        .patterns = 500,
-                        .warmup_idle = 16,
-                        .poll_budget = 3,
-                        .poll_idle = 8});
-  plan.addCore(3).addCore(4);
-  plan.addCore(CorePlan{.core_index = 5,
-                        .patterns = 500,
-                        .warmup_idle = 16,
-                        .poll_budget = 2,
-                        .poll_idle = 8,
-                        .max_retries = 2});
-  return plan;
-}
+std::unique_ptr<Soc> makeSoc() { return fixtures::makeToySoc("shard_soc"); }
 
 TEST(SocScheduler, ShardedReportsAreByteIdenticalToSerial) {
   // The acceptance property: for ANY thread count, with and without
