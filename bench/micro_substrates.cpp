@@ -1,10 +1,11 @@
 // google-benchmark micro-benchmarks of the substrates: logic simulation,
-// fault simulation, ALFSR/MISR stepping, and the protocol stack.
+// fault simulation, PODEM, ALFSR/MISR stepping, and the protocol stack.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
+#include "atpg/podem.hpp"
 #include "bist/engine.hpp"
 #include "bist/lfsr.hpp"
 #include "bist/misr.hpp"
@@ -106,6 +107,30 @@ BENCHMARK(BM_CombFaultSimLanes)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// PODEM on a full-scan view: BIT_NODE_scan (range 0) or CONTROL_UNIT_scan
+// with chains 14/28 (range 1), one Podem over every 7th stuck-at fault at
+// backtrack limit 24, unguided. items_per_second counts targets.
+void BM_PodemGenerate(benchmark::State& state) {
+  const bool cu = state.range(0) != 0;
+  const std::vector<int> chains =
+      cu ? std::vector<int>{14, 28} : std::vector<int>{};
+  const Netlist scanned = buildScannedModule(
+      cu ? ldpc::buildControlUnit() : ldpc::buildBitNode(), chains);
+  const ScanView view = makeScanView(scanned, chains);
+  const FaultUniverse u = enumerateStuckAt(scanned);
+  Podem podem(scanned, view.inputs, view.observed, 24);
+  std::size_t targets = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < u.faults.size(); i += 7) {
+      benchmark::DoNotOptimize(podem.generate(u.faults[i]));
+      ++targets;
+    }
+  }
+  state.SetLabel(cu ? "CONTROL_UNIT_scan" : "BIT_NODE_scan");
+  state.SetItemsProcessed(static_cast<std::int64_t>(targets));
+}
+BENCHMARK(BM_PodemGenerate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_AlfsrStep(benchmark::State& state) {
   Alfsr lfsr(20, 0xACE1);

@@ -68,28 +68,49 @@ PatternBlock losSuccessor(const PatternBlock& v1, const ScanView& view,
   return v2;
 }
 
-/// One grading campaign over every fault not yet detected: `capture` (with
-/// `launch` as the v1 stream of a pair campaign) against the survivors.
-/// Row k of the result belongs to fault `live_idx[k]`.
-FaultSimResult gradeSurvivors(FaultSim& grader, std::span<const Fault> faults,
-                              const std::vector<char>& detected,
-                              const PatternSource& capture,
-                              const PatternSource* launch,
-                              std::vector<std::size_t>& live_idx) {
-  std::vector<Fault> live;
-  live_idx.clear();
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (detected[i] == 0) {
-      live.push_back(faults[i]);
-      live_idx.push_back(i);
-    }
+/// The faults not yet detected, in fault order: row k of a campaign over
+/// `faults` is fault `idx[k]`. drop() compacts them in place after each
+/// campaign, so grading costs O(live), not O(all faults).
+struct Survivors {
+  std::vector<Fault> faults;
+  std::vector<std::size_t> idx;
+  std::vector<char> detected;  // per fault of the full list
+
+  explicit Survivors(std::span<const Fault> all)
+      : faults(all.begin(), all.end()), idx(all.size()), detected(all.size()) {
+    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   }
-  FaultSimOptions fopts;
-  fopts.cycles = capture.patternCount();
-  fopts.prepass_cycles = 0;
-  fopts.launch = launch;
-  return grader.run(live, capture, fopts);
-}
+
+  /// `capture` (`launch`: a pair campaign's v1 stream) on the survivors.
+  FaultSimResult grade(FaultSim& grader, const PatternSource& capture,
+                       const PatternSource* launch) const {
+    FaultSimOptions fopts;
+    fopts.cycles = capture.patternCount();
+    fopts.prepass_cycles = 0;
+    fopts.launch = launch;
+    return grader.run(faults, capture, fopts);
+  }
+
+  /// Mark detected and drop every row of `rr` that first detects before
+  /// pattern `cut`. Returns the latest such first detection, or -1.
+  std::int32_t drop(const FaultSimResult& rr, std::int32_t cut) {
+    std::int32_t last = -1;
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      const std::int32_t fd = rr.first_detect[k];
+      if (fd >= 0 && fd < cut) {
+        detected[idx[k]] = 1;
+        last = std::max(last, fd);
+      } else {
+        faults[kept] = faults[k];
+        idx[kept++] = idx[k];
+      }
+    }
+    faults.resize(kept);
+    idx.resize(kept);
+    return last;
+  }
+};
 
 struct RandomPhase {
   std::size_t patterns = 0;  // applied, up to the stall cut
@@ -107,8 +128,7 @@ struct RandomPhase {
 /// a block-at-a-time loop at any batch size, lane width and grading
 /// backend. Detections past the cut are discarded.
 template <class AppendBlock>
-RandomPhase gradeRandomBlocks(FaultSim& grader, std::span<const Fault> faults,
-                              std::vector<char>& detected,
+RandomPhase gradeRandomBlocks(FaultSim& grader, Survivors& live,
                               VectorPatternSource& capture,
                               VectorPatternSource* launch, int total_blocks,
                               int stall_limit, int batch_patterns,
@@ -119,18 +139,15 @@ RandomPhase gradeRandomBlocks(FaultSim& grader, std::span<const Fault> faults,
   }
   const int blocks_per_batch = std::max(1, (batch_patterns + 63) / 64);
   RandomPhase phase;
-  auto live = std::count(detected.begin(), detected.end(), 0);
   int stall = 0;
-  std::vector<std::size_t> live_idx;
   std::vector<char> block_yield;
-  for (int blk = 0; blk < total_blocks && live > 0;) {
+  for (int blk = 0; blk < total_blocks && !live.idx.empty();) {
     capture.clear();
     if (launch != nullptr) launch->clear();
     for (int b = 0; b < blocks_per_batch && blk < total_blocks; ++b) {
       append(blk++);
     }
-    const FaultSimResult rr =
-        gradeSurvivors(grader, faults, detected, capture, launch, live_idx);
+    const FaultSimResult rr = live.grade(grader, capture, launch);
     ++phase.batches;
 
     const int nblocks = capture.patternCount() / 64;
@@ -143,19 +160,10 @@ RandomPhase gradeRandomBlocks(FaultSim& grader, std::span<const Fault> faults,
       stall = block_yield[static_cast<std::size_t>(cut++)] != 0 ? 0
                                                                 : stall + 1;
     }
-    int last_block = -1;
-    for (std::size_t k = 0; k < live_idx.size(); ++k) {
-      const std::int32_t fd = rr.first_detect[k];
-      if (fd >= 0 && fd < 64 * cut) {
-        detected[live_idx[k]] = 1;
-        --live;
-        last_block = std::max(last_block, fd / 64);
-      }
-    }
-    // A campaign that detects every fault ends at the block of the last
-    // detection.
-    phase.patterns +=
-        static_cast<std::size_t>(64 * (live == 0 ? last_block + 1 : cut));
+    const std::int32_t last = live.drop(rr, 64 * cut);
+    // No fault left (so last >= 0): count up to the last detection's block.
+    phase.patterns += static_cast<std::size_t>(
+        64 * (live.idx.empty() ? last / 64 + 1 : cut));
     if (stall >= stall_limit) break;
   }
   return phase;
@@ -202,7 +210,7 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
   res.total_faults = faults.size();
 
   CombFaultSim fsim(scanned, view.inputs, view.observed);
-  std::vector<char> detected(faults.size(), 0);
+  Survivors live(faults);
   std::mt19937_64 rng(opts.seed);
 
   // Phase 1: random patterns with fault dropping and stall exit, graded on
@@ -217,8 +225,8 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
       random.fill(64 * blk, b);
       capture.appendBlock(std::move(b));
     };
-    res.patterns += gradeRandomBlocks(fsim, faults, detected, capture,
-                                      nullptr, opts.max_random_blocks,
+    res.patterns += gradeRandomBlocks(fsim, live, capture, nullptr,
+                                      opts.max_random_blocks,
                                       opts.random_stall_blocks,
                                       opts.batch_patterns, append)
                         .patterns;
@@ -240,8 +248,8 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
   }
   std::vector<std::ptrdiff_t> leader;
   // Per-fault PODEM outcome, kept only for equivalence skipping:
-  // 0 = not targeted, 1 = test generated, 2 = proven untestable by a
-  // complete search, 3 = aborted (budget ran out, nothing proven).
+  // 0 = not targeted, 1 = test generated, 2 = "untestable" verdict (unsound
+  // for branch faults, podem.hpp), 3 = aborted (budget ran out).
   std::vector<char> outcome;
   if (opts.collapse_faults) {
     leader = equivalentLeaders(scanned, view.observed, faults);
@@ -253,14 +261,9 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
   VectorPatternSource batch(view.inputs.size());
   std::vector<std::uint8_t> bits(view.inputs.size(), 0);
   std::vector<char> gave_up(faults.size(), 0);
-  std::vector<std::size_t> live_idx;
   auto flushBatch = [&] {
     if (batch.patternCount() == 0) return;
-    const FaultSimResult rr =
-        gradeSurvivors(*grader, faults, detected, batch, nullptr, live_idx);
-    for (std::size_t k = 0; k < live_idx.size(); ++k) {
-      if (rr.first_detect[k] >= 0) detected[live_idx[k]] = 1;
-    }
+    live.drop(live.grade(*grader, batch, nullptr), batch.patternCount());
     // Every kept candidate is part of the emitted test set, whether or not
     // the kernel's internal dropping stopped simulating early.
     res.patterns += static_cast<std::size_t>(batch.patternCount());
@@ -269,15 +272,15 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
   };
 
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (detected[i] != 0) continue;
+    if (live.detected[i] != 0) continue;
     if (!leader.empty() && leader[i] >= 0) {
-      // Equivalent to an earlier target. Skipping is sound in exactly two
-      // cases: the leader produced a test (identical faulty functions mean
-      // identical detecting-pattern sets, so the pending/graded test covers
-      // this member too), or the leader's complete search proved the class
-      // untestable. An *aborted* leader proves nothing — this member's own
-      // search starts from a different fault site and may still succeed, so
-      // it falls through to its own PODEM call.
+      // Equivalent to an earlier target. Skipping is sound when the leader
+      // produced a test (identical faulty functions mean identical
+      // detecting-pattern sets, so the pending/graded test covers this
+      // member too); PODEM's "untestable" verdict also skips, though it is
+      // unsound for branch faults (podem.hpp). An *aborted* leader proves
+      // nothing — this member's search starts from a different fault site
+      // and may still succeed, so it falls through to its own PODEM call.
       const char lo = outcome[static_cast<std::size_t>(leader[i])];
       if (lo == 1 || lo == 2) {
         ++res.collapsed_faults;
@@ -311,7 +314,7 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
   // leader gave up and nothing detected the member, it is aborted too.
   if (!leader.empty()) {
     for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (leader[i] >= 0 && detected[i] == 0 &&
+      if (leader[i] >= 0 && live.detected[i] == 0 &&
           gave_up[static_cast<std::size_t>(leader[i])] != 0) {
         gave_up[i] = 1;
       }
@@ -323,7 +326,7 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
   // and counting it in both buckets used to let aborted + detected exceed
   // total_faults.
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (detected[i] != 0) {
+    if (live.detected[i] != 0) {
       ++res.detected;
     } else if (gave_up[i] != 0) {
       ++res.aborted;
@@ -345,7 +348,7 @@ FullScanAtpgResult runFullScanTransition(const Netlist& scanned,
   CombFaultSim fsim(scanned, view.inputs, view.observed);
   std::unique_ptr<FaultSim> threaded;
   FaultSim* grader = makeGrader(fsim, opts, threaded);
-  std::vector<char> detected(tdf_faults.size(), 0);
+  Survivors live(tdf_faults);
   std::mt19937_64 rng(opts.seed ^ 0x7D0F0ull);
 
   // Random LOS pairs with fault dropping: whole 64-pair blocks accumulate
@@ -356,7 +359,7 @@ FullScanAtpgResult runFullScanTransition(const Netlist& scanned,
   VectorPatternSource launch(view.inputs.size());
   VectorPatternSource capture(view.inputs.size());
   const RandomPhase phase = gradeRandomBlocks(
-      *grader, tdf_faults, detected, capture, &launch,
+      *grader, live, capture, &launch,
       opts.max_random_blocks * 2, opts.random_stall_blocks * 2,
       opts.batch_patterns, [&](int) {
         PatternBlock v1 = randomBlock(rng, view.inputs.size());
@@ -365,10 +368,7 @@ FullScanAtpgResult runFullScanTransition(const Netlist& scanned,
       });
   res.patterns = phase.patterns;
   res.batches = phase.batches;
-
-  for (const char d : detected) {
-    if (d) ++res.detected;
-  }
+  res.detected = tdf_faults.size() - live.idx.size();
   res.test_cycles = view.testCyclesTransition(res.patterns);
   res.cpu_seconds = secondsSince(t0);
   return res;

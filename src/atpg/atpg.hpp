@@ -5,9 +5,10 @@
 // tester clocks through the ScanView shift model. Every candidate test is
 // graded through `FaultSim::run` — PODEM tests accumulate into multi-block
 // `VectorPatternSource` batches and each batch is simulated against the
-// *entire* surviving fault list (wide CombFaultSim serially,
-// ParallelFaultSim sharding when num_threads > 1), so collateral detections
-// drop across the whole batch before the next target fault is chosen.
+// *entire* surviving fault list (wide CombFaultSim serially, sharded by the
+// makeOrchestrator grader, a ShardedFaultSim, when num_threads > 1), so
+// collateral detections drop across the whole batch before the next target
+// fault is chosen.
 // Transition faults use launch-on-shift pairs (v2 is v1 shifted one
 // position down each chain) batched through the kernel's pair path
 // (FaultSimOptions::launch); the shift constraint on v2 is why full-scan
@@ -71,19 +72,23 @@ struct FullScanAtpgOptions {
   /// Skip PODEM targets that are observation-aware equivalent
   /// (analyze/collapse.hpp) to an earlier target whose search either
   /// produced a test (identical faulty functions => the test detects the
-  /// whole class, confirmed by batch grading) or proved the class
-  /// untestable by a complete search. Aborted leaders are never skipped
-  /// past — the member runs its own search — so only redundant PODEM calls
-  /// disappear. Off by default.
+  /// whole class, confirmed by batch grading) or ended in PODEM's
+  /// "untestable" verdict (nullopt without lastAborted()). That verdict is
+  /// unsound for branch faults (podem.hpp), so a skipped member of such a
+  /// class may be testable. Aborted leaders are never skipped past — the
+  /// member runs its own search. Off by default.
   bool collapse_faults = false;
 };
 
 struct FullScanAtpgResult {
   std::size_t total_faults = 0;
   std::size_t detected = 0;
-  /// Faults whose own PODEM run gave up (backtrack limit or CPU budget) AND
-  /// that no batch graded as a collateral detection: recomputed after the
-  /// final flush, so detected + aborted <= total_faults always holds.
+  /// Faults that got no PODEM test AND that no batch graded as a collateral
+  /// detection: the search hit the backtrack limit or iteration guard, the
+  /// CPU budget ran out before the fault was targeted, or PODEM called it
+  /// untestable (an equivalence-class member skipped behind such a leader
+  /// counts too). Recomputed after the final flush, so detected + aborted
+  /// <= total_faults always holds.
   std::size_t aborted = 0;
   std::size_t patterns = 0;
   std::size_t test_cycles = 0;

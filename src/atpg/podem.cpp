@@ -1,6 +1,10 @@
 #include "atpg/podem.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
+
+#include "netlist/levelize.hpp"
 
 namespace corebist {
 
@@ -78,59 +82,109 @@ bool inverts(GateType t) {
 Podem::Podem(const Netlist& nl, std::span<const NetId> inputs,
              std::span<const NetId> observed, int backtrack_limit)
     : nl_(nl),
-      lev_(levelize(nl)),
+      readers_(nl.readerCsr()),
       inputs_(inputs.begin(), inputs.end()),
-      observed_(observed.begin(), observed.end()),
-      observed_flag_(nl.numNets(), 0),
       input_of_net_(nl.numNets(), -1),
-      backtrack_limit_(backtrack_limit) {
-  for (const NetId n : observed_) observed_flag_[n] = 1;
+      observed_((nl.numNets() + 63) / 64, 0),
+      backtrack_limit_(backtrack_limit),
+      gval_(nl.numNets(), Tv::kX),
+      fval_(nl.numNets(), Tv::kX),
+      divergent_(observed_.size(), 0),
+      queued_(nl.numGates(), 0) {
+  for (const NetId n : observed) {
+    observed_[n >> 6] |= std::uint64_t{1} << (n & 63);
+  }
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     input_of_net_[inputs_[i]] = static_cast<int>(i);
   }
+  Levelization lev = levelize(nl);
+  level_ = std::move(lev.level);
+  buckets_.resize(static_cast<std::size_t>(lev.depth) + 1);
+  min_level_ = static_cast<int>(buckets_.size());
+  // The one full pass: every gate once, fault-free, every input X.
+  for (GateId g = 0; g < nl.numGates(); ++g) enqueue(g);
+  imply();
+  all_x_ = gval_;
 }
 
-void Podem::implyAll() {
-  // Load input assignment, then forward-simulate both planes.
-  std::fill(gval_.begin(), gval_.end(), Tv::kX);
-  std::fill(fval_.begin(), fval_.end(), Tv::kX);
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    gval_[inputs_[i]] = assignment_[i];
-    fval_[inputs_[i]] = assignment_[i];
+void Podem::assign(int i, Tv v) {
+  assignment_[static_cast<std::size_t>(i)] = v;
+  const NetId n = inputs_[static_cast<std::size_t>(i)];
+  write(n, v, n == stem_net_ ? forced_ : v);
+}
+
+void Podem::write(NetId n, Tv good, Tv faulty) {
+  if (gval_[n] == good && fval_[n] == faulty) return;
+  gval_[n] = good;
+  fval_[n] = faulty;
+  const std::uint64_t bit = std::uint64_t{1} << (n & 63);
+  if (good != Tv::kX && faulty != Tv::kX && good != faulty) {
+    divergent_[n >> 6] |= bit;
+  } else {
+    divergent_[n >> 6] &= ~bit;
   }
-  // Stem fault on an input/source net.
-  if (fault_.isStem()) {
-    fval_[fault_.net] = fault_.kind == FaultKind::kSa1 ? Tv::k1 : Tv::k0;
+  for (const NetReader& r : readers_.of(n)) enqueue(r.gate);
+}
+
+void Podem::enqueue(GateId g) {
+  if (queued_[g] != 0) return;
+  queued_[g] = 1;
+  ++pending_;
+  const int lvl = level_[g];
+  buckets_[static_cast<std::size_t>(lvl)].push_back(g);
+  min_level_ = std::min(min_level_, lvl);
+}
+
+void Podem::evaluate(GateId g) {
+  const Gate& gate = nl_.gates()[g];
+  Tv gin[3] = {Tv::kX, Tv::kX, Tv::kX};
+  Tv fin[3] = {Tv::kX, Tv::kX, Tv::kX};
+  bool same = true;
+  for (int p = 0; p < gate.nin; ++p) {
+    const NetId n = gate.in[static_cast<std::size_t>(p)];
+    gin[p] = gval_[n];
+    fin[p] = fval_[n];
+    same = same && gin[p] == fin[p];
   }
-  const auto& gates = nl_.gates();
-  for (const GateId g : lev_.order) {
-    const Gate& gate = gates[g];
-    const Tv ga = gate.nin > 0 ? gval_[gate.in[0]] : Tv::kX;
-    const Tv gb = gate.nin > 1 ? gval_[gate.in[1]] : Tv::kX;
-    const Tv gs = gate.nin > 2 ? gval_[gate.in[2]] : Tv::kX;
-    gval_[gate.out] = tvEval(gate.type, ga, gb, gs);
-    Tv fa = gate.nin > 0 ? fval_[gate.in[0]] : Tv::kX;
-    Tv fb = gate.nin > 1 ? fval_[gate.in[1]] : Tv::kX;
-    Tv fs = gate.nin > 2 ? fval_[gate.in[2]] : Tv::kX;
-    if (!fault_.isStem() && fault_.gate == g) {
-      const Tv forced = fault_.kind == FaultKind::kSa1 ? Tv::k1 : Tv::k0;
-      if (fault_.pin == 0) fa = forced;
-      if (fault_.pin == 1) fb = forced;
-      if (fault_.pin == 2) fs = forced;
+  if (g == fault_.gate && fault_.pin < 3) {
+    fin[fault_.pin] = forced_;
+    same = false;
+  }
+  const Tv good = tvEval(gate.type, gin[0], gin[1], gin[2]);
+  Tv faulty = same ? good : tvEval(gate.type, fin[0], fin[1], fin[2]);
+  if (gate.out == stem_net_) faulty = forced_;
+  write(gate.out, good, faulty);
+}
+
+void Podem::imply() {
+  // Readers sit on strictly higher levels than their drivers, so one sweep
+  // upward evaluates every queued gate after all of its inputs settled.
+  for (auto lvl = static_cast<std::size_t>(min_level_); pending_ > 0; ++lvl) {
+    auto& bucket = buckets_[lvl];
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      queued_[bucket[i]] = 0;
+      evaluate(bucket[i]);
     }
-    Tv fv = tvEval(gate.type, fa, fb, fs);
-    fval_[gate.out] = fv;
-    if (fault_.isStem() && gate.out == fault_.net) {
-      fval_[gate.out] = fault_.kind == FaultKind::kSa1 ? Tv::k1 : Tv::k0;
-    }
+    pending_ -= bucket.size();
+    bucket.clear();
   }
+  min_level_ = static_cast<int>(buckets_.size());
+}
+
+NetId Podem::nextDivergent(NetId from) const {
+  std::size_t w = from >> 6;
+  if (w >= divergent_.size()) return kNullNet;
+  std::uint64_t bits = divergent_[w] & (~std::uint64_t{0} << (from & 63));
+  while (bits == 0) {
+    if (++w == divergent_.size()) return kNullNet;
+    bits = divergent_[w];
+  }
+  return static_cast<NetId>(64 * w + std::countr_zero(bits));
 }
 
 bool Podem::faultDetectedAtOutput() const {
-  for (const NetId n : observed_) {
-    const Tv g = gval_[n];
-    const Tv f = fval_[n];
-    if (g != Tv::kX && f != Tv::kX && g != f) return true;
+  for (std::size_t w = 0; w < divergent_.size(); ++w) {
+    if ((divergent_[w] & observed_[w]) != 0) return true;
   }
   return false;
 }
@@ -138,13 +192,12 @@ bool Podem::faultDetectedAtOutput() const {
 bool Podem::pickObjective(NetId& net, Tv& val) const {
   // 1) Activate the fault.
   const Tv site_g = gval_[fault_.net];
-  const Tv bad = fault_.kind == FaultKind::kSa1 ? Tv::k1 : Tv::k0;
   if (site_g == Tv::kX) {
     net = fault_.net;
-    val = bad == Tv::k1 ? Tv::k0 : Tv::k1;
+    val = forced_ == Tv::k1 ? Tv::k0 : Tv::k1;
     return true;
   }
-  if (site_g == bad) return false;  // activation impossible now
+  if (site_g == forced_) return false;  // activation impossible now
 
   // 2) Advance the D-frontier: find a gate with a divergent input and an
   // unknown output; ask for a non-controlling value on an X input.
@@ -154,20 +207,13 @@ bool Podem::pickObjective(NetId& net, Tv& val) const {
   // most observable gate output (min CO) wins, hardest side input (max CC)
   // first — fail fast on the side conditions before investing in the rest.
   const auto& gates = nl_.gates();
-  const ReaderCsr& readers = nl_.readerCsr();
   bool found = false;
   std::uint32_t best_co = 0;
   std::uint32_t best_cc = 0;
-  for (NetId n = 0; n < nl_.numNets(); ++n) {
-    const Tv g = gval_[n];
-    const Tv f = fval_[n];
-    if (g == Tv::kX || f == Tv::kX || g == f) continue;
-    for (const NetReader& r : readers.of(n)) {
+  for (NetId n = nextDivergent(0); n != kNullNet; n = nextDivergent(n + 1)) {
+    for (const NetReader& r : readers_.of(n)) {
       const Gate& gate = gates[r.gate];
-      if (gval_[gate.out] != Tv::kX && fval_[gate.out] != Tv::kX &&
-          gval_[gate.out] != fval_[gate.out]) {
-        continue;  // already propagated through here
-      }
+      if (divergent(gate.out)) continue;  // already propagated through here
       // Find an X input to justify.
       for (int p = 0; p < gate.nin; ++p) {
         const NetId in = gate.in[static_cast<std::size_t>(p)];
@@ -287,15 +333,25 @@ bool Podem::backtrace(NetId obj_net, Tv obj_val, int& input_index,
 
 std::optional<std::vector<Tv>> Podem::generate(const Fault& f) {
   fault_ = f;
-  gval_.assign(nl_.numNets(), Tv::kX);
-  fval_.assign(nl_.numNets(), Tv::kX);
+  forced_ = f.kind == FaultKind::kSa1 ? Tv::k1 : Tv::k0;
+  stem_net_ = f.isStem() ? f.net : kNullNet;
+  gval_ = all_x_;
+  fval_ = all_x_;
+  std::fill(divergent_.begin(), divergent_.end(), 0);
   assignment_.assign(inputs_.size(), Tv::kX);
   backtracks_ = 0;
   aborted_ = false;
 
-  std::vector<Decision> stack;
-  implyAll();
+  // Inject the fault: force the stem's faulty value, or re-evaluate the gate
+  // whose pin is forced.
+  if (f.isStem()) {
+    write(f.net, gval_[f.net], forced_);
+  } else {
+    enqueue(f.gate);
+  }
+  imply();
 
+  std::vector<Decision> stack;
   for (int guard = 0; guard < 200000; ++guard) {
     if (faultDetectedAtOutput()) {
       return assignment_;
@@ -307,35 +363,32 @@ std::optional<std::vector<Tv>> Podem::generate(const Fault& f) {
     const bool have_obj = pickObjective(obj_net, obj_val) &&
                           backtrace(obj_net, obj_val, input_index, input_val);
     if (have_obj) {
-      assignment_[static_cast<std::size_t>(input_index)] = input_val;
       stack.push_back(Decision{input_index, false});
-      implyAll();
+      assign(input_index, input_val);
+      imply();
       continue;
     }
-    // Dead end: backtrack.
-    bool recovered = false;
-    while (!stack.empty()) {
-      Decision& d = stack.back();
-      if (!d.tried_both) {
-        d.tried_both = true;
-        auto& a = assignment_[static_cast<std::size_t>(d.input_index)];
-        a = (a == Tv::k0) ? Tv::k1 : Tv::k0;
-        ++backtracks_;
-        if (backtracks_ > static_cast<std::size_t>(backtrack_limit_)) {
-          aborted_ = true;
-          return std::nullopt;
-        }
-        implyAll();
-        recovered = true;
-        break;
-      }
-      assignment_[static_cast<std::size_t>(d.input_index)] = Tv::kX;
-      stack.pop_back();
+    // Dead end: backtrack to the newest decision with an untried value. The
+    // verdicts are decided before any input changes, so every return leaves
+    // the event queue empty.
+    std::size_t keep = stack.size();
+    while (keep > 0 && stack[keep - 1].tried_both) --keep;
+    if (keep == 0) return std::nullopt;  // untestable
+    if (++backtracks_ > static_cast<std::size_t>(backtrack_limit_)) {
+      aborted_ = true;
+      return std::nullopt;
     }
-    if (!recovered && stack.empty()) {
-      if (backtracks_ > 0 || !recovered) return std::nullopt;  // untestable
+    for (; stack.size() > keep; stack.pop_back()) {
+      assign(stack.back().input_index, Tv::kX);
     }
-    if (stack.empty() && !recovered) return std::nullopt;
+    Decision& d = stack.back();
+    d.tried_both = true;
+    const Tv flipped =
+        assignment_[static_cast<std::size_t>(d.input_index)] == Tv::k0
+            ? Tv::k1
+            : Tv::k0;
+    assign(d.input_index, flipped);
+    imply();
   }
   aborted_ = true;  // iteration guard: search space not exhausted
   return std::nullopt;

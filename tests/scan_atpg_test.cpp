@@ -1,11 +1,17 @@
 // Scan insertion, the full-scan view, PODEM and the ATPG drivers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <random>
+#include <span>
+#include <vector>
 
+#include "analyze/scoap.hpp"
 #include "atpg/atpg.hpp"
 #include "atpg/podem.hpp"
 #include "fault/comb_fsim.hpp"
+#include "fixtures.hpp"
 #include "ldpc/gatelevel.hpp"
 #include "netlist/builder.hpp"
 #include "scan/scan.hpp"
@@ -110,6 +116,170 @@ TEST(Podem, GeneratesTestsThatTheFaultSimulatorConfirms) {
   EXPECT_EQ(confirmed, generated)
       << "every PODEM test must be confirmed by fault simulation";
   (void)view;
+}
+
+/// One PODEM outcome: the test (if any), the backtracks it took and whether
+/// a search budget ran out.
+struct PodemOutcome {
+  std::optional<std::vector<Tv>> test;
+  std::size_t backtracks = 0;
+  bool aborted = false;
+  bool operator==(const PodemOutcome&) const = default;
+};
+
+PodemOutcome runPodem(Podem& podem, const Fault& f) {
+  PodemOutcome o;
+  o.test = podem.generate(f);
+  o.backtracks = podem.backtracksUsed();
+  o.aborted = podem.lastAborted();
+  return o;
+}
+
+/// Every target's outcome folded into one FNV-1a-64 digest (found or not,
+/// each Tv of the test, backtracks, aborted), plus the plain totals.
+struct PodemDigest {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  std::size_t targets = 0;
+  std::size_t tests = 0;
+  std::size_t aborted = 0;
+  std::size_t backtracks = 0;
+
+  void fold(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      hash ^= (v >> (8 * i)) & 0xFFu;
+      hash *= 0x100000001B3ull;
+    }
+  }
+  void add(const PodemOutcome& o) {
+    ++targets;
+    tests += o.test.has_value() ? 1 : 0;
+    aborted += o.aborted ? 1 : 0;
+    backtracks += o.backtracks;
+    fold(o.test.has_value() ? 1 : 0, 1);
+    if (o.test.has_value()) {
+      for (const Tv v : *o.test) fold(static_cast<std::uint8_t>(v), 1);
+    }
+    fold(o.backtracks, 8);
+    fold(o.aborted ? 1 : 0, 1);
+  }
+};
+
+/// One Podem over every `stride`-th fault, unguided or SCOAP-guided.
+PodemDigest digestPodem(const Netlist& nl, std::span<const NetId> inputs,
+                        std::span<const NetId> observed,
+                        std::span<const Fault> faults, int limit,
+                        std::size_t stride, bool scoap) {
+  Podem podem(nl, inputs, observed, limit);
+  ScoapScores scores;
+  if (scoap) {
+    scores = computeScoap(nl, observed);
+    podem.setScoap(&scores);
+  }
+  PodemDigest d;
+  for (std::size_t i = 0; i < faults.size(); i += stride) {
+    d.add(runPodem(podem, faults[i]));
+  }
+  return d;
+}
+
+struct ScanCase {
+  Netlist scanned;
+  ScanView view;
+  std::vector<Fault> faults;
+};
+
+ScanCase scanCase(const Netlist& module, const std::vector<int>& chains) {
+  ScanCase c{buildScannedModule(module, chains), {}, {}};
+  c.view = makeScanView(c.scanned, chains);
+  c.faults = enumerateStuckAt(c.scanned).faults;
+  return c;
+}
+
+TEST(Podem, SearchDigestsArePinned) {
+  // Every outcome of the search, folded per input. The digests were recorded
+  // with the engine that re-simulated both planes after every decision; an
+  // implication change may alter how values are computed, never which
+  // decisions, tests, backtracks or verdicts the search reaches.
+  struct Pinned {
+    std::uint64_t bn, cu, cu_deep, cn, random;
+  };
+  const Pinned kUnguided{0xB58AE3CADA593EF3ull, 0x0181741908918A5Cull,
+                         0x354DBC013AFEF186ull, 0xD45986DBBA5C1E7Aull,
+                         0x90E2019084FCBEEEull};
+  const Pinned kScoap{0xFD8C5EB445DF8BF1ull, 0x92B552F2E23E253Bull,
+                      0x56D8C96F44198E05ull, 0x67AAF6C5D67DB4A6ull,
+                      0xE6FB71759FE0F913ull};
+  const ScanCase bn = scanCase(ldpc::buildBitNode(), {});
+  const ScanCase cu = scanCase(ldpc::buildControlUnit(), {14, 28});
+  const ScanCase cn = scanCase(ldpc::buildCheckNode(), {});
+  for (const bool scoap : {false, true}) {
+    SCOPED_TRACE(scoap ? "scoap" : "unguided");
+    const Pinned& want = scoap ? kScoap : kUnguided;
+    const auto digest = [&](const ScanCase& c, int limit, std::size_t stride) {
+      return digestPodem(c.scanned, c.view.inputs, c.view.observed, c.faults,
+                         limit, stride, scoap);
+    };
+    const PodemDigest dbn = digest(bn, 24, 1);
+    const PodemDigest dcu = digest(cu, 24, 1);
+    EXPECT_EQ(dbn.hash, want.bn);
+    EXPECT_EQ(dcu.hash, want.cu);
+    EXPECT_EQ(digest(cu, 4096, 23).hash, want.cu_deep);
+    EXPECT_EQ(digest(cn, 24, 97).hash, want.cn);
+    PodemDigest random;
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+      const Netlist nl = fixtures::randomComb(seed, 10, 60);
+      random.fold(digestPodem(nl, nl.primaryInputs(), nl.primaryOutputs(),
+                              enumerateStuckAt(nl).faults, 64, 1, scoap)
+                      .hash,
+                  8);
+    }
+    EXPECT_EQ(random.hash, want.random);
+    if (!scoap) {
+      // The plain totals over every fault at limit 24.
+      EXPECT_EQ(dbn.targets, 6911u);
+      EXPECT_EQ(dbn.tests, 3377u);
+      EXPECT_EQ(dbn.aborted, 1474u);
+      EXPECT_EQ(dbn.backtracks, 49016u);
+      EXPECT_EQ(dcu.targets, 2948u);
+      EXPECT_EQ(dcu.tests, 1321u);
+      EXPECT_EQ(dcu.aborted, 402u);
+      EXPECT_EQ(dcu.backtracks, 16396u);
+    }
+  }
+}
+
+TEST(Podem, OutcomesDoNotDependOnTargetOrder) {
+  // A search that returns with a test, out of budget mid-backtrack, or out of
+  // decisions must leave nothing behind that the next target sees: forward
+  // and backward sweeps of one instance match a fresh instance per fault.
+  const ScanCase cu = scanCase(ldpc::buildControlUnit(), {14, 28});
+  std::vector<Fault> faults;
+  for (std::size_t i = 0; i < cu.faults.size(); i += 11) {
+    faults.push_back(cu.faults[i]);
+  }
+  std::vector<PodemOutcome> fresh;
+  for (const Fault& f : faults) {
+    Podem podem(cu.scanned, cu.view.inputs, cu.view.observed);
+    fresh.push_back(runPodem(podem, f));
+  }
+  Podem shared(cu.scanned, cu.view.inputs, cu.view.observed);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    EXPECT_EQ(runPodem(shared, faults[i]), fresh[i]) << "forward " << i;
+  }
+  for (std::size_t i = faults.size(); i-- > 0;) {
+    EXPECT_EQ(runPodem(shared, faults[i]), fresh[i]) << "backward " << i;
+  }
+  std::size_t found = 0;
+  std::size_t aborted = 0;
+  std::size_t untestable = 0;
+  for (const PodemOutcome& o : fresh) {
+    found += o.test.has_value() ? 1 : 0;
+    aborted += o.aborted ? 1 : 0;
+    untestable += !o.test.has_value() && !o.aborted ? 1 : 0;
+  }
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(aborted, 0u);
+  EXPECT_GT(untestable, 0u);
 }
 
 TEST(FullScanAtpg, HighCoverageOnDatapathModule) {
