@@ -7,9 +7,9 @@
 
 #include "bist/engine_hw.hpp"
 #include "case_study.hpp"
-#include "core/scheduler.hpp"
 #include "core/soc.hpp"
 #include "p1500/wrapper_hw.hpp"
+#include "service/service.hpp"
 
 using namespace corebist;
 using namespace corebist::bench;
@@ -73,8 +73,12 @@ int main() {
               "80)\n", wrapper_hw.numGates(), wrapper_hw.dffs().size());
 
   // Smoke-run the whole stack once so the audit is of a *working* assembly.
+  CampaignService service(soc, CampaignServiceConfig{.workers = 1});
   const CoreReport r =
-      SocTestScheduler(soc).testCore({.core_index = idx, .patterns = 96});
+      service
+          .await(service.submit(
+              TestPlan{}.addCore({.core_index = idx, .patterns = 96})))
+          .cores[0];
   std::printf("\nEnd-to-end session: %s\n", r.summary().c_str());
   return r.pass() ? 0 : 1;
 }

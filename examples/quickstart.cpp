@@ -3,12 +3,12 @@
 //
 //   1. describe your core as a gate-level netlist (Builder),
 //   2. put it in a WrappedCore (BIST engine + P1500 wrapper),
-//   3. attach it to a Soc (TAP + TAM) and test it with a SocTestScheduler.
+//   3. attach it to a Soc (TAP + TAM) and test it with a CampaignService.
 #include <cstdio>
 
-#include "core/scheduler.hpp"
 #include "core/soc.hpp"
 #include "netlist/builder.hpp"
+#include "service/service.hpp"
 
 using namespace corebist;
 
@@ -59,15 +59,15 @@ int main() {
   // 3. SoC + session: program 1024 patterns, run at speed, read signatures.
   Soc soc;
   const int idx = soc.attachCore(std::move(wrapped));
-  SocTestScheduler scheduler(soc);
-  const CoreReport healthy =
-      scheduler.testCore({.core_index = idx, .patterns = 1024});
+  CampaignService service(soc, CampaignServiceConfig{.workers = 1});
+  const TestPlan plan =
+      TestPlan{}.addCore({.core_index = idx, .patterns = 1024});
+  const CoreReport healthy = service.await(service.submit(plan)).cores[0];
   std::printf("\nhealthy run : %s\n", healthy.summary().c_str());
 
   // A manufacturing defect flips one gate; the signature catches it.
   soc.core(idx).injectDefect(0, /*gate=*/42, GateType::kNor);
-  const CoreReport defective =
-      scheduler.testCore({.core_index = idx, .patterns = 1024});
+  const CoreReport defective = service.await(service.submit(plan)).cores[0];
   std::printf("defective   : %s\n", defective.summary().c_str());
 
   std::printf("\nverdicts: healthy=%s defective=%s\n",

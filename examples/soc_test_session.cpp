@@ -7,7 +7,7 @@
 // core wrapped inside the LDPC core (a wrapped core containing a wrapped
 // core, reached through the parent's WIR child chain). A TestPlan
 // describes the campaign — pattern budgets, poll budgets, retry policy —
-// and the SocTestScheduler places the core trees onto TAM channels,
+// and a CampaignService places the core trees onto TAM channels,
 // streaming progress through a SessionObserver; the external ATE protocol
 // underneath is still pure TCK/TMS/TDI bit-banging. The injected
 // manufacturing defect is located down to the module from the structured
@@ -16,10 +16,10 @@
 #include <memory>
 
 #include "bist/constraint_gen.hpp"
-#include "core/scheduler.hpp"
 #include "core/soc.hpp"
 #include "ldpc/gatelevel.hpp"
 #include "netlist/builder.hpp"
+#include "service/service.hpp"
 
 using namespace corebist;
 
@@ -79,14 +79,15 @@ int main() {
                 eng.module(m).portWidth(false));
   }
 
-  // The campaign: every core, 768 patterns, on two shards — the two cores'
-  // golden signatures and at-speed runs are computed concurrently.
-  TestPlan plan = TestPlan{}.withPatterns(768).withThreads(2);
+  // The campaign: every core, 768 patterns, on a two-worker service — the
+  // two TAMs' core trees run concurrently.
+  const TestPlan plan = TestPlan{}.withPatterns(768);
   StreamObserver observer;
-  SocTestScheduler scheduler(soc, &observer);
+  const SubmitOptions opts{.observer = &observer};
+  CampaignService service(soc, CampaignServiceConfig{.workers = 2});
 
   std::printf("\n--- wafer 1: all dies healthy ---\n");
-  const SessionReport wafer1 = scheduler.run(plan);
+  const SessionReport wafer1 = service.await(service.submit(plan, opts));
 
   std::printf("\n--- wafer 2: defect injected into CHECK_NODE ---\n");
   // Pick a 2-input AND deep in the module and break it into an OR.
@@ -98,7 +99,7 @@ int main() {
     }
   }
   soc.core(ldpc_idx).injectDefect(1, victim, GateType::kOr);
-  const SessionReport wafer2 = scheduler.run(plan);
+  const SessionReport wafer2 = service.await(service.submit(plan, opts));
 
   const CoreReport* r_ldpc = wafer2.core(ldpc_idx);
   const CoreReport* r_udl = wafer2.core(udl_idx);
@@ -132,7 +133,8 @@ int main() {
                                      .poll_budget = 2,
                                      .poll_idle = 16,
                                      .max_retries = 1});
-  const SessionReport rushed = SocTestScheduler(soc, &observer).run(impatient);
+  const SessionReport rushed =
+      service.await(service.submit(impatient, opts));
 
   std::printf("\nwafer 2 campaign report (JSON):\n%s\n",
               wafer2.toJson().c_str());

@@ -5,8 +5,8 @@
 // violated rule, its severity, the nets involved and — when the rule is
 // about a *path*, like a combinational loop — a witness the caller can
 // replay. LintReport aggregates a netlist's diagnostics with the query and
-// JSON-export helpers the admission layers (SocTestScheduler plan resolve,
-// CI tooling) consume.
+// JSON-export helpers the admission layers (CampaignService plan
+// resolution, CI tooling) consume.
 #ifndef COREBIST_ANALYZE_DIAGNOSTIC_HPP_
 #define COREBIST_ANALYZE_DIAGNOSTIC_HPP_
 

@@ -18,9 +18,9 @@
 //   fanout-free-region (info)     FFR decomposition, opt-in
 //
 // The linter never throws on malformed input — reporting malformed input is
-// its job. SocTestScheduler runs it on every referenced core's modules at
-// plan-resolve time and converts error-severity findings into
-// std::invalid_argument rejections.
+// its job. The campaign layout (service/layout.hpp) runs it on every
+// referenced core's modules when a CampaignService resolves a plan and
+// converts error-severity findings into std::invalid_argument rejections.
 #ifndef COREBIST_ANALYZE_LINT_HPP_
 #define COREBIST_ANALYZE_LINT_HPP_
 

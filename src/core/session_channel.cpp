@@ -12,9 +12,9 @@ namespace corebist {
 namespace {
 
 // Failpoint sites compiled into the session hot path (chaos testing and
-// the scheduler-quarantine suites). Context: index = core, seq = attempt
+// the quarantine suites). Context: index = core, seq = attempt
 // or poll ordinal. kError throws SessionChannelError — the structured
-// infrastructure failure the scheduler knows how to retry — and kDelay
+// infrastructure failure the service knows how to retry — and kDelay
 // stalls the protocol; other kinds make no sense here and are ignored.
 constexpr const char* kFpChannelAttempt = "channel.attempt";
 constexpr const char* kFpChannelPoll = "channel.poll";

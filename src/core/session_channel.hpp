@@ -1,17 +1,17 @@
 // SessionChannel: one independent test-access channel onto an SoC.
 //
-// A channel is the unit the SocTestScheduler parallelizes over: a private
-// TAP-controller replica configured like the chip TAP, a replica of ONE of
-// the chip's TAMs (same IR block, same top-level wrappers under the same
-// slots), and the P1500Ate bit-banging protocol over them. A channel only
-// ever cycles the wrapper tree of the core its TAM has selected, so
-// channels for different core trees may run concurrently; cores sharing a
-// top-level ancestor share one wrapper chain and one clock domain, so the
-// scheduler keeps a whole tree on a single channel.
+// A channel is the unit the CampaignService (service/service.hpp) runs
+// concurrently: a private TAP-controller replica configured like the chip
+// TAP, a replica of ONE of the chip's TAMs (same IR block, same top-level
+// wrappers under the same slots), and the P1500Ate bit-banging protocol
+// over them. A channel only ever cycles the wrapper tree of the core its
+// TAM has selected, so channels for different core trees may run
+// concurrently; cores sharing a top-level ancestor share one wrapper chain
+// and one clock domain, so the service keeps a whole tree on a single
+// channel.
 //
-// Extracted from SocTestScheduler (PR 2 built this bundle inline per
-// shard) so alternative access mechanisms — wider TAMs, streaming
-// interfaces — can replace the internals behind a stable seam.
+// The seam behind which alternative access mechanisms — wider TAMs,
+// streaming interfaces — can replace the internals.
 #ifndef COREBIST_CORE_SESSION_CHANNEL_HPP_
 #define COREBIST_CORE_SESSION_CHANNEL_HPP_
 
@@ -32,7 +32,7 @@ class ArtifactStore;
 
 /// Structured failure of the test-access infrastructure under one core's
 /// session — the channel (replica TAP/TAM/ATE plumbing), not the core under
-/// test, is what failed. The scheduler treats it as recoverable: reopen a
+/// test, is what failed. The service treats it as recoverable: reopen a
 /// fresh channel, retry the core, and quarantine after the plan's retry
 /// budget (TestPlan::max_shard_retries) instead of failing the campaign.
 /// Raised today by the `channel.attempt` / `channel.poll` failpoint sites
@@ -69,14 +69,12 @@ class SessionChannel {
 
   /// Run one resolved plan entry's full protocol (all attempts) and
   /// report. `entry.core_index` must name a core served by this channel's
-  /// TAM — the scheduler guarantees it; a mismatch throws. A coverage
+  /// TAM — the campaign layout guarantees it; a mismatch throws. A coverage
   /// probe (entry.coverage_target > 0) computes a cache miss on
   /// `coverage_backend`; `observers` receive the core's events.
   CoreReport testCore(const CorePlan& entry,
                       const FsimBackendOptions& coverage_backend,
                       ObserverList& observers);
-
-  [[nodiscard]] int tamIndex() const noexcept { return tam_index_; }
 
  private:
   Soc& soc_;

@@ -7,15 +7,19 @@
 // under one mutex, so implementations need no locking of their own and
 // every observer of a campaign sees its events in the same order.
 // Callbacks fire from worker threads, in completion order (which is only
-// deterministic for single-shard campaigns).
+// deterministic for single-channel campaigns). Every campaign ends with
+// exactly one terminal event: onCampaignFinish when it completed,
+// onCampaignEnd when it failed or was cancelled.
 #ifndef COREBIST_CORE_SESSION_OBSERVER_HPP_
 #define COREBIST_CORE_SESSION_OBSERVER_HPP_
 
 #include <cstddef>
 #include <cstdio>
+#include <exception>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/session_report.hpp"
@@ -30,8 +34,8 @@ class SessionObserver {
   /// onCampaignStart and before any core runs, in ascending (TAM, channel)
   /// order — deterministic, unlike completion order. `cores` lists the
   /// core indices the channel will run serially, in execution order;
-  /// `predicted_tcks` is the P1500Ate cost-model load the scheduler
-  /// balanced (see TestPlan::placement).
+  /// `predicted_tcks` is the P1500Ate cost-model load the placement pass
+  /// balanced (see service/layout.hpp).
   virtual void onChannelPlaced(int /*tam*/, int /*channel*/,
                                const std::vector<int>& /*cores*/,
                                std::size_t /*predicted_tcks*/) {}
@@ -40,7 +44,7 @@ class SessionObserver {
   virtual void onCoreTimeout(int /*core_index*/, int /*attempt*/,
                              bool /*will_retry*/) {}
   /// The core's session channel failed (`failures` so far, 1-based). When
-  /// `will_retry` the scheduler reopens a fresh channel and re-runs the
+  /// `will_retry` the service reopens a fresh channel and re-runs the
   /// core; otherwise the core is about to be quarantined (or the error
   /// rethrown, when the plan disables degradation).
   virtual void onChannelFailure(int /*core_index*/, int /*failures*/,
@@ -50,11 +54,17 @@ class SessionObserver {
   virtual void onCoreQuarantined(int /*core_index*/, int /*failures*/) {}
   virtual void onCoreFinish(const CoreReport& /*report*/) {}
   virtual void onCampaignFinish(const SessionReport& /*report*/) {}
+  /// The campaign ended without a report: `state` is "failed" or
+  /// "cancelled", `error` the failure's message (empty when cancelled).
+  virtual void onCampaignEnd(std::string_view /*state*/,
+                             const std::string& /*error*/) {}
 };
 
 /// The observers of one campaign. notify() runs `call` on each of them in
 /// the order they were added, all under one mutex; clear() detaches them,
-/// and once it returns no callback is running or can start.
+/// and once it returns no callback is running or can start. An observer
+/// that throws does not keep the event from the observers after it:
+/// notify() calls every observer, then rethrows the first exception.
 class ObserverList {
  public:
   /// Adds `observer` (not owned; null is ignored).
@@ -66,8 +76,16 @@ class ObserverList {
 
   template <class Call>
   void notify(Call&& call) {
+    std::exception_ptr first;
     const std::lock_guard<std::mutex> lock(mu_);
-    for (SessionObserver* o : observers_) call(*o);
+    for (SessionObserver* o : observers_) {
+      try {
+        call(*o);
+      } catch (...) {
+        if (first == nullptr) first = std::current_exception();
+      }
+    }
+    if (first != nullptr) std::rethrow_exception(first);
   }
 
   void clear() {
@@ -138,6 +156,11 @@ class StreamObserver final : public SessionObserver {
   }
   void onCampaignFinish(const SessionReport& report) override {
     emit("[campaign] " + report.summary());
+  }
+  void onCampaignEnd(std::string_view state,
+                     const std::string& error) override {
+    emit("[campaign] " + std::string(state) +
+         (error.empty() ? "" : ": " + error));
   }
 
  private:

@@ -144,12 +144,10 @@ std::string writeReport(const SessionReport& r, bool include_timing) {
   JsonWriter w;
   w.beginObject().field("soc", r.soc_name).field("pass", r.pass());
   if (include_timing) {
-    w.field("threads", r.threads).field("wall_seconds", r.wall_seconds, 4);
-    if (!r.placement.empty()) {
-      w.field("placement", r.placement)
-          .field("predicted_makespan_tcks", r.predicted_makespan_tcks)
-          .field("actual_makespan_tcks", r.actual_makespan_tcks);
-    }
+    w.field("threads", r.threads)
+        .field("wall_seconds", r.wall_seconds, 4)
+        .field("predicted_makespan_tcks", r.predicted_makespan_tcks)
+        .field("actual_makespan_tcks", r.actual_makespan_tcks);
   }
   w.field("total_tap_clocks", r.total_tap_clocks)
       .field("total_bist_cycles", r.total_bist_cycles)

@@ -5,8 +5,8 @@
 // whole-campaign reports serialize to JSON through util/json's JsonWriter.
 // Everything in a report except wall-clock timing is a deterministic
 // function of (SoC state, TestPlan); fingerprint() serializes exactly that
-// subset, which is how the scheduler tests prove sharded and serial
-// campaigns byte-identical.
+// subset, which is how the campaign tests prove runs on any number of
+// workers byte-identical to the one-worker run.
 #ifndef COREBIST_CORE_SESSION_REPORT_HPP_
 #define COREBIST_CORE_SESSION_REPORT_HPP_
 
@@ -33,7 +33,7 @@ struct ModuleVerdict {
 /// within the plan's poll budget (on any attempt) — the signatures were
 /// never uploaded and the modules list is empty. kQuarantined means the
 /// core's session *channel* kept failing past the plan's retry budget
-/// (TestPlan::max_shard_retries) and the scheduler excluded the core to
+/// (TestPlan::max_shard_retries) and the service excluded the core to
 /// protect the campaign — the core itself was never conclusively tested,
 /// so its record carries identity and `channel_failures` only.
 enum class CoreVerdict : std::uint8_t {
@@ -82,7 +82,7 @@ struct CoreReport {
 [[nodiscard]] std::string coreReportJson(const CoreReport& report,
                                          bool include_timing = true);
 
-/// One TAM channel's share of a campaign under the scheduler's placement:
+/// One TAM channel's share of a campaign under the service's placement:
 /// which cores it ran serially (execution order) and its predicted vs
 /// actual TCK load. Placement is a scheduling artifact like utilization,
 /// so fingerprints exclude the whole structure.
@@ -130,9 +130,6 @@ struct SessionReport {
   std::size_t total_bist_cycles = 0;
   double wall_seconds = 0.0;
   // ---- placement accounting (timing-gated, excluded from fingerprint) ----
-  /// placementPolicyName() of the applied policy; empty for reports not
-  /// built by the scheduler.
-  std::string placement;
   /// Max predicted / actual channel load across every TAM channel: the
   /// campaign's serialization floor assuming one worker per channel.
   std::size_t predicted_makespan_tcks = 0;

@@ -7,10 +7,12 @@
 // cores reached through its parent's WIR child chain. Every core, nested
 // or not, has a global index and a CoreTopology describing how the ATE
 // reaches it (serving TAM, top-level slot, child-slot path). Test
-// campaigns are described by a TestPlan (core/test_plan.hpp) and executed
-// by the SocTestScheduler (core/scheduler.hpp) over per-TAM
-// SessionChannels (core/session_channel.hpp); a single core is tested with
-// SocTestScheduler(soc).testCore({.core_index = i, .patterns = n}).
+// campaigns are described by a TestPlan (core/test_plan.hpp) and run by a
+// CampaignService (service/service.hpp) over per-TAM SessionChannels
+// (core/session_channel.hpp): `service.await(service.submit(plan))`. A
+// single core is a one-entry plan: `TestPlan{}.addCore({.core_index = i,
+// .patterns = n})`. Cores may be attached while a service over the SoC
+// exists, between its campaigns, never during one.
 #ifndef COREBIST_CORE_SOC_HPP_
 #define COREBIST_CORE_SOC_HPP_
 

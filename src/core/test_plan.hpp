@@ -2,11 +2,11 @@
 //
 // A TestPlan says *what* to test — which cores, with what pattern budgets,
 // status-poll allowances, retry-on-timeout policy and optional coverage
-// targets — and with how much access-level parallelism (worker threads,
-// per-TAM channel limits); the SocTestScheduler decides *how*. This is the
-// scheduling layer the SOC-test literature treats as first class above the
-// access mechanism: the access protocol (TAP -> TAM -> P1500, flat or
-// hierarchical) is fixed, the campaign around it is data.
+// targets — and how many channels each TAM may open; the CampaignService
+// (service/service.hpp) decides *how*, over its fixed pool of workers. This
+// is the scheduling layer the SOC-test literature treats as first class
+// above the access mechanism: the access protocol (TAP -> TAM -> P1500,
+// flat or hierarchical) is fixed, the campaign around it is data.
 //
 // Per-core entries leave fields at their sentinel value (<= 0 / negative)
 // to inherit the plan-wide defaults, so a plan that tests every core the
@@ -14,42 +14,11 @@
 #ifndef COREBIST_CORE_TEST_PLAN_HPP_
 #define COREBIST_CORE_TEST_PLAN_HPP_
 
-#include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "fault/backend.hpp"
 
 namespace corebist {
-
-/// How the scheduler places core trees onto a TAM's concurrent channels.
-/// Placement never changes campaign *outcomes* — every CoreReport is a
-/// function of (core-tree state, plan entry) alone, so fingerprints are
-/// byte-identical under either policy — only wall-clock shape and the
-/// predicted/actual load split across channels.
-enum class PlacementPolicy : std::uint8_t {
-  /// Walk trees in plan order, each onto the least-loaded channel at the
-  /// time of placement (deterministic index-order tie-break). The default:
-  /// mirrors the legacy scheduler and keeps BENCH trajectories comparable.
-  kPlanOrder,
-  /// Longest-processing-time placement on the P1500Ate-predicted TCK load
-  /// plus a local-exchange refinement; minimizes the predicted campaign
-  /// makespan. Never predicts worse than kPlanOrder: the scheduler keeps
-  /// whichever of the two (refined) placements predicts the smaller
-  /// makespan per TAM.
-  kMakespan,
-};
-
-[[nodiscard]] constexpr std::string_view placementPolicyName(
-    PlacementPolicy p) noexcept {
-  switch (p) {
-    case PlacementPolicy::kPlanOrder:
-      return "plan_order";
-    case PlacementPolicy::kMakespan:
-      return "makespan";
-  }
-  return "?";
-}
 
 /// One core's campaign entry. Sentinel values inherit the TestPlan default.
 struct CorePlan {
@@ -95,21 +64,13 @@ struct TestPlan {
   int max_retries = 0;
   double coverage_target = 0.0;  // 0 = no coverage measurement
 
-  /// Worker threads across all TAM channels; 0 =>
-  /// std::thread::hardware_concurrency(). Each busy worker drives its own
-  /// session channel, so independent core trees run concurrently.
-  int num_threads = 1;
-
   /// Default cap on concurrent channels per TAM; 0 = no cap (bounded by
-  /// num_threads and the available work).
+  /// the service's workers and the available work).
   int channels_per_tam = 0;
-
-  /// How core trees are placed onto TAM channels (see PlacementPolicy).
-  PlacementPolicy placement = PlacementPolicy::kPlanOrder;
 
   /// Fault-sim backend for coverage measurement. kSerial by default: the
   /// session channel is the unit of parallelism in this layer, and coverage
-  /// probes run on scheduler worker threads, where forking a process fleet
+  /// probes run on service worker threads, where forking a process fleet
   /// per module (kResilient) or nesting a thread pool (kThreaded) only pays
   /// off for big modules — opt in per plan when it does.
   FsimBackend coverage_backend = FsimBackend::kSerial;
@@ -119,7 +80,7 @@ struct TestPlan {
 
   // ---- resilience, plan-wide (see src/core/README.md, "Quarantine") ----
   /// Times a core's session channel may fail (SessionChannelError) and be
-  /// reopened before the scheduler stops retrying that core. Also the
+  /// reopened before the service stops retrying that core. Also the
   /// per-shard retry budget of kResilient coverage probes.
   int max_shard_retries = 2;
   /// Exponential-backoff base between channel reopen attempts: retry k
@@ -159,10 +120,6 @@ struct TestPlan {
     coverage_workers = workers;
     return *this;
   }
-  TestPlan& withThreads(int threads) {
-    num_threads = threads;
-    return *this;
-  }
   TestPlan& withResilience(int shard_retries, int backoff_ms = 1,
                            bool degrade = true) {
     max_shard_retries = shard_retries;
@@ -172,10 +129,6 @@ struct TestPlan {
   }
   TestPlan& withChannelsPerTam(int channels) {
     channels_per_tam = channels;
-    return *this;
-  }
-  TestPlan& withPlacement(PlacementPolicy policy) {
-    placement = policy;
     return *this;
   }
   TestPlan& withTamChannels(int tam, int channels) {

@@ -1,7 +1,7 @@
 // Immutable, content-keyed campaign artifacts shared across campaigns.
 //
-// Every one-shot campaign used to rebuild the same derived state from
-// scratch: structural lint of each module netlist at plan-resolve time, the
+// A campaign built from scratch derives the same state every time:
+// structural lint of each module netlist at plan-resolve time, the
 // stuck-at fault universe of every module a coverage probe touches, and —
 // dominating all of it — the golden MISR signature of every module, which
 // runs a full good-machine sequential simulation per core per campaign.
@@ -28,13 +28,17 @@
 // cache hit is fingerprint-invisible by construction (pinned by
 // tests/service_test.cpp).
 //
-// Thread-safety: the store is shared by every worker of a CampaignService
-// (and by concurrent services). The registry map is guarded by one store
-// mutex; each artifact bundle carries its own mutex that serializes product
-// computation, so two workers asking for the same uncomputed golden block
-// each other (one computes, one reuses) while different modules proceed in
-// parallel. Lock order is always tree-lock -> store map -> bundle — the
-// store never calls back into campaign execution, so no cycle exists.
+// Ownership: each CampaignService owns its store by value, and a service
+// must not outlive its SoC, so no store outlives the module netlists whose
+// addresses its fast path keys on.
+//
+// Thread-safety: the store is shared by every worker of its service. The
+// registry map is guarded by one store mutex; each artifact bundle carries
+// its own mutex that serializes product computation, so two workers asking
+// for the same uncomputed golden block each other (one computes, one
+// reuses) while different modules proceed in parallel. Lock order is
+// always tree-lock -> store map -> bundle — the store never calls back into
+// campaign execution, so no cycle exists.
 #ifndef COREBIST_SERVICE_ARTIFACTS_HPP_
 #define COREBIST_SERVICE_ARTIFACTS_HPP_
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "analyze/lint.hpp"
 #include "service/artifacts.hpp"
@@ -160,7 +159,7 @@ int channelCount(int limit, int threads, int tam_groups) {
   return std::min(limit > 0 ? limit : threads, std::min(tam_groups, threads));
 }
 
-/// Greedy pass shared by both policies: walk `order` (group ids), placing
+/// Greedy pass shared by both candidates: walk `order` (group ids), placing
 /// each group onto the currently least-loaded channel. Equal-load channels
 /// are broken by ascending channel index — a fixed total order, so the
 /// placement is a pure function of the plan and never depends on container
@@ -182,25 +181,15 @@ std::vector<std::vector<int>> assignGreedy(const std::vector<int>& order,
   return assignment;
 }
 
-std::size_t assignmentMakespan(const std::vector<std::vector<int>>& assignment,
-                               const std::vector<TreeGroup>& groups) {
-  std::size_t makespan = 0;
-  for (const std::vector<int>& ch : assignment) {
-    std::size_t load = 0;
-    for (const int g : ch) load += groups[static_cast<std::size_t>(g)].predicted_tcks;
-    makespan = std::max(makespan, load);
-  }
-  return makespan;
-}
-
 /// Local-exchange refinement: repeatedly move (or swap) a group off the
 /// max-loaded channel when doing so strictly lowers the pair's max load.
 /// Deterministic: channels and groups are scanned in ascending order and
 /// the first strict improvement is applied. Terminates — every step
 /// strictly reduces the (makespan, #channels-at-makespan) potential — but
-/// a pass cap keeps the worst case bounded anyway.
-void refineByExchange(std::vector<std::vector<int>>& assignment,
-                      const std::vector<TreeGroup>& groups) {
+/// a pass cap keeps the worst case bounded anyway. Returns the refined
+/// assignment's predicted makespan.
+std::size_t refineByExchange(std::vector<std::vector<int>>& assignment,
+                             const std::vector<TreeGroup>& groups) {
   const auto tcks = [&](int g) {
     return groups[static_cast<std::size_t>(g)].predicted_tcks;
   };
@@ -247,21 +236,20 @@ void refineByExchange(std::vector<std::vector<int>>& assignment,
     }
     if (!improved) break;
   }
+  return *std::max_element(load.begin(), load.end());
 }
 
-/// Place one TAM's tree groups onto its channels under `policy`.
-/// kPlanOrder mirrors the legacy scheduler: greedy least-loaded walk in
-/// plan order, no refinement. kMakespan runs an LPT walk (longest
-/// predicted load first) plus local-exchange refinement — and falls back
-/// to the refined plan-order placement when that predicts strictly
-/// better, so kMakespan never predicts a worse makespan than kPlanOrder.
+/// Place one TAM's tree groups onto its channels. Two candidates: the
+/// greedy least-loaded walk in plan order, and an LPT walk (longest
+/// predicted load first), each refined by local exchange. The LPT
+/// placement wins unless the plan-order one predicts a strictly smaller
+/// makespan, so the result never predicts worse than the plain plan-order
+/// walk.
 std::vector<std::vector<int>> placeTamGroups(
     const std::vector<int>& tam_group_ids, const std::vector<TreeGroup>& groups,
-    int channels, PlacementPolicy policy) {
+    int channels) {
   std::vector<std::vector<int>> plan_order =
       assignGreedy(tam_group_ids, groups, channels);
-  if (policy == PlacementPolicy::kPlanOrder) return plan_order;
-
   std::vector<int> lpt_order = tam_group_ids;
   std::stable_sort(lpt_order.begin(), lpt_order.end(),
                    [&](int a, int b) {
@@ -269,29 +257,12 @@ std::vector<std::vector<int>> placeTamGroups(
                             groups[static_cast<std::size_t>(b)].predicted_tcks;
                    });
   std::vector<std::vector<int>> lpt = assignGreedy(lpt_order, groups, channels);
-  refineByExchange(lpt, groups);
-  refineByExchange(plan_order, groups);
-  if (assignmentMakespan(plan_order, groups) <
-      assignmentMakespan(lpt, groups)) {
-    return plan_order;
-  }
+  const std::size_t lpt_makespan = refineByExchange(lpt, groups);
+  if (refineByExchange(plan_order, groups) < lpt_makespan) return plan_order;
   return lpt;
 }
 
 }  // namespace
-
-std::size_t CampaignLayout::predictedTotalTcks() const {
-  std::size_t total = 0;
-  for (const P1500Ate::SessionCost& c : entry_costs) total += c.tap_clocks;
-  return total;
-}
-
-int resolvePlanWorkers(const TestPlan& plan) {
-  int threads = plan.num_threads == 0
-                    ? static_cast<int>(std::thread::hardware_concurrency())
-                    : plan.num_threads;
-  return threads < 1 ? 1 : threads;
-}
 
 CampaignLayout layoutCampaign(const TestPlan& plan, Soc& soc,
                               int worker_budget, ArtifactStore& artifacts) {
@@ -308,6 +279,7 @@ CampaignLayout layoutCampaign(const TestPlan& plan, Soc& soc,
   layout.entry_costs.reserve(layout.entries.size());
   for (const CorePlan& e : layout.entries) {
     layout.entry_costs.push_back(predictEntryCost(soc, e));
+    layout.predicted_total_tcks += layout.entry_costs.back().tap_clocks;
   }
   for (TreeGroup& g : layout.groups) {
     for (const std::size_t i : g.entry_idx) {
@@ -315,13 +287,9 @@ CampaignLayout layoutCampaign(const TestPlan& plan, Soc& soc,
     }
   }
 
-  int threads = worker_budget;
-  if (threads < 1) threads = 1;
-  if (threads > static_cast<int>(layout.groups.size()) &&
-      !layout.groups.empty()) {
-    threads = static_cast<int>(layout.groups.size());
-  }
-  layout.threads = threads;
+  const int trees = static_cast<int>(layout.groups.size());
+  layout.threads =
+      std::max(1, trees == 0 ? worker_budget : std::min(worker_budget, trees));
 
   layout.channels_per_tam.assign(static_cast<std::size_t>(soc.tamCount()), 0);
   for (int t = 0; t < soc.tamCount(); ++t) {
@@ -331,11 +299,11 @@ CampaignLayout layoutCampaign(const TestPlan& plan, Soc& soc,
     }
     if (tam_group_ids.empty()) continue;
     const int channels =
-        channelCount(limits[static_cast<std::size_t>(t)], threads,
+        channelCount(limits[static_cast<std::size_t>(t)], layout.threads,
                      static_cast<int>(tam_group_ids.size()));
     layout.channels_per_tam[static_cast<std::size_t>(t)] = channels;
     std::vector<std::vector<int>> assignment =
-        placeTamGroups(tam_group_ids, layout.groups, channels, plan.placement);
+        placeTamGroups(tam_group_ids, layout.groups, channels);
     for (int ch = 0; ch < channels; ++ch) {
       ChannelUnit unit;
       unit.tam = t;
@@ -369,10 +337,9 @@ ChannelLoad channelLoad(const CampaignLayout& layout, const ChannelUnit& unit,
   return cl;
 }
 
-PlanForecast forecastFromLayout(const CampaignLayout& layout, Soc& soc,
-                                PlacementPolicy placement) {
+PlanForecast forecastFromLayout(const CampaignLayout& layout, Soc& soc) {
   PlanForecast forecast;
-  forecast.placement = placement;
+  forecast.predicted_total_tcks = layout.predicted_total_tcks;
   forecast.cores.reserve(layout.entries.size());
   for (std::size_t i = 0; i < layout.entries.size(); ++i) {
     const CorePlan& e = layout.entries[i];
@@ -382,7 +349,6 @@ PlanForecast forecastFromLayout(const CampaignLayout& layout, Soc& soc,
     cf.depth = soc.topology(e.core_index).depth();
     cf.predicted_tap_clocks = layout.entry_costs[i].tap_clocks;
     cf.predicted_bist_cycles = layout.entry_costs[i].bist_cycles;
-    forecast.predicted_total_tcks += cf.predicted_tap_clocks;
     forecast.cores.push_back(std::move(cf));
   }
 

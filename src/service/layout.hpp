@@ -1,23 +1,23 @@
 // Campaign layout: plan resolution, tree grouping and channel placement.
 //
-// Extracted from SocTestScheduler (which is now a one-shot facade over
-// CampaignService) so the resident service and the facade share one
-// resolution + placement pass: concretize plan entries against the SoC
-// (sentinel inheritance, validation, artifact-gated structural lint),
-// resolve the plan-wide campaign policy (coverage backend, channel retry
-// budget, backoff, degradation) once, group entries by core tree (cores
-// sharing a top-level ancestor share one wrapper chain and clock domain —
-// the unit of placement), predict every entry's TCK cost with the P1500Ate
-// cost model, and partition each TAM's trees over its channels under the
-// plan's PlacementPolicy. The resulting ChannelUnits are the service's
-// unit of scheduling: one unit = one TAM channel's serial work list,
-// claimed whole by a reactor worker. Running them is the service's job
-// (service.cpp); nothing here opens a channel.
+// The one resolution + placement pass behind CampaignService::submit() and
+// predict(): concretize plan entries against the SoC (sentinel
+// inheritance, validation, artifact-gated structural lint), resolve the
+// plan-wide campaign policy (coverage backend, channel retry budget,
+// backoff, degradation) once, group entries by core tree (cores sharing a
+// top-level ancestor share one wrapper chain and clock domain — the unit
+// of placement), predict every entry's TCK cost with the P1500Ate cost
+// model, and partition each TAM's trees over its channels so as to
+// minimize the predicted makespan. The resulting ChannelUnits are the
+// service's unit of scheduling: one unit = one TAM channel's serial work
+// list, claimed whole by a reactor worker. Running them is the service's
+// job (service.cpp); nothing here opens a channel.
 //
-// Everything here is a pure function of (plan, SoC topology, cost model):
-// deterministic tie-breaks, no wall-clock feedback, so the same plan always
-// yields the same layout regardless of pool size or tenant interleaving —
-// the bedrock of the service's fingerprint guarantee.
+// Everything here is a pure function of (plan, SoC topology, cost model,
+// worker budget): deterministic tie-breaks, no wall-clock feedback. The
+// worker budget caps each TAM's channel count, so it shapes placement; it
+// never shapes outcomes, which is the bedrock of the service's
+// fingerprint guarantee.
 #ifndef COREBIST_SERVICE_LAYOUT_HPP_
 #define COREBIST_SERVICE_LAYOUT_HPP_
 
@@ -45,7 +45,7 @@ struct CoreForecast {
   std::size_t predicted_bist_cycles = 0;
 };
 
-/// Predicted placement for one TAM: the channel loads the scheduler would
+/// Predicted placement for one TAM: the channel loads the service would
 /// apply (ChannelLoad::actual_tcks stays 0 — nothing ran).
 struct TamForecast {
   int tam_index = 0;
@@ -61,7 +61,6 @@ struct TamForecast {
 /// channel is opened, no core is clocked. The makespan assumes one worker
 /// per channel; the worker budget bounds real concurrency.
 struct PlanForecast {
-  PlacementPolicy placement = PlacementPolicy::kPlanOrder;
   std::vector<CoreForecast> cores;  // plan order
   std::vector<TamForecast> tams;    // ascending TAM index; only TAMs with work
   std::size_t predicted_total_tcks = 0;
@@ -107,13 +106,8 @@ struct CampaignLayout {
 
   /// Summed predicted TCKs over every entry — the admission-control load
   /// number quotas are charged against.
-  [[nodiscard]] std::size_t predictedTotalTcks() const;
+  std::size_t predicted_total_tcks = 0;
 };
-
-/// The worker budget a plan implies for the one-shot facade:
-/// `num_threads` (0 = hardware concurrency), clamped to >= 1. The resident
-/// service ignores this and uses its fixed pool size instead.
-[[nodiscard]] int resolvePlanWorkers(const TestPlan& plan);
 
 /// Resolve + validate `plan` against `soc` and place its work under a
 /// budget of `worker_budget` concurrent workers. Throws
@@ -135,14 +129,13 @@ struct CampaignLayout {
 
 /// Project a layout into the what-if forecast shape (zero TCKs spent).
 [[nodiscard]] PlanForecast forecastFromLayout(const CampaignLayout& layout,
-                                              Soc& soc,
-                                              PlacementPolicy placement);
+                                              Soc& soc);
 
 /// Fill `report`'s aggregate fields from the per-core records: TCK totals,
 /// per-TAM slices in ascending TAM index (plan order within each) and the
 /// predicted-vs-actual channel/makespan accounting. wall_seconds must
-/// already be set (utilization divides by it); threads/placement/soc_name
-/// are the caller's.
+/// already be set (utilization divides by it); threads and soc_name are
+/// the caller's.
 void aggregateSessionReport(SessionReport& report,
                             const CampaignLayout& layout, Soc& soc);
 

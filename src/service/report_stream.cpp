@@ -49,6 +49,8 @@ const char* streamEventKindName(StreamEventKind k) noexcept {
       return "core_finish";
     case StreamEventKind::kCampaignFinish:
       return "campaign_finish";
+    case StreamEventKind::kCampaignEnd:
+      return "campaign_end";
   }
   return "unknown";
 }
@@ -135,6 +137,13 @@ void WireReportStream::onCampaignFinish(const SessionReport& report) {
   emit(StreamEventKind::kCampaignFinish, report.toJson());
 }
 
+void WireReportStream::onCampaignEnd(std::string_view state,
+                                     const std::string& error) {
+  JsonWriter w;
+  w.beginObject().field("state", state).field("error", error).endObject();
+  emit(StreamEventKind::kCampaignEnd, w.str());
+}
+
 bool readStreamEvent(int fd, StreamEvent& out) {
   std::uint32_t hdr[fsimwire::kHeaderWords];
   {
@@ -158,7 +167,7 @@ bool readStreamEvent(int fd, StreamEvent& out) {
     throw std::runtime_error("report stream: corrupt frame header");
   }
   if (hdr[1] < 1 ||
-      hdr[1] > static_cast<std::uint32_t>(StreamEventKind::kCampaignFinish)) {
+      hdr[1] > static_cast<std::uint32_t>(StreamEventKind::kCampaignEnd)) {
     throw std::runtime_error("report stream: unknown event kind");
   }
   std::vector<std::uint8_t> payload(hdr[2]);

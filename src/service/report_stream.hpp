@@ -36,7 +36,9 @@
 namespace corebist {
 
 /// Event kinds carried in the frame header, one per SessionObserver
-/// callback.
+/// callback. Every stream ends with exactly one terminal frame:
+/// kCampaignFinish (the whole report) for a completed campaign,
+/// kCampaignEnd (`{"state", "error"}`) for a failed or cancelled one.
 enum class StreamEventKind : std::uint32_t {
   kCampaignStart = 1,
   kChannelPlaced = 2,
@@ -46,6 +48,7 @@ enum class StreamEventKind : std::uint32_t {
   kCoreQuarantined = 6,
   kCoreFinish = 7,
   kCampaignFinish = 8,
+  kCampaignEnd = 9,
 };
 
 [[nodiscard]] const char* streamEventKindName(StreamEventKind k) noexcept;
@@ -75,6 +78,8 @@ class WireReportStream final : public SessionObserver {
   void onCoreQuarantined(int core_index, int failures) override;
   void onCoreFinish(const CoreReport& report) override;
   void onCampaignFinish(const SessionReport& report) override;
+  void onCampaignEnd(std::string_view state,
+                     const std::string& error) override;
 
  private:
   void emit(StreamEventKind kind, const std::string& json);

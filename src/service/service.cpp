@@ -39,11 +39,12 @@ struct CampaignService::Campaign {
   std::atomic<bool> cancel_requested{false};
   CampaignLayout layout;
   SessionReport report;  // cores[] written by workers on disjoint indices
-  std::size_t predicted_total_tcks = 0;
   std::size_t units_done = 0;  // guarded by service mu_
   std::atomic<int> cores_done{0};
   std::exception_ptr error;  // first failure; guarded by service mu_
   std::chrono::steady_clock::time_point t0{};
+  /// Per layout group, the lock of its tree root (CampaignService::tree_mu_).
+  std::vector<std::mutex*> tree_mu;
 
   std::optional<WireReportStream> stream;
   ObserverList observers;
@@ -105,18 +106,24 @@ CoreReport testCoreResilient(Soc& soc, ArtifactStore& artifacts,
   }
 }
 
+/// what() of a campaign's failure, for its terminal event.
+std::string errorMessage(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown exception";
+  }
+}
+
 }  // namespace
 
 CampaignService::CampaignService(Soc& soc, CampaignServiceConfig config)
     : soc_(soc),
       workers_(config.workers < 1 ? 1 : config.workers),
       default_quota_(config.default_quota),
-      tenant_quotas_(std::move(config.tenant_quotas)),
-      artifacts_(config.artifacts ? std::move(config.artifacts)
-                                  : std::make_shared<ArtifactStore>()),
-      tree_mu_(std::make_unique<std::mutex[]>(
-          soc.coreCount() > 0 ? static_cast<std::size_t>(soc.coreCount())
-                              : 1)) {
+      tenant_quotas_(std::move(config.tenant_quotas)) {
   pool_.reserve(static_cast<std::size_t>(workers_));
   for (int t = 0; t < workers_; ++t) {
     pool_.emplace_back([this] { workerLoop(); });
@@ -158,13 +165,11 @@ CampaignHandle CampaignService::submit(const TestPlan& plan,
   // Resolve outside the lock: layout is the expensive part (lint, cost
   // model) and must never stall the reactor or other submitters.
   auto c = std::make_shared<Campaign>();
-  c->layout = layoutCampaign(plan, soc_, workers_, *artifacts_);
-  c->predicted_total_tcks = c->layout.predictedTotalTcks();
+  c->layout = layoutCampaign(plan, soc_, workers_, artifacts_);
   c->tenant = opts.tenant;
   c->observers.add(opts.observer);
   c->report.soc_name = soc_.name();
   c->report.threads = c->layout.threads;
-  c->report.placement = std::string(placementPolicyName(plan.placement));
   c->report.cores.resize(c->layout.entries.size());
 
   std::unique_lock<std::mutex> lock(mu_);
@@ -182,27 +187,31 @@ CampaignHandle CampaignService::submit(const TestPlan& plan,
             std::to_string(quota.max_in_flight) + ")");
   }
   if (quota.max_predicted_tcks > 0 &&
-      use.predicted_tcks + c->predicted_total_tcks >
+      use.predicted_tcks + c->layout.predicted_total_tcks >
           quota.max_predicted_tcks) {
     throw AdmissionError(
         AdmissionError::Reason::kPredictedTckQuota, opts.tenant,
         "tenant '" + opts.tenant + "' predicted-TCK budget exceeded: " +
             std::to_string(use.predicted_tcks) + " in flight + " +
-            std::to_string(c->predicted_total_tcks) + " requested > " +
+            std::to_string(c->layout.predicted_total_tcks) + " requested > " +
             std::to_string(quota.max_predicted_tcks));
   }
   c->id = next_id_++;
+  c->tree_mu.reserve(c->layout.groups.size());
+  for (const TreeGroup& g : c->layout.groups) {
+    c->tree_mu.push_back(&tree_mu_[g.root]);
+  }
   if (opts.stream_fd >= 0) {
     c->observers.add(&c->stream.emplace(opts.stream_fd, c->id));
   }
   use.in_flight += 1;
-  use.predicted_tcks += c->predicted_total_tcks;
+  use.predicted_tcks += c->layout.predicted_total_tcks;
   campaigns_.emplace(c->id, c);
   lock.unlock();
 
   // Start + placement events, outside mu_ (tenant code runs here) but
-  // under the campaign's observer lock — the deterministic ascending
-  // (TAM, channel) placement stream the one-shot scheduler always emitted.
+  // under the campaign's observer lock — the placement stream in
+  // deterministic ascending (TAM, channel) order.
   // The campaign is registered and charged by now, so an observer that
   // throws fails it here, as one that throws during a unit would: finalize
   // releases the quota and await() rethrows.
@@ -266,7 +275,7 @@ void CampaignService::runUnit(Campaign& c, std::size_t u) {
       // Whole-tree serialization across campaigns: cores under one
       // top-level ancestor share a wrapper chain and clock domain.
       const std::lock_guard<std::mutex> tree(
-          tree_mu_[static_cast<std::size_t>(grp.root)]);
+          *c.tree_mu[static_cast<std::size_t>(g)]);
       // One SessionChannel bundle per tree group, opened under the tree
       // lock and scoped to it. The channel MUST NOT outlive the group: its
       // TAM replica keeps the last TAM_SELECT latched, and a reused
@@ -274,11 +283,11 @@ void CampaignService::runUnit(Campaign& c, std::size_t u) {
       // a system-clock tick into the *previous* tree after its lock was
       // released, racing whichever campaign holds that tree now. A fresh
       // replica has no selection latched, so its reset ticks nothing.
-      auto ch = std::make_unique<SessionChannel>(soc_, unit.tam, *artifacts_);
+      auto ch = std::make_unique<SessionChannel>(soc_, unit.tam, artifacts_);
       for (const std::size_t i : grp.entry_idx) {
         if (c.cancel_requested.load(std::memory_order_relaxed)) return;
         c.report.cores[i] =
-            testCoreResilient(soc_, *artifacts_, ch, c.layout.entries[i],
+            testCoreResilient(soc_, artifacts_, ch, c.layout.entries[i],
                               c.layout.policy, c.observers);
         c.cores_done.fetch_add(1, std::memory_order_relaxed);
       }
@@ -299,37 +308,47 @@ void CampaignService::finalize(std::unique_lock<std::mutex>& lock,
           .count();
   aggregateSessionReport(c.report, c.layout, soc_);
 
-  const CampaignState final_state =
-      c.error != nullptr ? CampaignState::kFailed
-      : c.cancel_requested.load(std::memory_order_relaxed)
-          ? CampaignState::kCancelled
-          : CampaignState::kDone;
-
   TenantUsage& use = tenants_[c.tenant];
   use.in_flight -= 1;
-  use.predicted_tcks -= c.predicted_total_tcks;
+  use.predicted_tcks -= c.layout.predicted_total_tcks;
 
-  // Chip-level TCK accounting stays continuous with the one-shot session:
-  // cores that ran did clock the chip, so cancelled campaigns credit what
-  // they spent; failed ones match the scheduler's throw-before-credit
-  // behavior.
-  if (final_state != CampaignState::kFailed) {
-    soc_.tap().creditTcks(c.report.total_tap_clocks);
-  }
-
-  // Finish event + observer detach, outside mu_ (tenant code). Every unit
-  // has finished, so nothing else notifies this campaign any more. Detach
-  // happens BEFORE the terminal state is published below, so a tenant that
-  // saw await()/status() report a terminal state can destroy its observer
-  // immediately — no callback can still be in flight.
+  // Terminal event + observer detach, outside mu_ (tenant code). Every unit
+  // has finished, so nothing else notifies this campaign or writes its
+  // error any more. Detach happens BEFORE the terminal state is published
+  // below, so a tenant that saw await()/status() report a terminal state
+  // can destroy its observer immediately — no callback can still be in
+  // flight. An observer that throws from the terminal event fails the
+  // campaign like one that throws from any other event: the observers
+  // after it are told it failed.
+  const bool cancelled = c.cancel_requested.load(std::memory_order_relaxed);
+  std::exception_ptr error = c.error;
   lock.unlock();
-  if (final_state == CampaignState::kDone) {
-    c.observers.notify(
-        [&](SessionObserver& o) { o.onCampaignFinish(c.report); });
-  }
+  c.observers.notify([&](SessionObserver& o) {
+    try {
+      if (error != nullptr) {
+        o.onCampaignEnd(campaignStateName(CampaignState::kFailed),
+                        errorMessage(error));
+      } else if (cancelled) {
+        o.onCampaignEnd(campaignStateName(CampaignState::kCancelled), "");
+      } else {
+        o.onCampaignFinish(c.report);
+      }
+    } catch (...) {
+      if (error == nullptr) error = std::current_exception();
+    }
+  });
   c.observers.clear();
   lock.lock();
-  c.state = final_state;
+  c.error = error;
+  c.state = error != nullptr ? CampaignState::kFailed
+            : cancelled      ? CampaignState::kCancelled
+                             : CampaignState::kDone;
+  // Chip-level TCK accounting: cores that ran did clock the chip, so done
+  // and cancelled campaigns credit what they spent; a failed campaign
+  // credits nothing.
+  if (c.state != CampaignState::kFailed) {
+    soc_.tap().creditTcks(c.report.total_tap_clocks);
+  }
   done_cv_.notify_all();
 }
 
@@ -374,14 +393,13 @@ CampaignStatus CampaignService::status(CampaignHandle h) const {
   s.cores_done = c->cores_done.load(std::memory_order_relaxed);
   s.units_total = c->layout.units.size();
   s.units_done = c->units_done;
-  s.predicted_total_tcks = c->predicted_total_tcks;
+  s.predicted_total_tcks = c->layout.predicted_total_tcks;
   return s;
 }
 
 PlanForecast CampaignService::predict(const TestPlan& plan) {
-  const CampaignLayout layout =
-      layoutCampaign(plan, soc_, workers_, *artifacts_);
-  return forecastFromLayout(layout, soc_, plan.placement);
+  return forecastFromLayout(layoutCampaign(plan, soc_, workers_, artifacts_),
+                            soc_);
 }
 
 void CampaignService::drain() {

@@ -1,15 +1,14 @@
-// CampaignService: a resident, multi-tenant SoC test-campaign engine.
+// CampaignService: a resident, multi-tenant SoC test-campaign engine — the
+// one way to run a SoC campaign (`await(submit(plan))`) or to forecast one
+// (`predict(plan)`).
 //
-// The one-shot SocTestScheduler pays full setup for every run() — plan
-// resolution, lint, golden-signature simulation, a private thread pool —
-// and serves exactly one campaign at a time. CampaignService inverts that:
-// it is constructed once, stays resident, and multiplexes any number of
+// It is constructed once, stays resident, and multiplexes any number of
 // concurrent campaigns over shared state:
 //
 //   * artifact layer (service/artifacts.hpp) — lint reports, fault
 //     universes, golden signatures and coverage values are immutable,
 //     content-keyed artifacts built once and shared by reference across
-//     every campaign the service ever runs;
+//     every campaign the service ever runs; the service owns its store;
 //   * reactor layer — a fixed pool of worker threads claims ChannelUnits
 //     (service/layout.hpp) from any admitted campaign. Campaigns on
 //     different core trees interleave freely; units touching the same tree
@@ -26,19 +25,25 @@
 //     (service/report_stream.hpp), which deliver progress and incremental
 //     CoreReport JSON while the campaign runs.
 //
+// SoC topology: cores may be attached to the SoC while the service exists,
+// between campaigns — a campaign lays out against the topology at
+// submit() — but never while a campaign is admitted and unfinished.
+//
 // Determinism: a campaign's SessionReport fingerprint is a pure function of
 // (SoC core-tree state, plan). Every attempt starts from TAP reset + BIST
 // kReset on a replica channel, tree access is serialized, and artifacts are
 // bitwise equal to what a cold rebuild would produce — so fingerprints are
-// byte-identical across the seed one-shot path, any pool size and any
-// multi-tenant interleaving (pinned by tests/service_test.cpp).
+// byte-identical across any pool size and any multi-tenant interleaving
+// (pinned by tests/soc_scheduler_test.cpp and tests/service_test.cpp).
 //
 // Observer lifecycle (the checked-registration contract): callbacks for a
 // campaign fire only inside submit() (the start and placement events) and
-// between submit() returning and its terminal state being published. finalize clears the campaign's ObserverList BEFORE the
-// terminal state becomes visible, so once await()/drain() returns, no
-// further callback can touch the caller's observer — it may be destroyed
-// immediately.
+// between submit() returning and its terminal state being published. The
+// last callback is the terminal event — onCampaignFinish for kDone,
+// onCampaignEnd for kFailed and kCancelled — and finalize clears the
+// campaign's ObserverList right after it, BEFORE the terminal state
+// becomes visible, so once await()/drain() returns, no further callback
+// can touch the caller's observer — it may be destroyed immediately.
 //
 // Records: the service keeps a campaign's record until await() collects
 // it, whatever the outcome; afterwards status(), cancel() and await() on
@@ -126,17 +131,15 @@ struct TenantQuota {
 };
 
 struct CampaignServiceConfig {
-  /// Fixed reactor pool size (clamped to >= 1). Unlike the one-shot
-  /// scheduler, this does NOT shape placement determinism — fingerprints
-  /// are pool-size-invariant — it only bounds concurrency.
+  /// Fixed reactor pool size (clamped to >= 1), the one concurrency knob of
+  /// a campaign. It shapes placement — each TAM opens at most this many
+  /// channels (see service/layout.hpp) — but never outcomes: fingerprints
+  /// are pool-size-invariant.
   int workers = 2;
   /// Quota applied to tenants without an explicit entry.
   TenantQuota default_quota{};
   /// Per-tenant overrides.
   std::map<std::string, TenantQuota> tenant_quotas{};
-  /// Shared artifact store. Defaults to a fresh store per service; pass one
-  /// to share artifacts across services (the facade does, per scheduler).
-  std::shared_ptr<ArtifactStore> artifacts{};
 };
 
 struct SubmitOptions {
@@ -180,8 +183,11 @@ class CampaignService {
   CampaignService& operator=(const CampaignService&) = delete;
 
   /// Admit a campaign. Resolution/validation errors throw
-  /// std::invalid_argument (same rejections as the one-shot scheduler);
-  /// quota violations throw AdmissionError. On return the campaign is
+  /// std::invalid_argument (unknown or duplicated cores, a core assigned
+  /// to a TAM that does not serve it, channel limits outside [1,
+  /// TestPlan::kMaxChannelsPerTam], pattern budgets beyond a core's
+  /// counter capacity, a module failing structural lint); quota violations
+  /// throw AdmissionError. On return the campaign is
   /// registered, its tenant charged, its start/placement events delivered,
   /// and its units queued to the reactor. An observer that throws from a
   /// start or placement event does not make submit() throw: the campaign
@@ -207,18 +213,18 @@ class CampaignService {
   /// What-if forecast under this service's worker budget: same resolution,
   /// lint gating and placement pass as submit(), same rejections
   /// (std::invalid_argument only — predict() charges no quota), zero TCKs
-  /// spent. Safe to call concurrently with running campaigns.
+  /// spent. Forecast TCKs are exact for cores whose dwell covers the whole
+  /// run (the default warmup) and lower bounds otherwise. Safe to call
+  /// concurrently with running campaigns.
   [[nodiscard]] PlanForecast predict(const TestPlan& plan);
 
   /// Block until every admitted campaign is terminal.
   void drain();
 
-  [[nodiscard]] int workers() const noexcept { return workers_; }
-  [[nodiscard]] const std::shared_ptr<ArtifactStore>& artifacts() const noexcept {
-    return artifacts_;
-  }
+  /// The service's artifact store, shared by every campaign it runs.
+  [[nodiscard]] ArtifactStore& artifacts() noexcept { return artifacts_; }
   [[nodiscard]] ArtifactStats artifactStats() const {
-    return artifacts_->stats();
+    return artifacts_.stats();
   }
 
  private:
@@ -228,9 +234,9 @@ class CampaignService {
   [[nodiscard]] std::shared_ptr<Campaign> findLocked(std::uint64_t id) const;
   void workerLoop();
   void runUnit(Campaign& c, std::size_t u);
-  /// Aggregate, release quota, credit the TAP, clear the observer list,
-  /// publish the terminal state. Called with `lock` held; drops and
-  /// reacquires it around the observer callbacks.
+  /// Aggregate, release quota, credit the TAP, deliver the terminal event,
+  /// clear the observer list, publish the terminal state. Called with
+  /// `lock` held; drops and reacquires it around the observer callbacks.
   void finalize(std::unique_lock<std::mutex>& lock, Campaign& c);
 
   struct TenantUsage {
@@ -242,16 +248,18 @@ class CampaignService {
   int workers_;
   TenantQuota default_quota_;
   std::map<std::string, TenantQuota> tenant_quotas_;
-  std::shared_ptr<ArtifactStore> artifacts_;
-
-  /// One mutex per SoC core index; a unit locks its group's tree root for
-  /// the whole group, so two campaigns never drive one wrapper chain
-  /// concurrently. Workers hold at most one tree lock at a time, and lock
-  /// order is always tree -> artifact store -> observer list -> stream
-  /// frame lock, so no cycle exists.
-  std::unique_ptr<std::mutex[]> tree_mu_;
+  ArtifactStore artifacts_;
 
   mutable std::mutex mu_;  // guards everything below
+  /// One mutex per tree root (a top-level core index), created on the
+  /// first submit() that lays out a group under it — so a core attached
+  /// after the service was built gets its own. A unit locks its group's
+  /// root for the whole group, so two campaigns never drive one wrapper
+  /// chain concurrently. The map is node-stable: a campaign keeps
+  /// pointers to its roots' mutexes. Workers hold at most one tree lock at
+  /// a time, and lock order is always tree -> artifact store -> observer
+  /// list -> stream frame lock, so no cycle exists.
+  std::map<int, std::mutex> tree_mu_;
   std::condition_variable work_cv_;  // reactor: queue became non-empty / stop
   std::condition_variable done_cv_;  // await/drain: a campaign went terminal
   bool stopping_ = false;

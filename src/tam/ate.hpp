@@ -2,7 +2,7 @@
 //
 // The bit-banging sequences every session needs — select a core through the
 // TAM, load a wrapper WIR instruction, deliver a WCDR command, read the WDR
-// back — so every scheduler channel drives the exact same protocol. One
+// back — so every session channel drives the exact same protocol. One
 // P1500Ate owns one TapDriver over one TapController and speaks to one
 // TAM's IR block; it is not thread-safe, but channels never share an ATE.
 //
@@ -85,8 +85,8 @@ class P1500Ate {
   //
   // Every scan in this protocol is fixed-length, so the TCK cost of any
   // command sequence is a pure function of the protocol shape — the same
-  // invariant the scheduler's fingerprint equality rests on. These queries
-  // let the scheduler predict a core session's TCK load *before* running
+  // invariant the campaign fingerprint equality rests on. These queries
+  // let the service predict a core session's TCK load *before* running
   // anything (makespan-aware placement, the what-if API) and are kept next
   // to the protocol implementation so the model can never drift from the
   // bit-banging code silently: tests/placement_test.cpp asserts the

@@ -57,8 +57,8 @@ class Tam {
 
   /// Currently selected core; -1 until the first TAM_SELECT update. No
   /// wrapper is cycled and no system clock is forwarded while nothing is
-  /// selected, so replica channels (core/scheduler.cpp) can never touch a
-  /// core they have not explicitly selected.
+  /// selected, so replica channels (core/session_channel.hpp) can never
+  /// touch a core they have not explicitly selected.
   [[nodiscard]] int selectedCore() const noexcept { return selected_; }
   [[nodiscard]] int coreCount() const noexcept {
     return static_cast<int>(cores_.size());

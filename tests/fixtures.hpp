@@ -11,9 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "core/session_observer.hpp"
+#include "core/session_report.hpp"
 #include "core/soc.hpp"
 #include "core/test_plan.hpp"
 #include "netlist/builder.hpp"
+#include "service/service.hpp"
 
 namespace corebist::fixtures {
 
@@ -177,6 +180,23 @@ inline TestPlan makeMixedPlan() {
                         .poll_idle = 8,
                         .max_retries = 2});
   return plan;
+}
+
+/// Runs `plan` as the only campaign of a fresh `workers`-worker service
+/// over `soc` and returns its report: a cold artifact store and a pool of
+/// its own, for cases that compare pool sizes or fresh SoCs.
+inline SessionReport runCampaign(Soc& soc, const TestPlan& plan,
+                                 int workers = 1,
+                                 SessionObserver* observer = nullptr) {
+  CampaignService service(soc, CampaignServiceConfig{.workers = workers});
+  return service.await(
+      service.submit(plan, SubmitOptions{.observer = observer}));
+}
+
+/// The report of a one-entry campaign on `service`.
+inline CoreReport testCore(CampaignService& service, const CorePlan& entry) {
+  return service.await(service.submit(TestPlan{}.addCore(entry)))
+      .cores.front();
 }
 
 }  // namespace corebist::fixtures

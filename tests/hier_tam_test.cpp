@@ -1,6 +1,6 @@
 // Hierarchical multi-TAM SoC campaigns: randomized topologies (1-4 TAMs,
-// nesting depth <= 3, mixed core sizes) prove the scheduler fingerprint-
-// identical to the serial single-channel path under every TAM / thread /
+// nesting depth <= 3, mixed core sizes) prove campaigns fingerprint-
+// identical to the one-worker path under every TAM / pool-size /
 // channel-limit combination, plus negative tests for plans and topologies
 // the resolver must reject. Style follows tests/wide_fsim_test.cpp: a
 // deterministic generator seeded per case, one reference run, then
@@ -14,15 +14,17 @@
 #include <string>
 #include <vector>
 
-#include "core/scheduler.hpp"
 #include "core/session_channel.hpp"
 #include "core/soc.hpp"
 #include "fixtures.hpp"
 #include "netlist/builder.hpp"
 #include "service/artifacts.hpp"
+#include "service/service.hpp"
 
 namespace corebist {
 namespace {
+
+using fixtures::runCampaign;
 
 /// Small self-checking module; `twist` varies structure, `width` size, so
 /// cores carry genuinely different logic and different signatures.
@@ -134,42 +136,33 @@ TestPlan makeRandomPlan(const RandomSoc& r, int case_id) {
 
 TEST(HierTam, RandomizedTopologiesAreFingerprintIdenticalToSerial) {
   // The acceptance property: across randomized topologies — including
-  // >= 20 with >= 2 TAMs and a nested depth-2 core — every TAM/thread
-  // combination reproduces the serial single-channel fingerprint bit for
-  // bit.
+  // >= 20 with >= 2 TAMs and a nested depth-2 core — every TAM/pool-size
+  // combination reproduces the one-worker fingerprint bit for bit.
   constexpr int kCases = 28;
   int multi_tam_nested_cases = 0;
   for (int case_id = 0; case_id < kCases; ++case_id) {
     RandomSoc ref = buildRandomSoc(case_id);
     const TestPlan base = makeRandomPlan(ref, case_id);
-    const std::string reference =
-        SocTestScheduler(*ref.soc)
-            .run(TestPlan(base).withThreads(1))
-            .fingerprint();
+    const std::string reference = runCampaign(*ref.soc, base).fingerprint();
     if (ref.tam_count >= 2 && ref.max_depth >= 2) ++multi_tam_nested_cases;
 
-    for (const int threads : {2, 8}) {
+    for (const int workers : {2, 8}) {
       RandomSoc fresh = buildRandomSoc(case_id);  // identical initial state
-      const SessionReport report =
-          SocTestScheduler(*fresh.soc)
-              .run(TestPlan(base).withThreads(threads));
+      const SessionReport report = runCampaign(*fresh.soc, base, workers);
       ASSERT_EQ(report.fingerprint(), reference)
-          << "case " << case_id << " threads " << threads << " tams "
+          << "case " << case_id << " workers " << workers << " tams "
           << ref.tam_count << " depth " << ref.max_depth;
     }
   }
   EXPECT_GE(multi_tam_nested_cases, 20);
 
   // Six two-module cores round-robin over 1/2/4 TAMs, one nested core per
-  // TAM: 4 threads reproduce the serial fingerprint.
+  // TAM: 4 workers reproduce the one-worker fingerprint.
   const TestPlan plan256 = TestPlan{}.withPatterns(256);
   for (const int tams : {1, 2, 4}) {
     auto soc = fixtures::makeTwoModuleSoc(6, tams, /*nested=*/true);
-    SocTestScheduler scheduler(*soc);
-    const std::string reference =
-        scheduler.run(TestPlan(plan256).withThreads(1)).fingerprint();
-    EXPECT_EQ(scheduler.run(TestPlan(plan256).withThreads(4)).fingerprint(),
-              reference)
+    const std::string reference = runCampaign(*soc, plan256).fingerprint();
+    EXPECT_EQ(runCampaign(*soc, plan256, 4).fingerprint(), reference)
         << "two-module SoC, tams " << tams;
   }
 }
@@ -182,9 +175,9 @@ TEST(HierTam, NestedDefectIsLocalizedThroughTheChildChain) {
   const int grand = soc.attachChildCore(makeCore("grand", 3, 10), child);
   soc.core(grand).injectDefect(0, 4, GateType::kNor);
 
-  SocTestScheduler scheduler(soc);
+  CampaignService service(soc, CampaignServiceConfig{.workers = 2});
   const SessionReport report =
-      scheduler.run(TestPlan{}.withPatterns(200).withThreads(2));
+      service.await(service.submit(TestPlan{}.withPatterns(200)));
   ASSERT_EQ(report.cores.size(), 3u);
   EXPECT_EQ(report.core(top)->verdict, CoreVerdict::kPass);
   EXPECT_EQ(report.core(child)->verdict, CoreVerdict::kPass);
@@ -195,8 +188,8 @@ TEST(HierTam, NestedDefectIsLocalizedThroughTheChildChain) {
   EXPECT_GT(report.core(grand)->tap_clocks, report.core(top)->tap_clocks);
 
   soc.core(grand).healModule(0);
-  const CoreReport healed =
-      scheduler.testCore(CorePlan{.core_index = grand, .patterns = 200});
+  const CoreReport healed = fixtures::testCore(
+      service, CorePlan{.core_index = grand, .patterns = 200});
   EXPECT_EQ(healed.verdict, CoreVerdict::kPass) << healed.summary();
 }
 
@@ -208,9 +201,9 @@ TEST(HierTam, PerTamAccountingSlicesTheCampaign) {
   const int c = soc.attachCore(makeCore("c", 3, 9), t1);
   const int nested = soc.attachChildCore(makeCore("d", 4, 9), b);
 
-  TestPlan plan = TestPlan{}.withPatterns(128).withThreads(2);
+  TestPlan plan = TestPlan{}.withPatterns(128);
   plan.addCore(c).addCore(a).addCore(nested).addCore(b);
-  const SessionReport report = SocTestScheduler(soc).run(plan);
+  const SessionReport report = runCampaign(soc, plan, 2);
 
   ASSERT_EQ(report.tams.size(), 2u);
   EXPECT_EQ(report.tams[0].tam_index, 0);
@@ -235,43 +228,44 @@ TEST(HierTam, PlanAssigningACoreToTheWrongTamIsRejected) {
   Soc soc("mismatch");
   const int t1 = soc.addTam();
   const int a = soc.attachCore(makeCore("a", 1, 9), 0);
-  SocTestScheduler scheduler(soc);
+  CampaignService service(soc, CampaignServiceConfig{.workers = 1});
 
   TestPlan wrong_tam;
   wrong_tam.addCore(CorePlan{.core_index = a, .tam = t1});
-  EXPECT_THROW((void)scheduler.run(wrong_tam), std::invalid_argument);
+  EXPECT_THROW((void)service.submit(wrong_tam), std::invalid_argument);
   TestPlan bogus_tam;
   bogus_tam.addCore(CorePlan{.core_index = a, .tam = 99});
-  EXPECT_THROW((void)scheduler.run(bogus_tam), std::invalid_argument);
+  EXPECT_THROW((void)service.submit(bogus_tam), std::invalid_argument);
   // The explicit assignment that matches the topology is fine.
   TestPlan right_tam;
   right_tam.addCore(CorePlan{.core_index = a, .tam = 0});
-  EXPECT_EQ(scheduler.run(right_tam).cores.at(0).verdict, CoreVerdict::kPass);
+  EXPECT_EQ(service.await(service.submit(right_tam)).cores.at(0).verdict,
+            CoreVerdict::kPass);
 }
 
 TEST(HierTam, OverLimitChannelConfigsAreRejected) {
   Soc soc("limits");
   const int a = soc.attachCore(makeCore("a", 1, 9));
   (void)a;
-  SocTestScheduler scheduler(soc);
+  CampaignService service(soc, CampaignServiceConfig{.workers = 1});
 
-  EXPECT_THROW((void)scheduler.run(TestPlan{}.withTamChannels(0, 0)),
+  EXPECT_THROW((void)service.submit(TestPlan{}.withTamChannels(0, 0)),
                std::invalid_argument);
-  EXPECT_THROW((void)scheduler.run(TestPlan{}.withTamChannels(
+  EXPECT_THROW((void)service.submit(TestPlan{}.withTamChannels(
                    0, TestPlan::kMaxChannelsPerTam + 1)),
                std::invalid_argument);
-  EXPECT_THROW((void)scheduler.run(TestPlan{}.withTamChannels(5, 2)),
+  EXPECT_THROW((void)service.submit(TestPlan{}.withTamChannels(5, 2)),
                std::invalid_argument);
   EXPECT_THROW(
-      (void)scheduler.run(TestPlan{}.withTamChannels(0, 2).withTamChannels(
+      (void)service.submit(TestPlan{}.withTamChannels(0, 2).withTamChannels(
           0, 3)),
       std::invalid_argument);
   TestPlan bad_default;
   bad_default.channels_per_tam = -1;
-  EXPECT_THROW((void)scheduler.run(bad_default), std::invalid_argument);
+  EXPECT_THROW((void)service.submit(bad_default), std::invalid_argument);
   // A valid cap runs and is reported.
-  const SessionReport ok =
-      scheduler.run(TestPlan{}.withPatterns(64).withTamChannels(0, 1));
+  const SessionReport ok = service.await(
+      service.submit(TestPlan{}.withPatterns(64).withTamChannels(0, 1)));
   ASSERT_EQ(ok.tams.size(), 1u);
   EXPECT_EQ(ok.tams[0].channels, 1);
 }
@@ -303,7 +297,7 @@ TEST(HierTam, BrokenHierarchiesAreRejectedAtBuildTime) {
   const int kid = dup.attachChildCore(makeCore("k", 2, 9), top);
   TestPlan twice;
   twice.addCore(kid).addCore(top).addCore(kid);
-  EXPECT_THROW((void)SocTestScheduler(dup).run(twice), std::invalid_argument);
+  EXPECT_THROW((void)runCampaign(dup, twice), std::invalid_argument);
 }
 
 TEST(HierTam, ChannelRefusesCoresOfOtherTams) {
@@ -321,25 +315,22 @@ TEST(HierTam, ChannelRefusesCoresOfOtherTams) {
 }
 
 TEST(HierTam, RerunOnTheSameHierarchicalSocIsIdentical) {
-  // Campaigns leave nested cores re-testable: serial then sharded on one
+  // Campaigns leave nested cores re-testable: one worker then four on one
   // chip yields the same fingerprint (state perturbations from testing a
   // parent — shared clock domain ticks — are erased by each attempt's
   // kReset/kLoadCount/kStart preamble).
   RandomSoc r = buildRandomSoc(3);
   const TestPlan plan = makeRandomPlan(r, 3);
-  SocTestScheduler scheduler(*r.soc);
-  const std::string first =
-      scheduler.run(TestPlan(plan).withThreads(1)).fingerprint();
-  const std::string second =
-      scheduler.run(TestPlan(plan).withThreads(4)).fingerprint();
+  const std::string first = runCampaign(*r.soc, plan).fingerprint();
+  const std::string second = runCampaign(*r.soc, plan, 4).fingerprint();
   EXPECT_EQ(first, second);
 }
 
 TEST(HierTam, ChipTapIsCreditedAcrossTams) {
   RandomSoc r = buildRandomSoc(5);
   const std::size_t before = r.soc->tap().tckCount();
-  const SessionReport report = SocTestScheduler(*r.soc).run(
-      TestPlan{}.withPatterns(96).withThreads(2));
+  const SessionReport report =
+      runCampaign(*r.soc, TestPlan{}.withPatterns(96), 2);
   EXPECT_EQ(r.soc->tap().tckCount() - before, report.total_tap_clocks);
 }
 

@@ -5,11 +5,12 @@
 #include <random>
 
 #include "bist/engine_hw.hpp"
-#include "core/scheduler.hpp"
 #include "core/soc.hpp"
+#include "fixtures.hpp"
 #include "ldpc/gatelevel.hpp"
 #include "p1500/wrapper_hw.hpp"
 #include "scan/scan.hpp"
+#include "service/service.hpp"
 #include "sim/seq_sim.hpp"
 #include "synth/area.hpp"
 #include "synth/sta.hpp"
@@ -23,10 +24,10 @@ TEST(Integration, LdpcBitNodeFullSessionWithDefectLocalization) {
   const Netlist bn = ldpc::buildBitNode();
   core->addModule(bn);
   const int idx = soc.attachCore(std::move(core));
-  SocTestScheduler scheduler(soc);
+  CampaignService service(soc, CampaignServiceConfig{.workers = 1});
   const CorePlan entry{.core_index = idx, .patterns = 400};
 
-  const CoreReport healthy = scheduler.testCore(entry);
+  const CoreReport healthy = fixtures::testCore(service, entry);
   EXPECT_EQ(healthy.verdict, CoreVerdict::kPass) << healthy.summary();
 
   // Break an AND gate somewhere in the accumulator datapath.
@@ -38,7 +39,7 @@ TEST(Integration, LdpcBitNodeFullSessionWithDefectLocalization) {
     }
   }
   soc.core(idx).injectDefect(0, victim, GateType::kXor);
-  const CoreReport defective = scheduler.testCore(entry);
+  const CoreReport defective = fixtures::testCore(service, entry);
   EXPECT_EQ(defective.verdict, CoreVerdict::kSignatureMismatch)
       << defective.summary();
   EXPECT_TRUE(defective.end_test_seen);

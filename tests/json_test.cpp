@@ -257,9 +257,9 @@ SessionReport hostileReport() {
                           ChannelLoad{1, {}, 0, 0}};
   TamReport idle;
   idle.tam_index = 1;
+  idle.name = "make\"span";
   r.tams = {loaded, idle};
   r.wall_seconds = -inf;
-  r.placement = "make\"span";
   return r;
 }
 
@@ -316,6 +316,7 @@ TEST(JsonEmitters, EveryLibraryEmitterWritesStrictOneLineJson) {
     stream.onCoreQuarantined(4, 2);
     stream.onCoreFinish(report.cores[0]);
     stream.onCampaignFinish(report);
+    stream.onCampaignEnd("failed", "boom \"x\"\\\n\x01");
   }
   close(fds[1]);
   StreamEvent ev;
@@ -325,7 +326,7 @@ TEST(JsonEmitters, EveryLibraryEmitterWritesStrictOneLineJson) {
     ++events;
   }
   close(fds[0]);
-  EXPECT_EQ(events, 9);
+  EXPECT_EQ(events, 10);
 
   for (const std::string& doc : docs) {
     EXPECT_TRUE(StrictJson::valid(doc)) << doc;

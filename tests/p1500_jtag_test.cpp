@@ -1,18 +1,22 @@
 // P1500 wrapper, 1149.1 TAP, TAM and the complete bit-banged test session.
 #include <gtest/gtest.h>
 
-#include "core/scheduler.hpp"
 #include "core/soc.hpp"
 #include "core/wrapped_core.hpp"
+#include "fixtures.hpp"
 #include "jtag/driver.hpp"
 #include "jtag/tap.hpp"
 #include "ldpc/gatelevel.hpp"
 #include "netlist/builder.hpp"
 #include "p1500/wrapper.hpp"
+#include "service/service.hpp"
 #include "tam/tam.hpp"
 
 namespace corebist {
 namespace {
+
+using fixtures::runCampaign;
+using fixtures::testCore;
 
 TEST(TapFsm, ResetFromAnywhereInFiveTmsOnes) {
   for (int s = 0; s < 16; ++s) {
@@ -272,9 +276,9 @@ TEST(SocSession, FullBistSessionPassesOnHealthyCore) {
   auto core = std::make_unique<WrappedCore>("toy");
   core->addModule(makeToyModule());
   const int idx = soc.attachCore(std::move(core));
-  SocTestScheduler scheduler(soc);
+  CampaignService service(soc, CampaignServiceConfig{.workers = 1});
   const CoreReport report =
-      scheduler.testCore(CorePlan{.core_index = idx, .patterns = 300});
+      testCore(service, CorePlan{.core_index = idx, .patterns = 300});
   EXPECT_TRUE(report.end_test_seen);
   EXPECT_EQ(report.verdict, CoreVerdict::kPass) << report.summary();
   EXPECT_TRUE(report.pass());
@@ -290,14 +294,14 @@ TEST(SocSession, DefectiveCoreFailsAndHealedCorePasses) {
   core->addModule(makeToyModule());
   const int idx = soc.attachCore(std::move(core));
   soc.core(idx).injectDefect(0, 3, GateType::kXnor);
-  SocTestScheduler scheduler(soc);
+  CampaignService service(soc, CampaignServiceConfig{.workers = 1});
   const CoreReport bad =
-      scheduler.testCore(CorePlan{.core_index = idx, .patterns = 300});
+      testCore(service, CorePlan{.core_index = idx, .patterns = 300});
   EXPECT_EQ(bad.verdict, CoreVerdict::kSignatureMismatch) << bad.summary();
   EXPECT_TRUE(bad.end_test_seen);  // a mismatch is NOT a timeout
   soc.core(idx).healModule(0);
   const CoreReport good =
-      scheduler.testCore(CorePlan{.core_index = idx, .patterns = 300});
+      testCore(service, CorePlan{.core_index = idx, .patterns = 300});
   EXPECT_EQ(good.verdict, CoreVerdict::kPass) << good.summary();
 }
 
@@ -310,8 +314,7 @@ TEST(SocSession, MultiCoreSelectionIsIndependent) {
   const int i0 = soc.attachCore(std::move(c0));
   const int i1 = soc.attachCore(std::move(c1));
   soc.core(i1).injectDefect(0, 5, GateType::kNand);
-  SocTestScheduler scheduler(soc);
-  const SessionReport report = scheduler.run(TestPlan{}.withPatterns(200));
+  const SessionReport report = runCampaign(soc, TestPlan{}.withPatterns(200));
   ASSERT_EQ(report.cores.size(), 2u);
   EXPECT_TRUE(report.core(i0)->pass());
   EXPECT_FALSE(report.core(i1)->pass());
@@ -327,8 +330,9 @@ TEST(SocSession, LdpcControlUnitEndToEnd) {
   auto core = std::make_unique<WrappedCore>("ldpc_cu");
   core->addModule(ldpc::buildControlUnit());
   const int idx = soc.attachCore(std::move(core));
+  CampaignService service(soc, CampaignServiceConfig{.workers = 1});
   const CoreReport report =
-      SocTestScheduler(soc).testCore({.core_index = idx, .patterns = 512});
+      testCore(service, {.core_index = idx, .patterns = 512});
   EXPECT_TRUE(report.pass()) << report.summary();
 }
 

@@ -1,12 +1,12 @@
 // Makespan-aware TAM placement and the what-if API: the P1500Ate cost
 // model must equal the measured TCK accounting (the protocol is bit-banged
 // and fixed-length, so prediction is arithmetic, not estimation), the
-// placement pass must be deterministic with an index-order tie-break,
-// kMakespan must never predict a worse makespan than kPlanOrder (and must
-// strictly beat it on ascending budgets), and every placement field must
-// stay out of the campaign fingerprint. Also the JSON finite-guard
-// regression: inf/NaN doubles (zero-wall-time campaigns) must never reach
-// the artifact.
+// placement pass must be deterministic with an index-order tie-break, it
+// must never predict a worse makespan than the plan-order greedy walk
+// (planOrderLoads below, the reference) and must strictly beat it on
+// ascending budgets, and every placement field must stay out of the
+// campaign fingerprint. Also the JSON finite-guard regression: inf/NaN
+// doubles (zero-wall-time campaigns) must never reach the artifact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,16 +20,17 @@
 #include <utility>
 #include <vector>
 
-#include "core/scheduler.hpp"
 #include "core/session_report.hpp"
 #include "core/soc.hpp"
 #include "fixtures.hpp"
+#include "service/service.hpp"
 #include "tam/ate.hpp"
 
 namespace corebist {
 namespace {
 
 using fixtures::makeToyModule;
+using fixtures::runCampaign;
 
 std::unique_ptr<WrappedCore> makeCore(const std::string& name, int twist,
                                       int modules = 1) {
@@ -65,10 +66,10 @@ TEST(Placement, PredictionEqualsMeasuredTapClocks) {
   // not an estimate: per-core predicted TCKs equal the measured tap_clocks,
   // including the doubled wrapper-chain cost of nested (depth-1) cores.
   auto soc = makeMultiTamSoc(2, 2);
-  SocTestScheduler scheduler(*soc);
-  const TestPlan plan = TestPlan{}.withPatterns(200).withThreads(1);
-  const PlanForecast forecast = scheduler.predict(plan);
-  const SessionReport report = scheduler.run(plan);
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 1});
+  const TestPlan plan = TestPlan{}.withPatterns(200);
+  const PlanForecast forecast = service.predict(plan);
+  const SessionReport report = service.await(service.submit(plan));
   ASSERT_EQ(forecast.cores.size(), report.cores.size());
   bool saw_nested = false;
   for (std::size_t i = 0; i < report.cores.size(); ++i) {
@@ -96,56 +97,110 @@ TEST(Placement, PredictionEqualsMeasuredTapClocks) {
 
 TEST(Placement, PredictSpendsNoTcks) {
   auto soc = makeMultiTamSoc(2, 3);
-  SocTestScheduler scheduler(*soc);
+  CampaignService service(*soc);
   const std::size_t before = soc->tap().tckCount();
-  const PlanForecast forecast =
-      scheduler.predict(TestPlan{}.withPatterns(300));
+  const PlanForecast forecast = service.predict(TestPlan{}.withPatterns(300));
   EXPECT_GT(forecast.predicted_total_tcks, 0u);
   EXPECT_EQ(soc->tap().tckCount(), before);
 }
 
 TEST(Placement, PredictValidatesLikeRun) {
   auto soc = makeMultiTamSoc(1, 2);
-  SocTestScheduler scheduler(*soc);
+  CampaignService service(*soc);
   TestPlan bad;
   bad.addCore(99);
-  EXPECT_THROW((void)scheduler.predict(bad), std::invalid_argument);
+  EXPECT_THROW((void)service.predict(bad), std::invalid_argument);
   TestPlan wrong_tam;
   wrong_tam.cores.push_back(CorePlan{.core_index = 0, .tam = 7});
-  EXPECT_THROW((void)scheduler.predict(wrong_tam), std::invalid_argument);
+  EXPECT_THROW((void)service.predict(wrong_tam), std::invalid_argument);
+}
+
+/// Reference placement: the plan-order greedy walk. Per TAM of `f`, the
+/// TAM's core trees in plan order (a tree's load is the summed predicted
+/// TCKs of its entries), each onto the least-loaded of the TAM's channels,
+/// ties to the lowest index. Returns each TAM's channel loads, in `f.tams`
+/// order. The service's placement keeps this walk as a candidate and must
+/// never predict worse than it.
+std::vector<std::vector<std::size_t>> planOrderLoads(const PlanForecast& f,
+                                                     const Soc& soc) {
+  std::vector<std::vector<std::size_t>> loads;
+  for (const TamForecast& tf : f.tams) {
+    std::vector<int> roots;
+    std::vector<std::size_t> trees;
+    for (const CoreForecast& cf : f.cores) {
+      if (cf.tam != tf.tam_index) continue;
+      const int root = soc.topology(cf.core_index).root;
+      const auto it = std::find(roots.begin(), roots.end(), root);
+      if (it == roots.end()) {
+        roots.push_back(root);
+        trees.push_back(cf.predicted_tap_clocks);
+      } else {
+        trees[static_cast<std::size_t>(it - roots.begin())] +=
+            cf.predicted_tap_clocks;
+      }
+    }
+    std::vector<std::size_t> channels(static_cast<std::size_t>(tf.channels),
+                                      0);
+    for (const std::size_t tree : trees) {
+      *std::min_element(channels.begin(), channels.end()) += tree;
+    }
+    loads.push_back(std::move(channels));
+  }
+  return loads;
+}
+
+std::size_t makespanOf(const std::vector<std::size_t>& channel_loads) {
+  return *std::max_element(channel_loads.begin(), channel_loads.end());
+}
+
+/// Each TAM's predicted channel loads, in `f.tams` order.
+std::vector<std::vector<std::size_t>> forecastLoads(const PlanForecast& f) {
+  std::vector<std::vector<std::size_t>> loads;
+  for (const TamForecast& tf : f.tams) {
+    loads.emplace_back();
+    for (const ChannelLoad& cl : tf.channel_loads) {
+      loads.back().push_back(cl.predicted_tcks);
+    }
+  }
+  return loads;
+}
+
+/// Max - min channel load within each TAM, summed over TAMs: the imbalance
+/// the placement pass minimizes.
+std::size_t predictedSpread(const std::vector<std::vector<std::size_t>>& l) {
+  std::size_t spread = 0;
+  for (const std::vector<std::size_t>& tam : l) {
+    const auto [lo, hi] = std::minmax_element(tam.begin(), tam.end());
+    spread += *hi - *lo;
+  }
+  return spread;
 }
 
 TEST(Placement, PredictedMakespanMonotoneInPatternBudget) {
   auto soc = makeMultiTamSoc(2, 3);
-  SocTestScheduler scheduler(*soc);
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 4});
   std::size_t prev = 0;
+  std::size_t prev_reference = 0;
   for (const int patterns : {64, 128, 256, 512}) {
-    for (const PlacementPolicy policy :
-         {PlacementPolicy::kPlanOrder, PlacementPolicy::kMakespan}) {
-      const PlanForecast f = scheduler.predict(TestPlan{}
-                                                   .withPatterns(patterns)
-                                                   .withThreads(4)
-                                                   .withPlacement(policy));
-      EXPECT_GT(f.predicted_makespan_tcks, 0u);
-      if (policy == PlacementPolicy::kPlanOrder) {
-        EXPECT_GT(f.predicted_makespan_tcks, prev)
-            << "patterns " << patterns;
-        prev = f.predicted_makespan_tcks;
-      }
+    const PlanForecast f =
+        service.predict(TestPlan{}.withPatterns(patterns));
+    EXPECT_GT(f.predicted_makespan_tcks, prev) << "patterns " << patterns;
+    prev = f.predicted_makespan_tcks;
+    std::size_t reference = 0;
+    for (const std::vector<std::size_t>& tam : planOrderLoads(f, *soc)) {
+      reference = std::max(reference, makespanOf(tam));
     }
+    EXPECT_GT(reference, prev_reference) << "patterns " << patterns;
+    prev_reference = reference;
   }
 }
 
 TEST(Placement, RespectsChannelLimits) {
   auto soc = makeMultiTamSoc(2, 4);
-  SocTestScheduler scheduler(*soc);
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 8});
   for (const int limit : {1, 2, 3}) {
-    const PlanForecast f = scheduler.predict(TestPlan{}
-                                                 .withPatterns(100)
-                                                 .withThreads(8)
-                                                 .withChannelsPerTam(limit)
-                                                 .withPlacement(
-                                                     PlacementPolicy::kMakespan));
+    const PlanForecast f = service.predict(
+        TestPlan{}.withPatterns(100).withChannelsPerTam(limit));
     ASSERT_EQ(f.tams.size(), 2u);
     for (const TamForecast& tf : f.tams) {
       EXPECT_LE(tf.channels, limit);
@@ -160,104 +215,82 @@ TEST(Placement, RespectsChannelLimits) {
   }
   // A per-TAM override caps only its TAM.
   const PlanForecast f =
-      scheduler.predict(TestPlan{}.withPatterns(100).withThreads(8)
-                            .withTamChannels(0, 1));
+      service.predict(TestPlan{}.withPatterns(100).withTamChannels(0, 1));
   EXPECT_EQ(f.tams[0].channels, 1);
   EXPECT_GT(f.tams[1].channels, 1);
 }
 
-TEST(Placement, MakespanNeverPredictsWorseThanPlanOrder) {
+TEST(Placement, NeverPredictsWorseThanPlanOrder) {
   // 20 randomized multi-TAM topologies with heterogeneous pattern budgets:
-  // the kMakespan placement keeps whichever refined candidate predicts the
-  // smaller makespan, so it can never lose to kPlanOrder — per TAM and
-  // overall.
+  // the placement keeps whichever refined candidate predicts the smaller
+  // makespan, one of them the plan-order walk, so it can never lose to the
+  // plan-order reference — per TAM and overall.
   std::mt19937 rng(20260808u);
   for (int trial = 0; trial < 20; ++trial) {
     const int tams = 1 + static_cast<int>(rng() % 3);
     const int per_tam = 2 + static_cast<int>(rng() % 4);
     auto soc = makeMultiTamSoc(tams, per_tam);
-    SocTestScheduler scheduler(*soc);
-    TestPlan plan = TestPlan{}.withThreads(8).withChannelsPerTam(
-        1 + static_cast<int>(rng() % 3));
+    CampaignService service(*soc, CampaignServiceConfig{.workers = 8});
+    TestPlan plan =
+        TestPlan{}.withChannelsPerTam(1 + static_cast<int>(rng() % 3));
     for (int c = 0; c < soc->coreCount(); ++c) {
       plan.addCore(CorePlan{.core_index = c,
                             .patterns = 32 + static_cast<int>(rng() % 700)});
     }
-    TestPlan po = plan;
-    TestPlan mk = plan;
-    const PlanForecast fpo =
-        scheduler.predict(po.withPlacement(PlacementPolicy::kPlanOrder));
-    const PlanForecast fmk =
-        scheduler.predict(mk.withPlacement(PlacementPolicy::kMakespan));
-    EXPECT_LE(fmk.predicted_makespan_tcks, fpo.predicted_makespan_tcks)
-        << "trial " << trial;
-    ASSERT_EQ(fmk.tams.size(), fpo.tams.size());
-    for (std::size_t t = 0; t < fmk.tams.size(); ++t) {
-      EXPECT_LE(fmk.tams[t].predicted_makespan_tcks,
-                fpo.tams[t].predicted_makespan_tcks)
+    const PlanForecast f = service.predict(plan);
+    const std::vector<std::vector<std::size_t>> reference =
+        planOrderLoads(f, *soc);
+    ASSERT_EQ(f.tams.size(), reference.size());
+    std::size_t reference_makespan = 0;
+    for (std::size_t t = 0; t < f.tams.size(); ++t) {
+      const std::size_t ref_tam = makespanOf(reference[t]);
+      reference_makespan = std::max(reference_makespan, ref_tam);
+      EXPECT_LE(f.tams[t].predicted_makespan_tcks, ref_tam)
           << "trial " << trial << " tam " << t;
-      // Both policies place all of the TAM's work, just differently.
-      EXPECT_EQ(fmk.tams[t].predicted_tap_clocks,
-                fpo.tams[t].predicted_tap_clocks);
+      // Both place all of the TAM's work, just differently.
+      std::size_t ref_total = 0;
+      for (const std::size_t load : reference[t]) ref_total += load;
+      EXPECT_EQ(f.tams[t].predicted_tap_clocks, ref_total)
+          << "trial " << trial << " tam " << t;
     }
+    EXPECT_LE(f.predicted_makespan_tcks, reference_makespan)
+        << "trial " << trial;
   }
 }
 
-/// Max - min predicted channel load within each TAM, summed over TAMs: the
-/// imbalance the placement pass minimizes.
-std::size_t predictedSpread(const PlanForecast& f) {
-  std::size_t spread = 0;
-  for (const TamForecast& tf : f.tams) {
-    std::size_t lo = std::numeric_limits<std::size_t>::max();
-    std::size_t hi = 0;
-    for (const ChannelLoad& cl : tf.channel_loads) {
-      lo = std::min(lo, cl.predicted_tcks);
-      hi = std::max(hi, cl.predicted_tcks);
-    }
-    if (hi > lo) spread += hi - lo;
-  }
-  return spread;
-}
-
-TEST(Placement, MakespanStrictlyBeatsPlanOrderOnAscendingBudgets) {
+TEST(Placement, StrictlyBeatsPlanOrderOnAscendingBudgets) {
   // 16 two-module cores round-robin over 4 TAMs, 2 channels each, budgets
   // ascending within each TAM: the adversarial case for the plan-order
-  // walk. kMakespan must strictly shrink the predicted makespan, never widen
-  // the channel-load spread or lose on any TAM, and change no outcome.
+  // walk. The placement must strictly shrink the predicted makespan (1,304
+  // TCKs against the reference's 1,368), balance every TAM exactly (spread
+  // 0 against 512), never lose on any TAM, and change no outcome.
   constexpr int kCores = 16;
   constexpr int kTams = 4;
-  TestPlan plan = TestPlan{}.withThreads(8).withChannelsPerTam(2);
+  TestPlan plan = TestPlan{}.withChannelsPerTam(2);
   for (int c = 0; c < kCores; ++c) {
     plan.addCore(
         CorePlan{.core_index = c, .patterns = 64 * (1 + c / kTams)});
   }
   auto ref_soc = fixtures::makeTwoModuleSoc(kCores, kTams);
-  const std::string reference =
-      SocTestScheduler(*ref_soc).run(TestPlan(plan).withThreads(1))
-          .fingerprint();
+  const std::string reference = runCampaign(*ref_soc, plan).fingerprint();
 
-  PlanForecast forecast[2];
-  const PlacementPolicy policies[2] = {PlacementPolicy::kPlanOrder,
-                                       PlacementPolicy::kMakespan};
-  for (int p = 0; p < 2; ++p) {
-    auto soc = fixtures::makeTwoModuleSoc(kCores, kTams);
-    SocTestScheduler scheduler(*soc);
-    TestPlan placed = plan;
-    placed.withPlacement(policies[p]);
-    forecast[p] = scheduler.predict(placed);
-    EXPECT_EQ(scheduler.run(placed).fingerprint(), reference)
-        << placementPolicyName(policies[p]);
-  }
-  const PlanForecast& po = forecast[0];
-  const PlanForecast& mk = forecast[1];
-  EXPECT_LT(mk.predicted_makespan_tcks, po.predicted_makespan_tcks);
-  EXPECT_LE(predictedSpread(mk), predictedSpread(po));
-  ASSERT_EQ(mk.tams.size(), po.tams.size());
-  for (std::size_t t = 0; t < mk.tams.size(); ++t) {
-    EXPECT_LE(mk.tams[t].predicted_makespan_tcks,
-              po.tams[t].predicted_makespan_tcks)
+  auto soc = fixtures::makeTwoModuleSoc(kCores, kTams);
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 8});
+  const PlanForecast f = service.predict(plan);
+  EXPECT_EQ(service.await(service.submit(plan)).fingerprint(), reference);
+
+  const std::vector<std::vector<std::size_t>> po = planOrderLoads(f, *soc);
+  ASSERT_EQ(f.tams.size(), po.size());
+  std::size_t po_makespan = 0;
+  for (std::size_t t = 0; t < po.size(); ++t) {
+    po_makespan = std::max(po_makespan, makespanOf(po[t]));
+    EXPECT_LE(f.tams[t].predicted_makespan_tcks, makespanOf(po[t]))
         << "tam " << t;
   }
+  EXPECT_EQ(f.predicted_makespan_tcks, 1304u);
+  EXPECT_EQ(po_makespan, 1368u);
+  EXPECT_EQ(predictedSpread(forecastLoads(f)), 0u);
+  EXPECT_EQ(predictedSpread(po), 512u);
 }
 
 TEST(Placement, DeterministicIndexOrderTieBreak) {
@@ -269,13 +302,9 @@ TEST(Placement, DeterministicIndexOrderTieBreak) {
   for (int c = 0; c < 4; ++c) {
     (void)soc->attachCore(makeCore("t" + std::to_string(c), 7));
   }
-  SocTestScheduler scheduler(*soc);
-  const TestPlan plan = TestPlan{}
-                            .withPatterns(100)
-                            .withThreads(4)
-                            .withChannelsPerTam(3)
-                            .withPlacement(PlacementPolicy::kMakespan);
-  const PlanForecast f = scheduler.predict(plan);
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 4});
+  const TestPlan plan = TestPlan{}.withPatterns(100).withChannelsPerTam(3);
+  const PlanForecast f = service.predict(plan);
   ASSERT_EQ(f.tams.size(), 1u);
   ASSERT_EQ(f.tams[0].channel_loads.size(), 3u);
   // All four trees cost the same, so the fourth doubles up on channel 0.
@@ -287,7 +316,7 @@ TEST(Placement, DeterministicIndexOrderTieBreak) {
   }
   // Byte-for-byte repeatable placement (pure function of the plan).
   for (int rep = 0; rep < 3; ++rep) {
-    const PlanForecast g = scheduler.predict(plan);
+    const PlanForecast g = service.predict(plan);
     ASSERT_EQ(g.tams[0].channel_loads.size(), 3u);
     for (std::size_t ch = 0; ch < 3; ++ch) {
       EXPECT_EQ(g.tams[0].channel_loads[ch].cores,
@@ -298,57 +327,46 @@ TEST(Placement, DeterministicIndexOrderTieBreak) {
   }
 }
 
-TEST(Placement, PolicyNeverChangesCampaignOutcomes) {
+TEST(Placement, NeverChangesCampaignOutcomes) {
   // Placement moves work between channels; it must never change what the
-  // campaign *finds*. Heterogeneous budgets + a defect + both policies at
-  // several thread counts: all fingerprints equal the serial reference.
+  // campaign *finds*. Heterogeneous budgets (so the LPT and plan-order
+  // candidates differ) + a defect at several pool sizes: all fingerprints
+  // equal the one-worker reference.
   auto build = [] {
     auto soc = makeMultiTamSoc(2, 3);
     soc->core(1).injectDefect(0, 3, GateType::kXnor);
     return soc;
   };
-  TestPlan base = TestPlan{}.withChannelsPerTam(2);
+  TestPlan plan = TestPlan{}.withChannelsPerTam(2);
   {
     auto probe = build();
     for (int c = 0; c < probe->coreCount(); ++c) {
-      base.addCore(CorePlan{.core_index = c, .patterns = 100 + 60 * c});
+      plan.addCore(CorePlan{.core_index = c, .patterns = 100 + 60 * c});
     }
   }
   std::string reference;
   {
     auto soc = build();
-    TestPlan serial = base;
-    reference = SocTestScheduler(*soc).run(serial.withThreads(1)).fingerprint();
+    reference = runCampaign(*soc, plan).fingerprint();
   }
   EXPECT_NE(reference.find("\"verdict\": \"signature_mismatch\""),
             std::string::npos);
-  for (const PlacementPolicy policy :
-       {PlacementPolicy::kPlanOrder, PlacementPolicy::kMakespan}) {
-    for (const int threads : {2, 4}) {
-      auto soc = build();
-      TestPlan plan = base;
-      plan.withPlacement(policy).withThreads(threads);
-      const SessionReport report = SocTestScheduler(*soc).run(plan);
-      EXPECT_EQ(report.fingerprint(), reference)
-          << placementPolicyName(policy) << " x" << threads;
-      EXPECT_EQ(report.placement, placementPolicyName(policy));
-    }
+  for (const int workers : {2, 4}) {
+    auto soc = build();
+    EXPECT_EQ(runCampaign(*soc, plan, workers).fingerprint(), reference)
+        << "workers " << workers;
   }
 }
 
 TEST(Placement, FieldsAreTimingGatedOutOfFingerprint) {
   auto soc = makeMultiTamSoc(2, 2);
-  SocTestScheduler scheduler(*soc);
-  const SessionReport report = scheduler.run(TestPlan{}
-                                                 .withPatterns(100)
-                                                 .withThreads(4)
-                                                 .withPlacement(
-                                                     PlacementPolicy::kMakespan));
+  const SessionReport report =
+      runCampaign(*soc, TestPlan{}.withPatterns(100), 4);
   const std::string json = report.toJson();
   const std::string fp = report.fingerprint();
   for (const char* key :
-       {"placement", "predicted_makespan_tcks", "actual_makespan_tcks",
-        "channel_loads", "predicted_tap_clocks"}) {
+       {"predicted_makespan_tcks", "actual_makespan_tcks", "channel_loads",
+        "predicted_tap_clocks"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
     EXPECT_EQ(fp.find(key), std::string::npos) << key;
   }
@@ -375,11 +393,8 @@ struct PlacementObserver final : SessionObserver {
 TEST(Placement, ObserverSeesEveryChannelOnceInOrder) {
   auto soc = makeMultiTamSoc(2, 3);
   PlacementObserver obs;
-  SocTestScheduler scheduler(*soc, &obs);
-  const SessionReport report = scheduler.run(TestPlan{}
-                                                 .withPatterns(100)
-                                                 .withThreads(4)
-                                                 .withChannelsPerTam(2));
+  const SessionReport report = runCampaign(
+      *soc, TestPlan{}.withPatterns(100).withChannelsPerTam(2), 4, &obs);
   ASSERT_FALSE(obs.placed.empty());
   std::vector<int> seen_cores;
   for (std::size_t i = 0; i < obs.placed.size(); ++i) {
@@ -412,7 +427,6 @@ TEST(JsonFinite, ReportJsonSurvivesNonFiniteFields) {
   SessionReport r;
   r.soc_name = "degenerate";
   r.wall_seconds = std::numeric_limits<double>::quiet_NaN();
-  r.placement = "plan_order";
   CoreReport core;
   core.core_index = 0;
   core.verdict = CoreVerdict::kPass;
@@ -440,9 +454,7 @@ TEST(JsonFinite, LiveZeroWorkCampaignStaysParseable) {
   // wall_seconds 0.
   auto soc = std::make_unique<Soc>("tiny");
   (void)soc->attachCore(makeCore("only", 1));
-  SocTestScheduler scheduler(*soc);
-  const SessionReport report =
-      scheduler.run(TestPlan{}.withPatterns(1).withThreads(1));
+  const SessionReport report = runCampaign(*soc, TestPlan{}.withPatterns(1));
   const std::string json = report.toJson();
   EXPECT_EQ(json.find("inf"), std::string::npos);
   EXPECT_EQ(json.find("nan"), std::string::npos);

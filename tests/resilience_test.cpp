@@ -2,12 +2,15 @@
 // parsing, env arming), kResilient retry/respawn/degradation —
 // byte-identical to the serial engines under every injected failure
 // schedule that eventually succeeds, including full ladder descents — and
-// the scheduler's channel-retry / quarantine policy: a persistently failing
-// core is excluded with CoreVerdict::kQuarantined while every other core's
-// report slice stays field-identical to a healthy run, and a transient
-// channel failure is invisible in the campaign fingerprint. A service
-// campaign whose tenant abandoned its report stream survives the stream's
-// failed writes beside fork fleets and keeps its fingerprint.
+// the campaign service's channel-retry / quarantine policy: a persistently
+// failing core is excluded with CoreVerdict::kQuarantined while every other
+// core's report slice stays field-identical to a healthy run, and a
+// transient channel failure is invisible in the campaign fingerprint. A
+// service campaign whose tenant abandoned its report stream survives the
+// stream's failed writes beside fork fleets and keeps its fingerprint, and
+// a core attached after the service was built is tested like the others
+// (checked in a forked child under a deadline, since the failure mode is a
+// hang).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -15,15 +18,16 @@
 
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <memory>
 #include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "core/scheduler.hpp"
 #include "core/session_channel.hpp"
 #include "core/soc.hpp"
 #include "fault/backend.hpp"
@@ -39,6 +43,7 @@ namespace {
 
 using fixtures::makeToyModule;
 using fixtures::randomComb;
+using fixtures::runCampaign;
 
 void expectSameResult(const FaultSimResult& ref, const FaultSimResult& got,
                       const char* what) {
@@ -413,8 +418,7 @@ void expectSameCore(const CoreReport& a, const CoreReport& b) {
 
 TEST_F(Resilience, PersistentChannelFailureQuarantinesOnlyThatCore) {
   auto healthy_soc = makeSoc();
-  const SessionReport healthy =
-      SocTestScheduler(*healthy_soc).run(makePlan());
+  const SessionReport healthy = runCampaign(*healthy_soc, makePlan());
 
   // Core 3's channel fails on every protocol attempt, forever.
   FailpointRegistry::instance().arm("channel.attempt",
@@ -422,7 +426,7 @@ TEST_F(Resilience, PersistentChannelFailureQuarantinesOnlyThatCore) {
                                     /*match_index=*/3, /*match_seq=*/-1,
                                     /*skip=*/0, /*count=*/-1);
   auto soc = makeSoc();
-  const SessionReport report = SocTestScheduler(*soc).run(makePlan());
+  const SessionReport report = runCampaign(*soc, makePlan());
 
   const CoreReport* q = report.core(3);
   ASSERT_NE(q, nullptr);
@@ -458,20 +462,18 @@ TEST_F(Resilience, QuarantineFingerprintIsShardingInvariant) {
                                     /*skip=*/0, /*count=*/-1);
   auto serial_soc = makeSoc();
   const std::string serial_fp =
-      SocTestScheduler(*serial_soc).run(makePlan()).fingerprint();
+      runCampaign(*serial_soc, makePlan()).fingerprint();
   EXPECT_NE(serial_fp.find("\"verdict\": \"quarantined\""), std::string::npos);
-  for (const int threads : {3, 6}) {
+  for (const int workers : {3, 6}) {
     auto soc = makeSoc();
-    const SessionReport report =
-        SocTestScheduler(*soc).run(makePlan().withThreads(threads));
-    EXPECT_EQ(report.fingerprint(), serial_fp) << "threads=" << threads;
+    const SessionReport report = runCampaign(*soc, makePlan(), workers);
+    EXPECT_EQ(report.fingerprint(), serial_fp) << "workers=" << workers;
   }
 }
 
 TEST_F(Resilience, TransientChannelFailuresAreInvisibleInTheFingerprint) {
   auto healthy_soc = makeSoc();
-  const SessionReport healthy =
-      SocTestScheduler(*healthy_soc).run(makePlan());
+  const SessionReport healthy = runCampaign(*healthy_soc, makePlan());
 
   // One failure at the attempt gate and one mid-protocol (poll loop): both
   // recovered by reopening a fresh channel, so the fingerprint — which
@@ -483,7 +485,7 @@ TEST_F(Resilience, TransientChannelFailuresAreInvisibleInTheFingerprint) {
                                     action(FailpointAction::Kind::kError),
                                     /*match_index=*/4);
   auto soc = makeSoc();
-  const SessionReport report = SocTestScheduler(*soc).run(makePlan());
+  const SessionReport report = runCampaign(*soc, makePlan());
   EXPECT_EQ(report.fingerprint(), healthy.fingerprint());
   ASSERT_NE(report.core(2), nullptr);
   EXPECT_EQ(report.core(2)->channel_failures, 1);
@@ -500,7 +502,7 @@ TEST_F(Resilience, DegradationDisabledFailsTheCampaignWithTheChannelError) {
   TestPlan plan = TestPlan{}.withPatterns(300).withResilience(
       /*shard_retries=*/1, /*backoff_ms=*/0, /*degrade=*/false);
   try {
-    (void)SocTestScheduler(*soc).run(plan);
+    (void)runCampaign(*soc, plan);
     FAIL() << "expected SessionChannelError";
   } catch (const SessionChannelError& e) {
     EXPECT_EQ(e.coreIndex(), 3);
@@ -513,13 +515,13 @@ TEST_F(Resilience, CoverageOnTheResilientBackendMatchesSerial) {
       makePlan().withCoverageTarget(30.0).withCoverageBackend(
           FsimBackend::kSerial);
   const std::string serial_fp =
-      SocTestScheduler(*serial_soc).run(serial_plan).fingerprint();
+      runCampaign(*serial_soc, serial_plan).fingerprint();
   EXPECT_NE(serial_fp.find("coverage"), std::string::npos);
 
   auto soc = makeSoc();
   TestPlan plan = makePlan().withCoverageTarget(30.0).withCoverageBackend(
       FsimBackend::kResilient, /*workers=*/2);
-  const SessionReport report = SocTestScheduler(*soc).run(plan);
+  const SessionReport report = runCampaign(*soc, plan);
   EXPECT_EQ(report.fingerprint(), serial_fp);
   EXPECT_TRUE(noZombies());
 }
@@ -552,6 +554,68 @@ TEST_F(Resilience, AbandonedStreamNeverFailsItsCampaign) {
   ::close(fds[1]);
   EXPECT_EQ(report.fingerprint(), reference);
   EXPECT_TRUE(noZombies());
+}
+
+TEST_F(Resilience, CoreAttachedAfterTheServiceWasBuiltIsTested) {
+  // The service makes a tree's lock when a campaign first lays out a group
+  // under that root, so a core attached between campaigns is served like
+  // the others: a campaign over every core finishes, with the fingerprint
+  // of a service built after the attach. It runs in a forked child under a
+  // deadline, because the failure it guards against is a reactor that
+  // never returns.
+  const auto core = [](int twist) {
+    auto c = std::make_unique<WrappedCore>("late" + std::to_string(twist));
+    c->addModule(makeToyModule(twist));
+    return c;
+  };
+  const auto two_core_soc = [&] {
+    auto soc = std::make_unique<Soc>("late_soc");
+    for (int c = 0; c < 2; ++c) (void)soc->attachCore(core(c));
+    return soc;
+  };
+  const TestPlan plan = TestPlan{}.withPatterns(64);
+  std::string reference;
+  {
+    auto soc = two_core_soc();
+    (void)soc->attachCore(core(2));
+    reference = runCampaign(*soc, plan).fingerprint();
+  }
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    int code = 0;
+    try {
+      auto soc = two_core_soc();
+      CampaignService service(*soc, CampaignServiceConfig{.workers = 1});
+      (void)soc->attachCore(core(2));
+      const SessionReport report = service.await(service.submit(plan));
+      if (report.cores.size() != 3 || report.fingerprint() != reference) {
+        code = 1;
+      }
+    } catch (...) {
+      code = 2;
+    }
+    ::_exit(code);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  int status = 0;
+  pid_t reaped = 0;
+  while ((reaped = ::waitpid(child, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (reaped == 0) {
+    ::kill(child, SIGKILL);
+    (void)::waitpid(child, &status, 0);
+    FAIL() << "the campaign over the late core did not finish in 20 s";
+  }
+  ASSERT_EQ(reaped, child);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: the report differs from the reference, 2: the campaign threw";
 }
 
 // ---------------------------------------------------------------------------
@@ -607,18 +671,17 @@ TEST_F(ResilienceChaos, CampaignConvergesByteIdenticallyUnderEnvSchedule) {
 }
 
 TEST_F(ResilienceChaos, SocCampaignFingerprintSurvivesEnvSchedule) {
-  // Scheduler + kResilient coverage probes under the env schedule: the
-  // campaign fingerprint must equal a clean-registry run of the same plan.
+  // A campaign with kResilient coverage probes under the env schedule: its
+  // fingerprint must equal a clean-registry run of the same plan.
   auto clean_soc = makeSoc();
   FailpointRegistry::instance().disarmAll();
   TestPlan plan = makePlan().withCoverageTarget(30.0).withCoverageBackend(
       FsimBackend::kResilient, /*workers=*/2);
-  const std::string clean_fp =
-      SocTestScheduler(*clean_soc).run(plan).fingerprint();
+  const std::string clean_fp = runCampaign(*clean_soc, plan).fingerprint();
 
   EXPECT_EQ(FailpointRegistry::instance().armFromEnv(), armed_);
   auto soc = makeSoc();
-  const SessionReport report = SocTestScheduler(*soc).run(plan);
+  const SessionReport report = runCampaign(*soc, plan);
   EXPECT_EQ(report.fingerprint(), clean_fp);
   EXPECT_TRUE(noZombies());
 }

@@ -1,16 +1,17 @@
-// CampaignService: the resident multi-tenant engine. Pins the PR's
-// acceptance properties — fingerprints byte-identical across the one-shot
-// facade, any pool size and any multi-tenant interleaving; artifact reuse
-// fingerprint-invisible; typed admission control that never blocks the
-// reactor; observer detach on completion; streamed wire frames that
-// reconstruct the report, carry the same events as the tenant's observer,
-// and never shear when campaigns share one descriptor; await() releasing
-// every campaign record; an observer throwing from a start or placement
-// event failing only its own campaign; and a multi-tenant soak that leaks
-// neither threads nor campaigns. Runs under TSan in CI (no fork in this
-// file) and under the chaos matrix (channel failpoints within the retry
-// budget are fingerprint-invisible by design). One opt-in timing case
-// checks that the resident service beats one-shot campaigns.
+// CampaignService: the resident multi-tenant engine. Pins fingerprints
+// byte-identical across multi-tenant interleavings (pool sizes are pinned
+// by tests/soc_scheduler_test.cpp); artifact reuse fingerprint-invisible;
+// typed admission control that never blocks the reactor; observer detach
+// on completion; streamed wire frames that reconstruct the report, carry
+// the same events as the tenant's observer, never shear when campaigns
+// share one descriptor, and end with exactly one terminal frame whatever
+// the outcome; await() releasing every campaign record; an observer
+// throwing from any event failing only its own campaign; and a
+// multi-tenant soak that leaks neither threads nor campaigns. Runs under
+// TSan in CI (no fork in this file) and under the chaos matrix (channel
+// failpoints within the retry budget are fingerprint-invisible by design).
+// One opt-in timing case checks that one resident service beats a fresh
+// service per campaign.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -27,10 +28,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "core/scheduler.hpp"
 #include "core/soc.hpp"
 #include "fixtures.hpp"
 #include "service/artifacts.hpp"
@@ -50,12 +51,19 @@ TestPlan makeSubsetPlan(std::vector<int> cores) {
   return plan;
 }
 
-/// One-shot reference fingerprint on a pristine SoC.
+/// One-worker reference fingerprint on a pristine SoC.
 std::string referenceFingerprint(const TestPlan& plan) {
   auto soc = makeSoc();
-  TestPlan serial = plan;
-  serial.num_threads = 1;
-  return SocTestScheduler(*soc).run(serial).fingerprint();
+  return fixtures::runCampaign(*soc, plan).fingerprint();
+}
+
+/// Every frame on `fd` up to EOF; closes `fd`.
+std::vector<StreamEvent> drainFrames(int fd) {
+  std::vector<StreamEvent> events;
+  StreamEvent ev;
+  while (readStreamEvent(fd, ev)) events.push_back(ev);
+  close(fd);
+  return events;
 }
 
 int threadsOfSelf() {
@@ -69,25 +77,8 @@ int threadsOfSelf() {
   return -1;
 }
 
-TEST(CampaignService, FingerprintMatchesOneShotAcrossPoolSizes) {
-  const std::string reference = referenceFingerprint(makeMixedPlan());
-  ASSERT_NE(reference.find("\"verdict\": \"timeout\""), std::string::npos);
-  ASSERT_NE(reference.find("\"verdict\": \"signature_mismatch\""),
-            std::string::npos);
-
-  for (const int workers : {1, 2, 8}) {
-    auto soc = makeSoc();
-    CampaignServiceConfig cfg;
-    cfg.workers = workers;
-    CampaignService service(*soc, cfg);
-    const SessionReport report =
-        service.await(service.submit(makeMixedPlan()));
-    EXPECT_EQ(report.fingerprint(), reference) << "workers=" << workers;
-  }
-}
-
 TEST(CampaignService, MultiTenantInterleavingIsFingerprintInvisible) {
-  // Three distinct plans, each with a one-shot reference; submissions from
+  // Three distinct plans, each with a one-worker reference; submissions from
   // three tenants in a seeded-shuffled order, twice over, on a two-worker
   // reactor. Every report must match its plan's reference regardless of
   // how the reactor interleaved the campaigns.
@@ -267,11 +258,7 @@ TEST(CampaignService, ArtifactReuseIsFingerprintInvisible) {
   TestPlan plan = TestPlan{}.withPatterns(128);
   plan.coverage_target = 5.0;
 
-  auto ref_soc = makeSoc();
-  TestPlan serial = plan;
-  serial.num_threads = 1;
-  const std::string reference =
-      SocTestScheduler(*ref_soc).run(serial).fingerprint();
+  const std::string reference = referenceFingerprint(plan);
 
   auto soc = makeSoc();
   CampaignServiceConfig cfg;
@@ -293,7 +280,7 @@ TEST(CampaignService, ArtifactReuseIsFingerprintInvisible) {
   EXPECT_GT(after_warm.hitRate(), 0.0);
 
   // The memoized golden equals the direct good-machine simulation.
-  EXPECT_EQ(service.artifacts()->goldenSignature(soc->core(0), 0, 128),
+  EXPECT_EQ(service.artifacts().goldenSignature(soc->core(0), 0, 128),
             soc->core(0).goldenSignature(0, 128));
 }
 
@@ -341,10 +328,7 @@ TEST(CampaignService, StreamedFramesReconstructTheReport) {
   const SessionReport report = service.await(h);
   close(fds[1]);  // campaign terminal => no more frames
 
-  std::vector<StreamEvent> events;
-  StreamEvent ev;
-  while (readStreamEvent(fds[0], ev)) events.push_back(ev);
-  close(fds[0]);
+  const std::vector<StreamEvent> events = drainFrames(fds[0]);
 
   ASSERT_FALSE(events.empty());
   for (const StreamEvent& e : events) EXPECT_EQ(e.campaign_id, h.id);
@@ -405,6 +389,9 @@ class KindRecorder final : public SessionObserver {
   void onCampaignFinish(const SessionReport&) override {
     kinds.push_back(StreamEventKind::kCampaignFinish);
   }
+  void onCampaignEnd(std::string_view, const std::string&) override {
+    kinds.push_back(StreamEventKind::kCampaignEnd);
+  }
 };
 
 TEST(CampaignService, ObserverAndStreamSeeTheSameEvents) {
@@ -424,9 +411,7 @@ TEST(CampaignService, ObserverAndStreamSeeTheSameEvents) {
   close(fds[1]);
 
   std::vector<StreamEventKind> framed;
-  StreamEvent ev;
-  while (readStreamEvent(fds[0], ev)) framed.push_back(ev.kind);
-  close(fds[0]);
+  for (const StreamEvent& e : drainFrames(fds[0])) framed.push_back(e.kind);
 
   EXPECT_EQ(recorder.kinds, framed);
   ASSERT_FALSE(framed.empty());
@@ -647,6 +632,113 @@ TEST(CampaignService, ThrowingStartOrPlacementObserverFailsItsCampaign) {
   }
 }
 
+/// Frames of a terminal kind (campaign_finish or campaign_end).
+long terminalFrames(const std::vector<StreamEvent>& events) {
+  return std::count_if(events.begin(), events.end(), [](const StreamEvent& e) {
+    return e.kind == StreamEventKind::kCampaignFinish ||
+           e.kind == StreamEventKind::kCampaignEnd;
+  });
+}
+
+TEST(CampaignService, FailedCampaignStreamEndsWithCampaignEnd) {
+  // The tenant's observer comes first in the campaign's list and throws at
+  // the first core start. The stream after it must still get that event,
+  // and then one terminal frame saying the campaign failed, and why.
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  auto soc = makeSoc();
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 1});
+  FailingObserver failing;
+  SubmitOptions opts;
+  opts.observer = &failing;
+  opts.stream_fd = fds[1];
+  EXPECT_THROW((void)service.await(service.submit(makeMixedPlan(), opts)),
+               std::runtime_error);
+  close(fds[1]);
+
+  const std::vector<StreamEvent> events = drainFrames(fds[0]);
+  ASSERT_GE(events.size(), 3u);
+  EXPECT_EQ(events.front().kind, StreamEventKind::kCampaignStart);
+  EXPECT_EQ(events[events.size() - 2].kind, StreamEventKind::kCoreStart);
+  EXPECT_EQ(events.back().kind, StreamEventKind::kCampaignEnd);
+  EXPECT_STREQ(streamEventKindName(events.back().kind), "campaign_end");
+  EXPECT_EQ(events.back().json,
+            "{\"state\": \"failed\", \"error\": \"observer gave up\"}");
+  EXPECT_EQ(terminalFrames(events), 1);
+}
+
+TEST(CampaignService, CancelledCampaignStreamEndsWithCampaignEnd) {
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  auto soc = makeSoc();
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 1});
+  GateObserver gate;
+  SubmitOptions gated;
+  gated.observer = &gate;
+  const CampaignHandle held = service.submit(makeSubsetPlan({0}), gated);
+  gate.started.acquire();
+  SubmitOptions streamed;
+  streamed.stream_fd = fds[1];
+  const CampaignHandle queued =
+      service.submit(makeSubsetPlan({3, 5}), streamed);
+  EXPECT_TRUE(service.cancel(queued));
+  gate.release.release();
+  EXPECT_TRUE(service.await(held).pass());
+  EXPECT_THROW((void)service.await(queued), CampaignCancelled);
+  close(fds[1]);
+
+  const std::vector<StreamEvent> events = drainFrames(fds[0]);
+  ASSERT_GE(events.size(), 2u);
+  EXPECT_EQ(events.front().kind, StreamEventKind::kCampaignStart);
+  EXPECT_EQ(events.back().kind, StreamEventKind::kCampaignEnd);
+  EXPECT_EQ(events.back().json,
+            "{\"state\": \"cancelled\", \"error\": \"\"}");
+  EXPECT_EQ(terminalFrames(events), 1);
+  for (const StreamEvent& e : events) {
+    EXPECT_NE(e.kind, StreamEventKind::kCoreStart);  // nothing ran
+  }
+}
+
+/// Throws from the terminal event of a campaign that completed.
+class FinishRefusingObserver final : public SessionObserver {
+ public:
+  void onCampaignFinish(const SessionReport&) override {
+    throw std::runtime_error("finish refused");
+  }
+};
+
+TEST(CampaignService, ThrowingFinishObserverFailsItsCampaign) {
+  // An observer that throws from onCampaignFinish fails its campaign like
+  // one that throws from any other event: await() rethrows, the stream
+  // after it ends with campaign_end "failed" instead, the failed campaign
+  // credits the chip TAP nothing, and the reactor keeps serving.
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  auto soc = makeSoc();
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 1});
+  FinishRefusingObserver refusing;
+  SubmitOptions opts;
+  opts.observer = &refusing;
+  opts.stream_fd = fds[1];
+  const std::size_t tcks = soc->tap().tckCount();
+  try {
+    (void)service.await(service.submit(makeSubsetPlan({0, 3}), opts));
+    ADD_FAILURE() << "await() did not rethrow the observer's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "finish refused");
+  }
+  close(fds[1]);
+  EXPECT_EQ(soc->tap().tckCount(), tcks);
+
+  const std::vector<StreamEvent> events = drainFrames(fds[0]);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().kind, StreamEventKind::kCampaignEnd);
+  EXPECT_EQ(events.back().json,
+            "{\"state\": \"failed\", \"error\": \"finish refused\"}");
+  EXPECT_EQ(terminalFrames(events), 1);
+  EXPECT_TRUE(service.await(service.submit(makeSubsetPlan({0}))).pass());
+}
+
 TEST(WireReportStream, StreamsSharingOneDescriptorNeverShear) {
   // Two campaigns' streams on one pipe, each written from its own thread.
   // A frame past PIPE_BUF (4 KiB) may be split by the kernel, and one past
@@ -748,10 +840,10 @@ TEST(StreamObserver, ConcurrentLinesNeverShear) {
 
 // A timing assertion, so ctest skips it. CI runs it with
 // --gtest_also_run_disabled_tests --gtest_filter='CampaignServiceTiming.*'.
-TEST(CampaignServiceTiming, DISABLED_ResidentBeatsOneShot) {
-  // Four campaigns on six two-module cores: a fresh one-shot scheduler per
+TEST(CampaignServiceTiming, DISABLED_ResidentBeatsFreshServices) {
+  // Four campaigns on six two-module cores: a fresh two-worker service per
   // campaign rebuilds lint, fault universes and golden signatures every
-  // time, while the resident two-worker service builds them once. Each side
+  // time, while one resident two-worker service builds them once. Each side
   // is the median of three batches.
   constexpr int kCampaigns = 4;
   const auto median_of_3 = [](const auto& batch) {
@@ -767,12 +859,13 @@ TEST(CampaignServiceTiming, DISABLED_ResidentBeatsOneShot) {
     return seconds[1];
   };
   auto soc = fixtures::makeTwoModuleSoc(6);
-  const TestPlan plan = TestPlan{}.withPatterns(256).withThreads(2);
-  const std::string reference = SocTestScheduler(*soc).run(plan).fingerprint();
+  const TestPlan plan = TestPlan{}.withPatterns(256);
+  const std::string reference =
+      fixtures::runCampaign(*soc, plan, 2).fingerprint();
 
-  const double oneshot = median_of_3([&] {
+  const double fresh = median_of_3([&] {
     for (int i = 0; i < kCampaigns; ++i) {
-      EXPECT_EQ(SocTestScheduler(*soc).run(plan).fingerprint(), reference);
+      EXPECT_EQ(fixtures::runCampaign(*soc, plan, 2).fingerprint(), reference);
     }
   });
   CampaignServiceConfig cfg;
@@ -785,7 +878,7 @@ TEST(CampaignServiceTiming, DISABLED_ResidentBeatsOneShot) {
       EXPECT_EQ(service.await(h).fingerprint(), reference);
     }
   });
-  EXPECT_LT(resident, oneshot) << kCampaigns << " campaigns";
+  EXPECT_LT(resident, fresh) << kCampaigns << " campaigns";
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Plan-driven SoC test-campaign scheduler: determinism under sharding,
-// timeout/retry policy, coverage targets, observer streaming, JSON export
-// and plan validation.
+// Plan-driven SoC test campaigns through the CampaignService: determinism
+// across pool sizes, timeout/retry policy, coverage targets, observer
+// streaming, JSON export and plan validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,68 +10,64 @@
 #include <string_view>
 #include <vector>
 
-#include "core/scheduler.hpp"
 #include "core/soc.hpp"
 #include "fixtures.hpp"
+#include "service/service.hpp"
 
 namespace corebist {
 namespace {
 
 using fixtures::makeMixedPlan;
 using fixtures::makeToyModule;
+using fixtures::runCampaign;
+using fixtures::testCore;
 
 std::unique_ptr<Soc> makeSoc() { return fixtures::makeToySoc("shard_soc"); }
 
 TEST(SocScheduler, ShardedReportsAreByteIdenticalToSerial) {
-  // The acceptance property: for ANY thread count, with and without
-  // injected defects and forced timeouts, the deterministic fingerprint of
-  // the campaign equals the serial (1-thread) reference byte for byte.
+  // The acceptance property: for ANY pool size, with and without injected
+  // defects and forced timeouts, the deterministic fingerprint of the
+  // campaign equals the one-worker reference byte for byte.
   auto ref_soc = makeSoc();
-  TestPlan plan = makeMixedPlan().withThreads(1);
   const std::string reference =
-      SocTestScheduler(*ref_soc).run(plan).fingerprint();
+      runCampaign(*ref_soc, makeMixedPlan()).fingerprint();
   EXPECT_NE(reference.find("\"verdict\": \"timeout\""), std::string::npos);
   EXPECT_NE(reference.find("\"verdict\": \"signature_mismatch\""),
             std::string::npos);
   EXPECT_NE(reference.find("\"verdict\": \"pass\""), std::string::npos);
 
-  for (const int threads : {2, 3, 6, 16}) {
+  for (const int workers : {2, 3, 6, 8, 16}) {
     auto soc = makeSoc();  // fresh SoC: identical initial state
-    const SessionReport report =
-        SocTestScheduler(*soc).run(makeMixedPlan().withThreads(threads));
-    EXPECT_EQ(report.fingerprint(), reference) << "threads=" << threads;
+    const SessionReport report = runCampaign(*soc, makeMixedPlan(), workers);
+    EXPECT_EQ(report.fingerprint(), reference) << "workers=" << workers;
   }
 
-  // Six two-module cores, one of them defective, rerun on one scheduler.
+  // Six two-module cores, one of them defective, rerun on one SoC.
   auto two_module = fixtures::makeTwoModuleSoc(6);
-  SocTestScheduler scheduler(*two_module);
   const TestPlan plan256 = TestPlan{}.withPatterns(256);
   const std::string two_module_reference =
-      scheduler.run(TestPlan(plan256).withThreads(1)).fingerprint();
-  for (const int threads : {2, 4, 8}) {
-    EXPECT_EQ(scheduler.run(TestPlan(plan256).withThreads(threads))
-                  .fingerprint(),
+      runCampaign(*two_module, plan256).fingerprint();
+  for (const int workers : {2, 4, 8}) {
+    EXPECT_EQ(runCampaign(*two_module, plan256, workers).fingerprint(),
               two_module_reference)
-        << "two-module SoC, threads=" << threads;
+        << "two-module SoC, workers=" << workers;
   }
 }
 
 TEST(SocScheduler, RerunOnTheSameSocIsIdenticalToo) {
   // Campaigns leave every core re-testable: running the same plan twice on
-  // one SoC (serial, then sharded) yields the same fingerprint.
+  // one SoC (one worker, then four) yields the same fingerprint.
   auto soc = makeSoc();
-  SocTestScheduler scheduler(*soc);
-  const std::string first =
-      scheduler.run(makeMixedPlan().withThreads(1)).fingerprint();
+  const std::string first = runCampaign(*soc, makeMixedPlan()).fingerprint();
   const std::string second =
-      scheduler.run(makeMixedPlan().withThreads(4)).fingerprint();
+      runCampaign(*soc, makeMixedPlan(), 4).fingerprint();
   EXPECT_EQ(first, second);
 }
 
 TEST(SocScheduler, TimeoutIsDistinguishedFromMismatchAndRetried) {
   auto soc = makeSoc();
-  SocTestScheduler scheduler(*soc);
-  const SessionReport report = scheduler.run(makeMixedPlan());
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 1});
+  const SessionReport report = service.await(service.submit(makeMixedPlan()));
 
   const CoreReport* mismatch = report.core(1);
   ASSERT_NE(mismatch, nullptr);
@@ -97,14 +93,15 @@ TEST(SocScheduler, TimeoutIsDistinguishedFromMismatchAndRetried) {
 
   // A core that timed out with a starved plan passes with an adequate one.
   const CoreReport recovered =
-      scheduler.testCore(CorePlan{.core_index = 2, .patterns = 500});
+      testCore(service, CorePlan{.core_index = 2, .patterns = 500});
   EXPECT_EQ(recovered.verdict, CoreVerdict::kPass) << recovered.summary();
 }
 
 TEST(SocScheduler, CoverageTargetIsMeasuredAndEnforced) {
   auto soc = makeSoc();
-  SocTestScheduler scheduler(*soc);
-  const CoreReport measured = scheduler.testCore(
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 1});
+  const CoreReport measured = testCore(
+      service,
       CorePlan{.core_index = 0, .patterns = 128, .coverage_target = 5.0});
   EXPECT_EQ(measured.verdict, CoreVerdict::kPass);
   ASSERT_EQ(measured.modules.size(), 1u);
@@ -114,7 +111,8 @@ TEST(SocScheduler, CoverageTargetIsMeasuredAndEnforced) {
   EXPECT_TRUE(measured.pass());
 
   // An unreachable target fails the core even though the signature matched.
-  const CoreReport missed = scheduler.testCore(
+  const CoreReport missed = testCore(
+      service,
       CorePlan{.core_index = 0, .patterns = 128, .coverage_target = 100.5});
   EXPECT_EQ(missed.verdict, CoreVerdict::kPass);
   EXPECT_FALSE(missed.coverage_met);
@@ -122,7 +120,7 @@ TEST(SocScheduler, CoverageTargetIsMeasuredAndEnforced) {
 
   // Without a target, coverage is not measured.
   const CoreReport plain =
-      scheduler.testCore(CorePlan{.core_index = 0, .patterns = 128});
+      testCore(service, CorePlan{.core_index = 0, .patterns = 128});
   ASSERT_EQ(plain.modules.size(), 1u);
   EXPECT_LT(plain.modules[0].coverage, 0.0);
 }
@@ -142,12 +140,11 @@ class CountingObserver final : public SessionObserver {
 };
 
 TEST(SocScheduler, ObserverSeesEveryEventExactlyOnce) {
-  for (const int threads : {1, 4}) {
+  for (const int workers : {1, 4}) {
     auto soc = makeSoc();
     CountingObserver observer;
-    SocTestScheduler scheduler(*soc, &observer);
     const SessionReport report =
-        scheduler.run(makeMixedPlan().withThreads(threads));
+        runCampaign(*soc, makeMixedPlan(), workers, &observer);
     EXPECT_EQ(observer.campaign_start, 1);
     EXPECT_EQ(observer.campaign_finish, 1);
     EXPECT_EQ(observer.core_finish, 6);
@@ -160,7 +157,7 @@ TEST(SocScheduler, ObserverSeesEveryEventExactlyOnce) {
 
 TEST(SocScheduler, JsonExportCarriesTheCampaignStructure) {
   auto soc = makeSoc();
-  const SessionReport report = SocTestScheduler(*soc).run(makeMixedPlan());
+  const SessionReport report = runCampaign(*soc, makeMixedPlan());
   const std::string json = report.toJson();
   EXPECT_NE(json.find("\"soc\": \"shard_soc\""), std::string::npos);
   EXPECT_NE(json.find("\"wall_seconds\""), std::string::npos);
@@ -213,20 +210,20 @@ TEST(SocScheduler, JsonEscapesQuotesAndControlCharsInNames) {
 
 TEST(SocScheduler, InvalidPlansAreRejectedUpFront) {
   auto soc = makeSoc();
-  SocTestScheduler scheduler(*soc);
+  CampaignService service(*soc, CampaignServiceConfig{.workers = 1});
   TestPlan bad_core;
   bad_core.addCore(99);
-  EXPECT_THROW((void)scheduler.run(bad_core), std::invalid_argument);
+  EXPECT_THROW((void)service.submit(bad_core), std::invalid_argument);
 
   // A pattern budget beyond the 12-bit counter would silently truncate in
   // the WCDR; the plan resolver rejects it instead.
   TestPlan bad_budget = TestPlan{}.withPatterns(5000);
-  EXPECT_THROW((void)scheduler.run(bad_budget), std::invalid_argument);
+  EXPECT_THROW((void)service.submit(bad_budget), std::invalid_argument);
 
   // A core listed twice could put one wrapper on two shards concurrently.
   TestPlan duplicate;
   duplicate.addCore(3).addCore(3);
-  EXPECT_THROW((void)scheduler.run(duplicate), std::invalid_argument);
+  EXPECT_THROW((void)service.submit(duplicate), std::invalid_argument);
 }
 
 TEST(SocScheduler, PlanResolutionRejectsStructurallyBrokenCoreModules) {
@@ -248,8 +245,7 @@ TEST(SocScheduler, PlanResolutionRejectsStructurallyBrokenCoreModules) {
   soc->attachCore(std::move(bad));
 
   try {
-    (void)SocTestScheduler(*soc).run(
-        TestPlan{}.withPatterns(64).withThreads(1));
+    (void)runCampaign(*soc, TestPlan{}.withPatterns(64));
     FAIL() << "expected the broken core to be rejected at plan resolve";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -258,9 +254,9 @@ TEST(SocScheduler, PlanResolutionRejectsStructurallyBrokenCoreModules) {
   }
 
   // A plan that references only the healthy core still runs.
-  TestPlan ok_plan = TestPlan{}.withPatterns(64).withThreads(1);
+  TestPlan ok_plan = TestPlan{}.withPatterns(64);
   ok_plan.addCore(0);
-  const SessionReport report = SocTestScheduler(*soc).run(ok_plan);
+  const SessionReport report = runCampaign(*soc, ok_plan);
   EXPECT_EQ(report.cores.size(), 1u);
 }
 
@@ -268,7 +264,7 @@ TEST(SocScheduler, ChipTapIsCreditedWithCampaignTcks) {
   auto soc = makeSoc();
   const std::size_t before = soc->tap().tckCount();
   const SessionReport report =
-      SocTestScheduler(*soc).run(TestPlan{}.withPatterns(200).withThreads(2));
+      runCampaign(*soc, TestPlan{}.withPatterns(200), 2);
   EXPECT_EQ(soc->tap().tckCount() - before, report.total_tap_clocks);
 }
 
