@@ -234,8 +234,8 @@ class CampaignService {
   [[nodiscard]] std::shared_ptr<Campaign> findLocked(std::uint64_t id) const;
   void workerLoop();
   void runUnit(Campaign& c, std::size_t u);
-  /// Aggregate, release quota, credit the TAP, deliver the terminal event,
-  /// clear the observer list, publish the terminal state. Called with
+  /// Aggregate, release quota, deliver the terminal event, clear the
+  /// observer list, credit the TAP, publish the terminal state. Called with
   /// `lock` held; drops and reacquires it around the observer callbacks.
   void finalize(std::unique_lock<std::mutex>& lock, Campaign& c);
 
