@@ -1,10 +1,9 @@
 // Structured findings of the static netlist/plan analyzer.
 //
-// Every analysis pass (structural lint, testability hazards, collapsing
-// sanity checks) reports through the same vocabulary: a Diagnostic names the
-// violated rule, its severity, the nets involved and — when the rule is
-// about a *path*, like a combinational loop — a witness the caller can
-// replay. LintReport aggregates a netlist's diagnostics with the query and
+// Every analysis pass (structural lint, testability hazards) reports
+// through the same vocabulary: a Diagnostic names the violated rule, its
+// severity, the nets involved and — when the rule is about a *path*, like a
+// combinational loop — a witness the caller can replay. LintReport aggregates a netlist's diagnostics with the query and
 // JSON-export helpers the admission layers (CampaignService plan
 // resolution, CI tooling) consume.
 #ifndef COREBIST_ANALYZE_DIAGNOSTIC_HPP_
@@ -30,11 +29,10 @@ inline constexpr std::string_view kUnreachableGate = "unreachable-gate";
 inline constexpr std::string_view kInvalidNetRef = "invalid-net-ref";
 inline constexpr std::string_view kPackedStimulusWidth =
     "packed-stimulus-width";
-inline constexpr std::string_view kFanoutFreeRegion = "fanout-free-region";
 }  // namespace rules
 
 enum class Severity : std::uint8_t {
-  kInfo,     // structural observation (e.g. a fanout-free region)
+  kInfo,     // structural observation, not a defect
   kWarning,  // suspicious but simulatable (e.g. unreachable logic)
   kError,    // the netlist cannot be simulated/tested as-is
 };
@@ -52,8 +50,8 @@ struct Diagnostic {
   std::vector<NetId> nets;
   /// Rule-specific evidence path. For `comb-loop` this is the net cycle:
   /// witness[i] feeds the gate driving witness[i+1], and the last net feeds
-  /// the gate driving the first. For `unreachable-gate` it is the gate's
-  /// output net; for region rules the member nets.
+  /// the gate driving the first. For `unreachable-gate` it is the
+  /// unreachable gates' output nets.
   std::vector<NetId> witness;
 };
 

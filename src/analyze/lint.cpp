@@ -298,69 +298,9 @@ void lintUnreachable(const Netlist& nl, const Graph& g, LintReport& report) {
   report.diagnostics.push_back(std::move(d));
 }
 
-void lintFanoutFreeRegions(const Netlist& nl, const Graph& g,
-                           LintReport& report) {
-  const auto& gates = nl.gates();
-  // single_sink[n]: the output net of the unique gate reading n, when n has
-  // exactly one gate reader and no other observer — the FFR chaining edge.
-  std::vector<NetId> single_sink(g.num_nets, kNullNet);
-  for (NetId n = 0; n < g.num_nets; ++n) {
-    if (g.gate_readers[n] != 1 || g.dff_read[n] != 0 || g.is_po[n] != 0) {
-      continue;
-    }
-    for (GateId id = 0; id < gates.size(); ++id) {
-      if (g.gate_ok[id] == 0) continue;
-      bool reads = false;
-      for (int p = 0; p < gates[id].nin; ++p) {
-        if (gates[id].in[static_cast<std::size_t>(p)] == n) reads = true;
-      }
-      if (reads) {
-        single_sink[n] = gates[id].out;
-        break;
-      }
-    }
-  }
-  // head(n): chase the chain to its head, memoized.
-  std::vector<NetId> head(g.num_nets, kNullNet);
-  for (NetId n = 0; n < g.num_nets; ++n) {
-    std::vector<NetId> chain;
-    NetId cur = n;
-    while (head[cur] == kNullNet && single_sink[cur] != kNullNet &&
-           single_sink[cur] < g.num_nets) {
-      chain.push_back(cur);
-      cur = single_sink[cur];
-    }
-    const NetId h = head[cur] != kNullNet ? head[cur] : cur;
-    head[n] = h;
-    for (const NetId c : chain) head[c] = h;
-  }
-  std::unordered_map<NetId, std::vector<NetId>> regions;
-  for (NetId n = 0; n < g.num_nets; ++n) {
-    // Only nets that carry logic belong to a region.
-    if (g.gate_drivers[n] == 0 && g.gate_readers[n] == 0) continue;
-    regions[head[n]].push_back(n);
-  }
-  std::vector<NetId> heads;
-  for (const auto& [h, members] : regions) {
-    if (members.size() >= 2) heads.push_back(h);
-  }
-  std::sort(heads.begin(), heads.end());
-  for (const NetId h : heads) {
-    Diagnostic d;
-    d.severity = Severity::kInfo;
-    d.rule = std::string(rules::kFanoutFreeRegion);
-    d.witness = regions[h];
-    std::sort(d.witness.begin(), d.witness.end());
-    d.message = "fanout-free region headed by " + nl.netName(h) + " (" +
-                std::to_string(d.witness.size()) + " nets)";
-    d.nets.push_back(h);
-    report.diagnostics.push_back(std::move(d));
-  }
-}
-
 }  // namespace
 
-LintReport lintNetlist(const Netlist& nl, const LintOptions& opts) {
+LintReport lintNetlist(const Netlist& nl) {
   LintReport report;
   report.netlist = nl.name();
   const Graph g = buildGraph(nl);
@@ -370,13 +310,8 @@ LintReport lintNetlist(const Netlist& nl, const LintOptions& opts) {
   lintUnclockedFlops(nl, report);
   lintCombLoops(nl, g, report);
   lintUnreachable(nl, g, report);
-  if (opts.check_packed_stimulus) {
-    if (auto hazard = packedStimulusHazard(nl); hazard.has_value()) {
-      report.diagnostics.push_back(std::move(*hazard));
-    }
-  }
-  if (opts.report_fanout_free_regions) {
-    lintFanoutFreeRegions(nl, g, report);
+  if (auto hazard = packedStimulusHazard(nl); hazard.has_value()) {
+    report.diagnostics.push_back(std::move(*hazard));
   }
   return report;
 }

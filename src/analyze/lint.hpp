@@ -15,7 +15,6 @@
 //   packed-stimulus-width (warn)  > 64 PIs: packed one-word-per-cycle
 //                                 stimulus cannot drive the module
 //                                 (analyze/hazards.hpp owns the limit)
-//   fanout-free-region (info)     FFR decomposition, opt-in
 //
 // The linter never throws on malformed input — reporting malformed input is
 // its job. The campaign layout (service/layout.hpp) runs it on every
@@ -29,19 +28,9 @@
 
 namespace corebist {
 
-struct LintOptions {
-  /// Emit one info diagnostic per fanout-free region with >= 2 member nets
-  /// (nets = head, witness = members in head-to-leaf discovery order). Off
-  /// by default: admission paths only need the error/warning rules.
-  bool report_fanout_free_regions = false;
-  /// Check the packed-stimulus width hazard (analyze/hazards.hpp).
-  bool check_packed_stimulus = true;
-};
-
 /// Run every structural rule over `nl`. Deterministic: diagnostics appear
 /// in fixed rule order, ascending net/gate ids within a rule.
-[[nodiscard]] LintReport lintNetlist(const Netlist& nl,
-                                     const LintOptions& opts = {});
+[[nodiscard]] LintReport lintNetlist(const Netlist& nl);
 
 }  // namespace corebist
 

@@ -1,16 +1,13 @@
 #include "atpg/atpg.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "analyze/collapse.hpp"
 #include "analyze/hazards.hpp"
 #include "analyze/scoap.hpp"
 #include "atpg/podem.hpp"
@@ -169,36 +166,6 @@ RandomPhase gradeRandomBlocks(FaultSim& grader, Survivors& live,
   return phase;
 }
 
-/// For each fault, the index of an earlier span entry it is
-/// observation-aware equivalent to (analyze/collapse.hpp), or -1 when it is
-/// the first of its class (or outside the stuck-at universe). The target
-/// loop skips a member only when its leader's search concluded something —
-/// a generated test (which detects every member: equivalent faults have
-/// identical faulty functions) or a completed untestability proof.
-std::vector<std::ptrdiff_t> equivalentLeaders(const Netlist& scanned,
-                                              std::span<const NetId> observed,
-                                              std::span<const Fault> faults) {
-  std::vector<std::ptrdiff_t> leader(faults.size(), -1);
-  const CollapseResult coll = collapseStuckAt(scanned, observed);
-  using Key = std::array<std::uint32_t, 4>;
-  const auto keyOf = [](const Fault& f) {
-    return Key{f.net, f.gate, f.pin, static_cast<std::uint32_t>(f.kind)};
-  };
-  std::map<Key, std::size_t> class_of;
-  for (std::size_t i = 0; i < coll.universe.size(); ++i) {
-    class_of.emplace(keyOf(coll.universe[i]), coll.class_of[i]);
-  }
-  std::map<std::size_t, std::size_t> first_in_span;
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (!isStuckAt(faults[i].kind)) continue;
-    const auto it = class_of.find(keyOf(faults[i]));
-    if (it == class_of.end()) continue;
-    const auto [fit, inserted] = first_in_span.emplace(it->second, i);
-    if (!inserted) leader[i] = static_cast<std::ptrdiff_t>(fit->second);
-  }
-  return leader;
-}
-
 }  // namespace
 
 FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
@@ -246,15 +213,6 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
     scoap = computeScoap(scanned, view.observed);
     podem.setScoap(&scoap);
   }
-  std::vector<std::ptrdiff_t> leader;
-  // Per-fault PODEM outcome, kept only for equivalence skipping:
-  // 0 = not targeted, 1 = test generated, 2 = "untestable" verdict (unsound
-  // for branch faults, podem.hpp), 3 = aborted (budget ran out).
-  std::vector<char> outcome;
-  if (opts.collapse_faults) {
-    leader = equivalentLeaders(scanned, view.observed, faults);
-    outcome.assign(faults.size(), 0);
-  }
   std::unique_ptr<FaultSim> threaded;
   FaultSim* grader = makeGrader(fsim, opts, threaded);
   const int batch_cap = std::max(1, opts.batch_patterns);
@@ -273,20 +231,6 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
 
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (live.detected[i] != 0) continue;
-    if (!leader.empty() && leader[i] >= 0) {
-      // Equivalent to an earlier target. Skipping is sound when the leader
-      // produced a test (identical faulty functions mean identical
-      // detecting-pattern sets, so the pending/graded test covers this
-      // member too); PODEM's "untestable" verdict also skips, though it is
-      // unsound for branch faults (podem.hpp). An *aborted* leader proves
-      // nothing — this member's search starts from a different fault site
-      // and may still succeed, so it falls through to its own PODEM call.
-      const char lo = outcome[static_cast<std::size_t>(leader[i])];
-      if (lo == 1 || lo == 2) {
-        ++res.collapsed_faults;
-        continue;
-      }
-    }
     if (secondsSince(t0) > opts.podem_budget_seconds) {
       gave_up[i] = 1;
       continue;
@@ -296,10 +240,8 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
     res.backtracks += podem.backtracksUsed();
     if (!test.has_value()) {
       gave_up[i] = 1;
-      if (!outcome.empty()) outcome[i] = podem.lastAborted() ? 3 : 2;
       continue;
     }
-    if (!outcome.empty()) outcome[i] = 1;
     for (std::size_t j = 0; j < test->size(); ++j) {
       bits[j] = (*test)[j] == Tv::kX
                     ? static_cast<std::uint8_t>(rng() & 1u)
@@ -309,17 +251,6 @@ FullScanAtpgResult runFullScanAtpg(const Netlist& scanned,
     if (batch.patternCount() >= batch_cap) flushBatch();
   }
   flushBatch();
-
-  // A skipped equivalence-class member shares its leader's fate: if the
-  // leader gave up and nothing detected the member, it is aborted too.
-  if (!leader.empty()) {
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (leader[i] >= 0 && live.detected[i] == 0 &&
-          gave_up[static_cast<std::size_t>(leader[i])] != 0) {
-        gave_up[i] = 1;
-      }
-    }
-  }
 
   // `aborted` is recomputed after the last flush: a fault whose own PODEM
   // run gave up can still fall to a later candidate's collateral coverage,

@@ -69,15 +69,6 @@ struct FullScanAtpgOptions {
   /// of generatable tests is unchanged but backtrack counts (and which
   /// exact pattern a fault gets) move.
   bool use_scoap = false;
-  /// Skip PODEM targets that are observation-aware equivalent
-  /// (analyze/collapse.hpp) to an earlier target whose search either
-  /// produced a test (identical faulty functions => the test detects the
-  /// whole class, confirmed by batch grading) or ended in PODEM's
-  /// "untestable" verdict (nullopt without lastAborted()). That verdict is
-  /// unsound for branch faults (podem.hpp), so a skipped member of such a
-  /// class may be testable. Aborted leaders are never skipped past — the
-  /// member runs its own search. Off by default.
-  bool collapse_faults = false;
 };
 
 struct FullScanAtpgResult {
@@ -86,8 +77,7 @@ struct FullScanAtpgResult {
   /// Faults that got no PODEM test AND that no batch graded as a collateral
   /// detection: the search hit the backtrack limit or iteration guard, the
   /// CPU budget ran out before the fault was targeted, or PODEM called it
-  /// untestable (an equivalence-class member skipped behind such a leader
-  /// counts too). Recomputed after the final flush, so detected + aborted
+  /// untestable. Recomputed after the final flush, so detected + aborted
   /// <= total_faults always holds.
   std::size_t aborted = 0;
   std::size_t patterns = 0;
@@ -96,9 +86,6 @@ struct FullScanAtpgResult {
   std::size_t batches = 0;      // FaultSim::run grading campaigns flushed
   /// Total PODEM backtracks over all calls (the SCOAP guidance metric).
   std::size_t backtracks = 0;
-  /// PODEM targets skipped as equivalent to an earlier target (0 unless
-  /// FullScanAtpgOptions::collapse_faults).
-  std::size_t collapsed_faults = 0;
   double cpu_seconds = 0.0;
   [[nodiscard]] double coverage() const {
     return total_faults == 0 ? 0.0

@@ -39,12 +39,8 @@ class BistControlUnit {
 
   [[nodiscard]] bool testEnable() const noexcept { return running_; }
   [[nodiscard]] bool endTest() const noexcept { return done_; }
-  [[nodiscard]] std::uint16_t patternCounter() const noexcept {
-    return counter_;
-  }
   [[nodiscard]] std::uint16_t patternLimit() const noexcept { return limit_; }
   [[nodiscard]] std::uint8_t resultSelect() const noexcept { return select_; }
-  [[nodiscard]] int counterBits() const noexcept { return counter_bits_; }
   [[nodiscard]] std::uint16_t maxPatterns() const noexcept {
     return static_cast<std::uint16_t>((1u << counter_bits_) - 1u);
   }

@@ -115,10 +115,7 @@ MisrSpec BistEngine::misrSpec(int m) const {
 }
 
 std::uint64_t BistEngine::goldenSignature(int m, int cycles) const {
-  const Hookup& h = modules_.at(static_cast<std::size_t>(m));
-  SeqFaultSim fsim(*h.nl);
-  const auto stim = stimulus(m, cycles);
-  return fsim.goodSignature(stim, cycles, misrSpec(m));
+  return runAndSign(m, module(m), cycles);
 }
 
 std::uint64_t BistEngine::runAndSign(int m, const Netlist& physical,

@@ -96,7 +96,8 @@ class BistEngine {
   /// MISR specification (for the fault simulator) of module `m`.
   [[nodiscard]] MisrSpec misrSpec(int m) const;
 
-  /// Fault-free signature of module `m` after `cycles` patterns.
+  /// Fault-free signature of module `m` after `cycles` patterns: runAndSign()
+  /// on the module's own netlist.
   [[nodiscard]] std::uint64_t goldenSignature(int m, int cycles) const;
 
   /// Behavioral self-test: applies `cycles` patterns to a physical netlist

@@ -39,8 +39,7 @@ Alfsr::Alfsr(int width, std::uint64_t seed)
     : Alfsr(width, primitiveTaps(width), seed) {}
 
 Alfsr::Alfsr(int width, std::vector<int> taps, std::uint64_t seed)
-    : width_(width),
-      mask_(width >= 64 ? ~std::uint64_t{0}
+    : mask_(width >= 64 ? ~std::uint64_t{0}
                         : ((std::uint64_t{1} << width) - 1)),
       taps_(std::move(taps)),
       state_(seed & mask_) {

@@ -27,9 +27,7 @@ class Alfsr {
   /// Custom feedback taps (bit positions, each in [0, width)).
   Alfsr(int width, std::vector<int> taps, std::uint64_t seed);
 
-  [[nodiscard]] int width() const noexcept { return width_; }
   [[nodiscard]] std::uint64_t state() const noexcept { return state_; }
-  [[nodiscard]] const std::vector<int>& taps() const noexcept { return taps_; }
 
   /// Advance one clock; returns the new state.
   std::uint64_t step();
@@ -41,7 +39,6 @@ class Alfsr {
   [[nodiscard]] std::uint64_t measuredPeriod(std::uint64_t limit);
 
  private:
-  int width_;
   std::uint64_t mask_;
   std::vector<int> taps_;
   std::uint64_t state_;

@@ -1,7 +1,5 @@
 #include "bist/misr.hpp"
 
-#include <stdexcept>
-
 #include "bist/lfsr.hpp"
 
 namespace corebist {
@@ -18,20 +16,10 @@ std::uint64_t misrPolyMask(int width) {
   return mask;
 }
 
-Misr::Misr(int width) : Misr(width, misrPolyMask(width)) {}
-
-Misr::Misr(int width, std::uint64_t poly_mask)
+Misr::Misr(int width)
     : width_(width),
-      mask_(width >= 64 ? ~std::uint64_t{0}
-                        : ((std::uint64_t{1} << width) - 1)),
-      poly_(poly_mask & mask_) {
-  if (width < 2 || width > 64) {
-    throw std::invalid_argument("Misr: width out of range");
-  }
-  if ((poly_ & 1u) == 0) {
-    throw std::invalid_argument("Misr: polynomial must include x^0");
-  }
-}
+      poly_(misrPolyMask(width)),
+      mask_((std::uint64_t{1} << width) - 1) {}
 
 void Misr::step(std::uint64_t input) {
   const bool msb = ((state_ >> (width_ - 1)) & 1u) != 0;

@@ -20,17 +20,17 @@
 namespace corebist {
 
 /// Coefficient mask (bits 0..w-1) of a primitive polynomial for a MISR of
-/// width `w` (bit 0 is always set).
+/// width `w` (bit 0 is always set). Throws std::invalid_argument unless
+/// `w` is in [3, 32] (primitiveTaps).
 [[nodiscard]] std::uint64_t misrPolyMask(int width);
 
 class Misr {
  public:
+  /// A `width`-bit MISR on misrPolyMask(width), which validates the width
+  /// before the register mask is built.
   explicit Misr(int width);
-  Misr(int width, std::uint64_t poly_mask);
 
-  [[nodiscard]] int width() const noexcept { return width_; }
   [[nodiscard]] std::uint64_t state() const noexcept { return state_; }
-  void reset() noexcept { state_ = 0; }
 
   /// Clock one symbol (already folded to `width` bits) into the register.
   void step(std::uint64_t input);
@@ -41,8 +41,8 @@ class Misr {
 
  private:
   int width_;
-  std::uint64_t mask_;
   std::uint64_t poly_;
+  std::uint64_t mask_;
   std::uint64_t state_ = 0;
 };
 

@@ -19,13 +19,12 @@ namespace {
 constexpr const char* kFpChannelAttempt = "channel.attempt";
 constexpr const char* kFpChannelPoll = "channel.poll";
 
-void fireChannelSite(const char* site, int core_index, std::int64_t seq,
-                     int attempt) {
+void fireChannelSite(const char* site, int core_index, std::int64_t seq) {
   if (!failpointsArmed()) return;
   const auto a = failpointFire(site, core_index, seq);
   if (!a) return;
   if (a->kind == FailpointAction::Kind::kError) {
-    throw SessionChannelError(core_index, attempt,
+    throw SessionChannelError(core_index,
                               std::string("injected channel failure at ") +
                                   site + " (seq " + std::to_string(seq) +
                                   ")");
@@ -78,7 +77,7 @@ CoreReport SessionChannel::testCore(const CorePlan& p,
   const std::size_t tck0 = tap_.tckCount();
 
   for (int attempt = 1; attempt <= 1 + p.max_retries; ++attempt) {
-    fireChannelSite(kFpChannelAttempt, p.core_index, attempt, attempt);
+    fireChannelSite(kFpChannelAttempt, p.core_index, attempt);
     observers.notify([&](SessionObserver& o) {
       o.onCoreStart(p.core_index, attempt);
     });
@@ -100,7 +99,7 @@ CoreReport SessionChannel::testCore(const CorePlan& p,
     ate_.sendCommand(BistCommand::kSelectResult, P1500Ate::kStatusView);
     bool end_test = false;
     for (int poll = 0; poll < p.poll_budget && !end_test; ++poll) {
-      fireChannelSite(kFpChannelPoll, p.core_index, poll, attempt);
+      fireChannelSite(kFpChannelPoll, p.core_index, poll);
       const std::uint16_t status = ate_.readWdr();
       ++report.polls;
       end_test = (status & P1500Ate::kStatusEndTest) != 0;

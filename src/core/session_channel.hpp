@@ -40,19 +40,15 @@ class ArtifactStore;
 /// same places.
 class SessionChannelError : public std::runtime_error {
  public:
-  SessionChannelError(int core_index, int attempt, const std::string& detail)
+  SessionChannelError(int core_index, const std::string& detail)
       : std::runtime_error("SessionChannel: core " +
                            std::to_string(core_index) + ": " + detail),
-        core_index_(core_index),
-        attempt_(attempt) {}
+        core_index_(core_index) {}
 
   [[nodiscard]] int coreIndex() const noexcept { return core_index_; }
-  /// Protocol attempt (1-based) the channel failed on.
-  [[nodiscard]] int attempt() const noexcept { return attempt_; }
 
  private:
   int core_index_;
-  int attempt_;
 };
 
 class SessionChannel {

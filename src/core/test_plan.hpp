@@ -102,15 +102,6 @@ struct TestPlan {
     patterns = p;
     return *this;
   }
-  TestPlan& withPollBudget(int polls, int idle_tcks) {
-    poll_budget = polls;
-    poll_idle = idle_tcks;
-    return *this;
-  }
-  TestPlan& withRetries(int retries) {
-    max_retries = retries;
-    return *this;
-  }
   TestPlan& withCoverageTarget(double percent) {
     coverage_target = percent;
     return *this;

@@ -48,12 +48,6 @@ class WrappedCore {
   /// selection. Both cores must be finalized; cycles and duplicates are
   /// rejected by the wrapper chain.
   int addChild(WrappedCore* child);
-  [[nodiscard]] int childCount() const noexcept {
-    return static_cast<int>(children_.size());
-  }
-  [[nodiscard]] WrappedCore& child(int slot) {
-    return *children_.at(static_cast<std::size_t>(slot));
-  }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] P1500Wrapper& wrapper() { return *wrapper_; }
@@ -70,11 +64,6 @@ class WrappedCore {
 
   /// Fault-free signature of module `m` for `patterns` patterns.
   [[nodiscard]] std::uint16_t goldenSignature(int m, int patterns) const;
-
-  /// Signatures computed by the last completed BIST run (empty if none).
-  [[nodiscard]] const std::vector<std::uint16_t>& lastSignatures() const {
-    return signatures_;
-  }
 
  private:
   void onCommand(BistCommand cmd, std::uint16_t data);

@@ -50,12 +50,9 @@ Step1Result runStep1Loop(ldpc::ModuleAdapter& model, const Netlist& gate_level,
 
 Step2Result runStep2Loop(const Netlist& module, std::span<const Fault> faults,
                          std::span<const std::uint64_t> stimulus,
-                         std::span<const int> checkpoints, double target_fc,
-                         int num_threads) {
+                         std::span<const int> checkpoints, double target_fc) {
   Step2Result res;
-  ParallelFsimOptions popts;
-  popts.num_threads = num_threads;
-  ParallelFaultSim fsim(SeqFaultSim(module), popts);
+  ParallelFaultSim fsim{SeqFaultSim(module)};
   const CyclePatternSource patterns(stimulus,
                                     module.primaryInputs().size());
   FaultSimOptions opts;

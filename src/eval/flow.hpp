@@ -54,13 +54,13 @@ struct Step2Result {
 
 /// Run the Fig. 4 loop on a module with the given stimulus; checkpoints are
 /// pattern counts, target_fc in percent. The whole curve comes from one
-/// ParallelFaultSim campaign (`num_threads` workers; 0 => hardware
-/// concurrency), since every fault's first-detection cycle is recorded.
+/// ParallelFaultSim campaign on every hardware thread, since every fault's
+/// first-detection cycle is recorded.
 [[nodiscard]] Step2Result runStep2Loop(const Netlist& module,
                                        std::span<const Fault> faults,
                                        std::span<const std::uint64_t> stimulus,
                                        std::span<const int> checkpoints,
-                                       double target_fc, int num_threads = 0);
+                                       double target_fc);
 
 }  // namespace corebist
 

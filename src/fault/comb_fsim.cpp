@@ -34,10 +34,6 @@ FaultSimResult CombFaultSimT<W>::run(std::span<const Fault> faults,
         "CombFaultSim: MISR compaction is a sequential-engine feature");
   }
   checkWindows(opts);
-  if (!opts.observe.empty()) {
-    throw std::invalid_argument(
-        "CombFaultSim: observation points are fixed at construction");
-  }
   // Pair campaigns: opts.launch serves the v1 (launch) vectors, `patterns`
   // the v2 (capture) vectors, and every block pair goes through
   // loadPairBlock — the FaultSim::run spelling of the LOS pair path the

@@ -98,6 +98,9 @@ struct MisrSpec {
 
 class PatternSource;
 
+/// Per-campaign options. The observation points are the engine's own: a
+/// combinational engine takes them at construction, a sequential engine
+/// observes its netlist's primary outputs.
 struct FaultSimOptions {
   /// Pattern budget of the campaign; <= 0 means "whole pattern source".
   /// Sequential engines apply one pattern per clock, so this is also the
@@ -117,8 +120,6 @@ struct FaultSimOptions {
   /// Optional MISR compaction model (empirical aliasing measurement;
   /// sequential engines only).
   std::optional<MisrSpec> misr;
-  /// Observation points; empty => primary outputs of the netlist.
-  std::vector<NetId> observe;
   /// >0: record the first K detecting pattern indices per fault
   /// (stop-on-first-error diagnosis dictionaries). Combinational engines
   /// record up to K; sequential engines record the first detection only.

@@ -634,32 +634,16 @@ inline bool writeFrameInjected(int fd, const std::vector<std::uint8_t>& frame,
       serializeEngineError(out, e.what());
     }
 
-    // Injected reply action: stall, corrupt or die around the response.
+    // Injected reply action. writeFrameInjected applies the frame actions
+    // (delay, truncate, bitflip, shortwrite); the worker adds the process
+    // ones: hang instead of replying, die after a truncated frame, crash
+    // after the reply.
     const FailpointAction on_reply = w.inject_reply.action();
-    switch (on_reply.kind) {
-      case Kind::kHang:  // reply never comes; the watchdog must fire
-        for (;;) pause();
-      case Kind::kDelay:
-        failpointSleepMs(on_reply.delay_ms +
-                         failpointJitterMs(on_reply, shard_id));
-        break;
-      case Kind::kTruncate: {  // partial frame, then die: truncated payload
-        const std::size_t n = std::min<std::size_t>(out.size(), on_reply.arg);
-        (void)writeAll(resp_fd, out.data(), n);
-        _exit(1);
-      }
-      case Kind::kBitflip: {  // checksum/magic catches it on the far side
-        const std::uint64_t bit = on_reply.arg % (out.size() * 8);
-        out[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-        break;
-      }
-      default:
-        break;
+    if (on_reply.kind == Kind::kHang) {
+      for (;;) pause();  // reply never comes; the watchdog must fire
     }
-    if (!writeFrameInjected(resp_fd, out,
-                            on_reply.kind == Kind::kShortWrite ? &on_reply
-                                                               : nullptr,
-                            shard_id)) {
+    if (!writeFrameInjected(resp_fd, out, &on_reply, shard_id) ||
+        on_reply.kind == Kind::kTruncate) {
       _exit(1);
     }
     if (on_reply.kind == Kind::kCrash) _exit(42);  // "after shard K"

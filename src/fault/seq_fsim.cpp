@@ -51,7 +51,6 @@ namespace {
 struct RunContext {
   const Netlist* nl;
   const GateProgram* prog;
-  std::vector<NetId> observe;
   std::span<const std::uint64_t> stimulus;
   const FaultSimOptions* opts;
 };
@@ -173,7 +172,7 @@ void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
 
     // Observe outputs.
     std::uint64_t cycle_diff = 0;
-    for (const NetId po : ctx.observe) {
+    for (const NetId po : ctx.nl->primaryOutputs()) {
       const std::uint64_t w = val[po];
       cycle_diff |= w ^ goodLane(w);
     }
@@ -290,8 +289,6 @@ FaultSimResult SeqFaultSim::run(std::span<const Fault> faults,
   ctx.nl = &nl_;
   ctx.prog = prog_.get();
   ctx.stimulus = stimulus;
-  ctx.observe =
-      opts.observe.empty() ? nl_.primaryOutputs() : opts.observe;
 
   FaultSimResult result(faults.size(), opts);
 

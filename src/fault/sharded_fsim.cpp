@@ -276,9 +276,9 @@ FaultSimResult ShardedFaultSim::run(std::span<const Fault> faults,
           " did not exit cleanly at shutdown (wait status " +
           std::to_string(status) + ")";
       if (!opts_.degrade_on_failure) {
-        throw ProcessFsimError(Reason::kWorkerDied, static_cast<int>(i),
-                               stage_shards, stage_shards,
-                               result.recountDetected(), detail);
+        throw ProcessFsimError(Reason::kWorkerDied, stage_shards,
+                               stage_shards, result.recountDetected(),
+                               detail);
       }
       log_.events.push_back(
           ResilienceEvent{ResilienceEvent::Kind::kStrayShutdown, kRungProcess,
@@ -335,12 +335,12 @@ void ShardedFaultSim::gradeForked(Fleet& fleet, const Stage& st,
   const auto who = [](std::size_t i) { return "worker " + std::to_string(i); };
 
   // Leave the rung; the shards not merged stay in `left` for the next one.
-  auto abandon = [&](int worker, Reason reason, const std::string& detail) {
+  auto abandon = [&](Reason reason, const std::string& detail) {
     left.clear();
     for (std::size_t s = 0; s < nshards; ++s) {
       if (done[s] == 0) left.push_back(s);
     }
-    throw ProcessFsimError(reason, worker, ndone, nshards,
+    throw ProcessFsimError(reason, ndone, nshards,
                            st.result.recountDetected(), detail);
   };
   // Kill the worker, requeue its shard and pay the backoff, or abandon the
@@ -359,9 +359,9 @@ void ShardedFaultSim::gradeForked(Fleet& fleet, const Stage& st,
         detail});
     ++log_.retries;
     if (!again) {
-      abandon(static_cast<int>(i), reason,
-              detail + " (retry budget of " +
-                  std::to_string(opts_.max_shard_retries) + " exhausted)");
+      abandon(reason, detail + " (retry budget of " +
+                          std::to_string(opts_.max_shard_retries) +
+                          " exhausted)");
     }
     failpointSleepMs(backoff);
   };
@@ -507,7 +507,7 @@ void ShardedFaultSim::gradeForked(Fleet& fleet, const Stage& st,
     if (rc < 0) {
       if (errno == EINTR) continue;
       // A parent-side resource problem, not a worker fault: no retry.
-      abandon(-1, Reason::kProtocol, "poll() failed in supervisor");
+      abandon(Reason::kProtocol, "poll() failed in supervisor");
     }
     if (rc == 0) {
       // Watchdog: deadlines are armed at dispatch, so wakeups between

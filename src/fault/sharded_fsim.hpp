@@ -79,19 +79,16 @@ class ProcessFsimError : public std::runtime_error {
     kProtocol,    // malformed message framing
   };
 
-  ProcessFsimError(Reason reason, int worker, std::size_t shards_completed,
+  ProcessFsimError(Reason reason, std::size_t shards_completed,
                    std::size_t shards_total, std::size_t detected_so_far,
                    const std::string& detail)
       : std::runtime_error("ProcessFaultSim: " + detail),
         reason_(reason),
-        worker_(worker),
         shards_completed_(shards_completed),
         shards_total_(shards_total),
         detected_so_far_(detected_so_far) {}
 
   [[nodiscard]] Reason reason() const noexcept { return reason_; }
-  /// Index of the failing worker, or -1 when unattributable.
-  [[nodiscard]] int worker() const noexcept { return worker_; }
   /// Shards of the failing stage whose results were merged before the
   /// failure (partial accounting; the merged rows are complete per fault).
   [[nodiscard]] std::size_t shardsCompleted() const noexcept {
@@ -107,7 +104,6 @@ class ProcessFsimError : public std::runtime_error {
 
  private:
   Reason reason_;
-  int worker_;
   std::size_t shards_completed_;
   std::size_t shards_total_;
   std::size_t detected_so_far_;

@@ -31,10 +31,6 @@ class TapDriver {
   /// the bits that came out of TDO (LSB-first).
   std::uint64_t shiftDr(std::uint64_t bits, int count);
 
-  [[nodiscard]] std::size_t tckCount() const noexcept {
-    return tap_.tckCount();
-  }
-
  private:
   void clockTms(bool tms) { tap_.clock(tms, false); }
   void settleToIdle();

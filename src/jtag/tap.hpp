@@ -61,7 +61,6 @@ class TapController {
   bool clock(bool tms, bool tdi);
 
   [[nodiscard]] TapState state() const noexcept { return state_; }
-  [[nodiscard]] std::uint32_t instruction() const noexcept { return ir_; }
   [[nodiscard]] int irWidth() const noexcept { return ir_width_; }
   [[nodiscard]] std::uint32_t idcode() const noexcept { return idcode_; }
   [[nodiscard]] std::size_t tckCount() const noexcept { return tcks_; }

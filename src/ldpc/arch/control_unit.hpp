@@ -73,7 +73,6 @@ class ControlUnitModel {
     unsigned done = 0;       // 1
     unsigned stats = 0;      // 6, sticky
   };
-  [[nodiscard]] const State& state() const noexcept { return st_; }
 
  private:
   void probe(int id) const {

@@ -84,44 +84,6 @@ struct SatAdd {
   return Builder::slice(satToBitsSigned(b, negw, w), 0, w);
 }
 
-/// min(a, b) unsigned with index propagation; ties keep the left operand.
-struct MinIdx {
-  Bus val;
-  Bus idx;
-};
-[[nodiscard]] inline MinIdx minIdx2(Builder& b, const MinIdx& l,
-                                    const MinIdx& r) {
-  const NetId take_r = b.ltU(r.val, l.val);
-  return MinIdx{b.mux(l.val, r.val, take_r), b.mux(l.idx, r.idx, take_r)};
-}
-
-/// Tournament minimum over `elems` (leftmost minimal wins ties).
-[[nodiscard]] inline MinIdx minTree(Builder& b, std::vector<MinIdx> elems) {
-  while (elems.size() > 1) {
-    std::vector<MinIdx> next;
-    for (std::size_t i = 0; i + 1 < elems.size(); i += 2) {
-      next.push_back(minIdx2(b, elems[i], elems[i + 1]));
-    }
-    if (elems.size() % 2 != 0) next.push_back(elems.back());
-    elems = std::move(next);
-  }
-  return elems.front();
-}
-
-/// Value-only tournament minimum (for the masked second-minimum tree).
-[[nodiscard]] inline Bus minValTree(Builder& b, std::vector<Bus> elems) {
-  while (elems.size() > 1) {
-    std::vector<Bus> next;
-    for (std::size_t i = 0; i + 1 < elems.size(); i += 2) {
-      const NetId take_r = b.ltU(elems[i + 1], elems[i]);
-      next.push_back(b.mux(elems[i], elems[i + 1], take_r));
-    }
-    if (elems.size() % 2 != 0) next.push_back(elems.back());
-    elems = std::move(next);
-  }
-  return elems.front();
-}
-
 }  // namespace corebist::ldpc::gl
 
 #endif  // COREBIST_LDPC_GATELEVEL_COMMON_HPP_

@@ -35,7 +35,6 @@ P1500Wrapper::P1500Wrapper(int wbr_bits, Hooks hooks)
       wcdr_shift_(kWcdrBits, false),
       wdr_shift_(kWdrBits, false),
       wbr_shift_(static_cast<std::size_t>(wbr_bits), false),
-      wbr_update_(static_cast<std::size_t>(wbr_bits), false),
       child_sel_shift_(kChildSelBits, false) {
   if (wbr_bits < 1) throw std::invalid_argument("P1500Wrapper: WBR empty");
 }
@@ -85,7 +84,6 @@ void P1500Wrapper::reset() {
   std::fill(wcdr_shift_.begin(), wcdr_shift_.end(), false);
   std::fill(wdr_shift_.begin(), wdr_shift_.end(), false);
   std::fill(wbr_shift_.begin(), wbr_shift_.end(), false);
-  std::fill(wbr_update_.begin(), wbr_update_.end(), false);
   std::fill(child_sel_shift_.begin(), child_sel_shift_.end(), false);
   wby_ = false;
   child_sel_ = -1;
@@ -148,8 +146,6 @@ bool P1500Wrapper::cycle(const WscSignals& wsc, bool wsi) {
         loadReg(wbr_shift_, snap);
       } else if (wsc.shift) {
         wso = shiftReg(wbr_shift_, wsi);
-      } else if (wsc.update) {
-        wbr_update_ = wbr_shift_;
       }
       break;
     case WirInstruction::kWsCdr:
@@ -164,8 +160,8 @@ bool P1500Wrapper::cycle(const WscSignals& wsc, bool wsi) {
       break;
     case WirInstruction::kWsDr:
       if (wsc.capture) {
-        wdr_last_capture_ = hooks_.read_data ? hooks_.read_data() : 0u;
-        loadReg(wdr_shift_, wdr_last_capture_ & 0xFFFFu);
+        const std::uint32_t v = hooks_.read_data ? hooks_.read_data() : 0u;
+        loadReg(wdr_shift_, v & 0xFFFFu);
       } else if (wsc.shift) {
         wso = shiftReg(wdr_shift_, wsi);
       }

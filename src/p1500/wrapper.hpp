@@ -74,9 +74,6 @@ class P1500Wrapper {
   /// child is selected, so a scan can never reach a core the ATE has not
   /// explicitly routed to.
   [[nodiscard]] P1500Wrapper* selectedChild() const;
-  [[nodiscard]] int childCount() const noexcept {
-    return static_cast<int>(children_.size());
-  }
   /// True when `w` is this wrapper or appears anywhere in its child tree.
   [[nodiscard]] bool inSubtree(const P1500Wrapper* w) const;
 
@@ -92,13 +89,6 @@ class P1500Wrapper {
   /// Length of the register currently between WSI and WSO.
   [[nodiscard]] int selectedLength(bool select_wir) const;
 
-  [[nodiscard]] const std::vector<bool>& wbrShadow() const noexcept {
-    return wbr_update_;
-  }
-  [[nodiscard]] std::uint32_t lastWdrCapture() const noexcept {
-    return wdr_last_capture_;
-  }
-
   static constexpr int kWirBits = 3;
   static constexpr int kWcdrBits = 19;  // 3-bit command + 16-bit data
   static constexpr int kWdrBits = 16;
@@ -112,8 +102,6 @@ class P1500Wrapper {
   std::vector<bool> wcdr_shift_;
   std::vector<bool> wdr_shift_;
   std::vector<bool> wbr_shift_;
-  std::vector<bool> wbr_update_;
-  std::uint32_t wdr_last_capture_ = 0;
   std::vector<P1500Wrapper*> children_;
   int child_sel_ = -1;
   std::vector<bool> child_sel_shift_;

@@ -115,13 +115,7 @@ class CampaignCancelled : public std::runtime_error {
  public:
   explicit CampaignCancelled(std::uint64_t id)
       : std::runtime_error("CampaignService: campaign " + std::to_string(id) +
-                           " was cancelled"),
-        id_(id) {}
-
-  [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
-
- private:
-  std::uint64_t id_;
+                           " was cancelled") {}
 };
 
 /// Per-tenant admission limits. 0 = unlimited.

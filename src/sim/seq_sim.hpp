@@ -17,7 +17,6 @@ class SeqSim {
   explicit SeqSim(const Netlist& nl) : sim_(nl) {}
 
   [[nodiscard]] CombSim& comb() noexcept { return sim_; }
-  [[nodiscard]] const CombSim& comb() const noexcept { return sim_; }
   [[nodiscard]] const Netlist& netlist() const noexcept {
     return sim_.netlist();
   }
@@ -37,12 +36,9 @@ class SeqSim {
     clockEdge();
   }
 
-  [[nodiscard]] std::size_t cycleCount() const noexcept { return cycles_; }
-
  private:
   CombSim sim_;
   std::vector<std::uint64_t> dtmp_;
-  std::size_t cycles_ = 0;
 };
 
 }  // namespace corebist

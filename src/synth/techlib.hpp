@@ -47,7 +47,6 @@ class TechLib {
 
   /// Clock-tree and wiring overhead multiplier applied to total cell area.
   [[nodiscard]] double wiringOverhead() const noexcept { return wiring_; }
-  void setWiringOverhead(double v) noexcept { wiring_ = v; }
 
  private:
   std::array<CellSpec, kNumGateTypes> cells_{};

@@ -1,7 +1,6 @@
 // Static analyzer: structural lint (seeded-defect detection with witness
-// replay), SCOAP golden values, observation-aware fault collapsing proven
-// byte-identical by full simulation, SCOAP-guided PODEM coverage identity
-// and the shared packed-stimulus hazard guards.
+// replay), SCOAP golden values, SCOAP-guided PODEM coverage identity and
+// the shared packed-stimulus hazard guards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "analyze/collapse.hpp"
 #include "analyze/hazards.hpp"
 #include "analyze/lint.hpp"
 #include "analyze/scoap.hpp"
@@ -225,34 +223,6 @@ TEST(AnalyzeLint, WidePrimaryInputBusIsAPackedStimulusHazard) {
   const auto diags = rep.ofRule(rules::kPackedStimulusWidth);
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0]->severity, Severity::kWarning);
-
-  LintOptions off;
-  off.check_packed_stimulus = false;
-  EXPECT_TRUE(lintNetlist(nl, off).ofRule(rules::kPackedStimulusWidth)
-                  .empty());
-}
-
-TEST(AnalyzeLint, FanoutFreeRegionsAreOptIn) {
-  Netlist nl("chain");
-  Builder b(nl);
-  const Bus x = b.input("x", 1);
-  const NetId a = b.not1(x[0]);
-  const NetId y = b.not1(a);
-  b.output("y", Bus{y});
-  nl.validate();
-
-  EXPECT_TRUE(lintNetlist(nl).ofRule(rules::kFanoutFreeRegion).empty());
-  LintOptions on;
-  on.report_fanout_free_regions = true;
-  const LintReport rep = lintNetlist(nl, on);
-  const auto regions = rep.ofRule(rules::kFanoutFreeRegion);
-  ASSERT_FALSE(regions.empty());
-  EXPECT_EQ(regions[0]->severity, Severity::kInfo);
-  // The inverter chain is one region headed at the output net.
-  EXPECT_EQ(regions[0]->nets, std::vector<NetId>{y});
-  EXPECT_TRUE(std::find(regions[0]->witness.begin(),
-                        regions[0]->witness.end(), a) !=
-              regions[0]->witness.end());
 }
 
 TEST(AnalyzeLint, JsonExportCarriesRuleAndWitness) {
@@ -358,73 +328,6 @@ TEST(AnalyzeScoap, DanglingNetIsUnobservable) {
   EXPECT_EQ(sc.co[dead], kScoapInf);
   EXPECT_LT(sc.co[live], kScoapInf);
   EXPECT_LT(sc.cc0[dead], kScoapInf);  // still controllable
-}
-
-// ---------------------------------------------------------------------------
-// Fault collapsing: byte-identical expansion proven by full simulation
-// ---------------------------------------------------------------------------
-
-TEST(AnalyzeCollapse, ExpansionIsByteIdenticalOnTwentyRandomNetlists) {
-  std::size_t total_collapsed = 0;
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    const Netlist nl = randomComb(seed, 10, 30);
-    const CollapseResult c = collapseStuckAt(nl);
-    ASSERT_EQ(c.class_of.size(), c.universe.size());
-    ASSERT_EQ(c.representatives.size(), c.classes.size());
-    total_collapsed += c.collapsedAway();
-
-    CombFaultSim sim(nl, nl.primaryInputs(), nl.primaryOutputs());
-    const RandomPatternSource patterns(seed * 77 + 1,
-                                       nl.primaryInputs().size(), 256);
-    FaultSimOptions o;
-    o.cycles = 256;
-    o.prepass_cycles = 0;
-
-    const FaultSimResult full = sim.run(c.universe, patterns, o);
-    const FaultSimResult reps = sim.run(c.representatives, patterns, o);
-    const std::vector<std::int32_t> expanded =
-        expandFirstDetect(c, reps.first_detect);
-    ASSERT_EQ(expanded.size(), full.first_detect.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < expanded.size(); ++i) {
-      ASSERT_EQ(expanded[i], full.first_detect[i])
-          << "seed " << seed << " fault " << i
-          << ": collapsing changed the detection outcome";
-    }
-    // Check mode agrees: no class detects non-uniformly on this stimulus.
-    EXPECT_TRUE(proveEquivalenceOnStimulus(sim, c, patterns, o).empty())
-        << "seed " << seed;
-  }
-  // The classic rules must actually shrink the graded list somewhere.
-  EXPECT_GT(total_collapsed, 0u);
-}
-
-TEST(AnalyzeCollapse, VisibleStemIsNeverMergedThroughItsReader) {
-  // y1 = a & b with a ALSO a primary output: a-sa0 is observable at the PO
-  // directly, out-sa0 is not — merging them would be wrong, and the
-  // observation-aware pass must keep them apart.
-  Netlist nl("stem_po");
-  Builder b(nl);
-  const Bus x = b.input("x", 2);
-  const NetId a = b.and2(x[0], x[1]);
-  const NetId y = b.and2(a, x[0]);
-  b.output("p", Bus{a});  // the gate-input stem is itself observed
-  b.output("y", Bus{y});
-  nl.validate();
-
-  const CollapseResult c = collapseStuckAt(nl);
-  // Find universe indices of a-sa0 (stem) and y-sa0 (stem).
-  std::size_t ia = c.universe.size();
-  std::size_t iy = c.universe.size();
-  for (std::size_t i = 0; i < c.universe.size(); ++i) {
-    const Fault& f = c.universe[i];
-    if (f.gate != Fault::kNoGate || f.kind != FaultKind::kSa0) continue;
-    if (f.net == a) ia = i;
-    if (f.net == y) iy = i;
-  }
-  ASSERT_LT(ia, c.universe.size());
-  ASSERT_LT(iy, c.universe.size());
-  EXPECT_NE(c.class_of[ia], c.class_of[iy])
-      << "stem merged across an observed net";
 }
 
 // ---------------------------------------------------------------------------

@@ -466,12 +466,11 @@ TEST(BatchedAtpg, ThreadCountInvariance) {
   }
 }
 
-TEST(BatchedAtpg, ScoapAndCollapsingCutPodemWorkOnControlUnit) {
+TEST(BatchedAtpg, ScoapCutsPodemWorkOnControlUnit) {
   // Every undetected CONTROL_UNIT fault aborts rather than being proven
   // redundant, so the backtrack limit binds on the hard tail and guided
   // ordering can turn aborts into detections: SCOAP must keep coverage and
-  // cut backtracks. Collapsed targeting must keep the detected set while
-  // skipping PODEM calls.
+  // cut backtracks.
   const std::vector<int> chains = {14, 28};
   const Netlist scanned = buildScannedModule(ldpc::buildControlUnit(), chains);
   const ScanView view = makeScanView(scanned, chains);
@@ -487,14 +486,6 @@ TEST(BatchedAtpg, ScoapAndCollapsingCutPodemWorkOnControlUnit) {
       runFullScanAtpg(scanned, view, u.faults, scoap);
   EXPECT_GE(guided.detected, unguided.detected);
   EXPECT_LT(guided.backtracks, unguided.backtracks);
-
-  FullScanAtpgOptions collapse = base;
-  collapse.collapse_faults = true;
-  const FullScanAtpgResult collapsed =
-      runFullScanAtpg(scanned, view, u.faults, collapse);
-  EXPECT_EQ(collapsed.detected, unguided.detected);
-  EXPECT_GT(collapsed.collapsed_faults, 0u);
-  EXPECT_LT(collapsed.podem_calls, unguided.podem_calls);
 }
 
 TEST(BatchedAtpg, TransitionMatchesPerBlockReferenceAtAnyBatchSize) {

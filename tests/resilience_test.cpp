@@ -220,6 +220,8 @@ TEST_F(Resilience, EverySingleFailureScheduleConvergesByteIdentically) {
        action(FailpointAction::Kind::kBitflip, 211)},
       {"reply truncated", "process.worker.reply",
        action(FailpointAction::Kind::kTruncate, 8)},
+      {"reply hang past watchdog", "process.worker.reply",
+       action(FailpointAction::Kind::kHang)},
       {"request frame corrupted", "process.request.frame",
        action(FailpointAction::Kind::kBitflip, 300)},
   };
@@ -242,14 +244,20 @@ TEST_F(Resilience, EverySingleFailureScheduleConvergesByteIdentically) {
 
 TEST_F(Resilience, RandomizedInjectionSchedulesConvergeByteIdentically) {
   const ResilientRig rig(33);
+  FailpointAction reply_delay = action(FailpointAction::Kind::kDelay);
+  reply_delay.delay_ms = 20;  // a slow reply, well inside the watchdog
   const std::vector<std::pair<const char*, FailpointAction>> menu = {
       {"process.worker.shard", action(FailpointAction::Kind::kCrash)},
       {"process.worker.reply", action(FailpointAction::Kind::kBitflip, 187)},
       {"process.worker.reply", action(FailpointAction::Kind::kTruncate, 12)},
       {"process.request.frame", action(FailpointAction::Kind::kBitflip, 260)},
       {"process.request.frame", action(FailpointAction::Kind::kShortWrite)},
+      {"process.worker.reply", reply_delay},
+      {"process.worker.reply", action(FailpointAction::Kind::kShortWrite)},
+      {"process.worker.reply", action(FailpointAction::Kind::kCrash)},
   };
-  for (const std::uint64_t seed : {41u, 42u, 43u, 44u}) {
+  // Together these seeds draw every menu entry at least once.
+  for (const std::uint64_t seed : {41u, 42u, 43u, 44u, 53u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::mt19937_64 rng(seed);
     FailpointRegistry::instance().disarmAll();

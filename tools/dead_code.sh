@@ -3,12 +3,18 @@
 #
 # Builds every test, bench, example and corebench executable at -O0 with
 # one section per function and links them with --gc-sections, so each
-# binary keeps exactly the library functions it can reach. A text symbol
-# of libcorebist.a in namespace corebist that no executable defines is
-# dead. A member of an explicitly instantiated template counts as live
-# when any of its instantiations is linked: names are compared with their
-# template arguments stripped. The functions that only test binaries link
-# are printed as a notice. Exits 1 when the dead list is not empty.
+# binary keeps exactly the library functions it can reach.
+# -fkeep-inline-functions makes every object emit its header-inline
+# functions too, so an inline function counts like an out-of-line one. A
+# text symbol of libcorebist.a in namespace corebist that no executable
+# defines is dead. A member of an explicitly instantiated template counts
+# as live when any of its instantiations is linked: names are compared with
+# their template arguments stripped. What the compiler writes itself is
+# left out: a default, copy or move constructor, destructor or copy or move
+# assignment the library emits only inline (the implicit members), and a
+# lambda's static invoker and function-pointer conversion. The functions
+# that only test binaries link are printed as a notice. Exits 1 when the
+# dead list is not empty.
 #
 #   tools/dead_code.sh [build-dir]      (default: build-dead)
 #
@@ -18,7 +24,7 @@ export LC_ALL=C
 
 build=${1:-build-dead}
 cmake -S corebench -B "$build" -G "Unix Makefiles" -DCMAKE_BUILD_TYPE=Debug \
-  -DCMAKE_CXX_FLAGS="-O0 -fno-inline -ffunction-sections -fdata-sections" \
+  -DCMAKE_CXX_FLAGS="-O0 -fno-inline -fkeep-inline-functions -ffunction-sections -fdata-sections" \
   -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" >/dev/null
 # corebench adds the library's directory with EXCLUDE_FROM_ALL, so that
 # directory's own "all" builds every test, bench and example, in parallel.
@@ -32,16 +38,16 @@ bins() {  # the executables built from the given sources
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# "mangled<TAB>demangled name without template arguments", one line per
-# corebist text symbol defined in the given files.
+# "mangled<TAB>nm type<TAB>demangled name without template arguments", one
+# line per corebist text symbol defined in the given files.
 symbols() {
   nm --defined-only "$@" 2>/dev/null |
-    awk '$2 ~ /^[TtWw]$/ && $3 ~ /^_ZZ?N[KVRO]*8corebist/ {print $3}' |
-    sort -u >"$work/mangled"
-  c++filt <"$work/mangled" |
-    sed -e ':a' -e 's/<[^<>]*>//g' -e 'ta' | paste "$work/mangled" -
+    awk '$2 ~ /^[TtWw]$/ && $3 ~ /^_ZZ?N[KVRO]*8corebist/ {print $3 "\t" $2}' |
+    sort -u >"$work/typed"
+  cut -f1 "$work/typed" | c++filt |
+    sed -e ':a' -e 's/<[^<>]*>//g' -e 'ta' | paste "$work/typed" -
 }
-keys() { cut -f2 | sort -u; }
+keys() { cut -f3 | sort -u; }
 
 symbols "$build/corebist/libcorebist.a" >"$work/lib"
 # shellcheck disable=SC2046
@@ -49,11 +55,22 @@ symbols $(bins tests/*.cpp) | keys >"$work/test.k"
 # shellcheck disable=SC2046
 symbols "$build/corebench" "$build/corebench_selftest" \
   $(bins bench/*.cpp examples/*.cpp) | keys >"$work/other.k"
-keys <"$work/lib" >"$work/lib.k"
+
+# Compiler-written functions, by the shape of their names. An implicit
+# member is "C::C()", "C::C(C const&)", "C::C(C&&)", "C::~C()" or
+# "C::operator=(C const&|C&&)"; a name of that shape with a strong (T)
+# definition was written out of line, so it stays in.
+awk -F'\t' '$2 == "T" {print $3}' "$work/lib" | sort -u >"$work/strong.k"
+keys <"$work/lib" |
+  grep -E -e '(^|::)([A-Za-z_][A-Za-z0-9_]*)::~?\2\(((.*::)?\2( const&|&&))?\)$' \
+    -e '(^|::)([A-Za-z_][A-Za-z0-9_]*)::operator=\((.*::)?\2( const&|&&)\)$' \
+    -e '#[0-9]+\}::(_FUN\(|operator [^(])' |
+  comm -23 - "$work/strong.k" >"$work/generated.k"
+keys <"$work/lib" | comm -23 - "$work/generated.k" >"$work/lib.k"
 
 # Prints the library symbols whose key is listed in file $1, demangled.
 list() {
-  awk -F'\t' 'NR == FNR {want[$0] = 1; next} $2 in want {print $1}' \
+  awk -F'\t' 'NR == FNR {want[$0] = 1; next} $3 in want {print $1}' \
     "$1" "$work/lib" | c++filt | sort -u
 }
 
