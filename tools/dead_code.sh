@@ -59,14 +59,16 @@ symbols "$build/corebench" "$build/corebench_selftest" \
 # Compiler-written functions, by the shape of their names. An implicit
 # member is "C::C()", "C::C(C const&)", "C::C(C&&)", "C::~C()" or
 # "C::operator=(C const&|C&&)"; a name of that shape with a strong (T)
-# definition was written out of line, so it stays in.
+# definition was written out of line, so it stays in. A lambda's "_FUN"
+# invoker and "operator R (*)(...)" conversion are written for it too; its
+# operator() is not.
+keys <"$work/lib" >"$work/all.k"
 awk -F'\t' '$2 == "T" {print $3}' "$work/lib" | sort -u >"$work/strong.k"
-keys <"$work/lib" |
-  grep -E -e '(^|::)([A-Za-z_][A-Za-z0-9_]*)::~?\2\(((.*::)?\2( const&|&&))?\)$' \
-    -e '(^|::)([A-Za-z_][A-Za-z0-9_]*)::operator=\((.*::)?\2( const&|&&)\)$' \
-    -e '#[0-9]+\}::(_FUN\(|operator [^(])' |
+grep -E -e '(^|::)([A-Za-z_][A-Za-z0-9_]*)::~?\2\(((.*::)?\2( const&|&&))?\)$' \
+  -e '(^|::)([A-Za-z_][A-Za-z0-9_]*)::operator=\((.*::)?\2( const&|&&)\)$' \
+  -e '#[0-9]+\}::(_FUN\(|operator [^(])' "$work/all.k" |
   comm -23 - "$work/strong.k" >"$work/generated.k"
-keys <"$work/lib" | comm -23 - "$work/generated.k" >"$work/lib.k"
+comm -23 "$work/all.k" "$work/generated.k" >"$work/lib.k"
 
 # Prints the library symbols whose key is listed in file $1, demangled.
 list() {
