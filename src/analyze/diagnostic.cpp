@@ -8,8 +8,6 @@ namespace corebist {
 
 std::string_view severityName(Severity s) noexcept {
   switch (s) {
-    case Severity::kInfo:
-      return "info";
     case Severity::kWarning:
       return "warning";
     case Severity::kError:
@@ -51,8 +49,7 @@ const Diagnostic* LintReport::firstError() const noexcept {
 std::string LintReport::summary() const {
   std::ostringstream os;
   os << netlist << ": " << countOf(Severity::kError) << " errors, "
-     << countOf(Severity::kWarning) << " warnings, "
-     << countOf(Severity::kInfo) << " infos";
+     << countOf(Severity::kWarning) << " warnings";
   return os.str();
 }
 

@@ -32,7 +32,6 @@ inline constexpr std::string_view kPackedStimulusWidth =
 }  // namespace rules
 
 enum class Severity : std::uint8_t {
-  kInfo,     // structural observation, not a defect
   kWarning,  // suspicious but simulatable (e.g. unreachable logic)
   kError,    // the netlist cannot be simulated/tested as-is
 };
@@ -68,7 +67,7 @@ struct LintReport {
   /// First error-severity diagnostic, or nullptr when clean.
   [[nodiscard]] const Diagnostic* firstError() const noexcept;
 
-  /// One-line "name: E errors, W warnings, I infos" summary.
+  /// One-line "name: E errors, W warnings" summary.
   [[nodiscard]] std::string summary() const;
   /// Machine-readable export: {"netlist": ..., "diagnostics": [...]}.
   [[nodiscard]] std::string toJson() const;

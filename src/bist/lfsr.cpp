@@ -26,6 +26,15 @@ const std::vector<int>& polyExponents(int width) {
   }
   return table[static_cast<std::size_t>(width - 3)];
 }
+
+/// Register mask of an ALFSR `width` bits wide; throws before shifting when
+/// the width is out of range.
+std::uint64_t alfsrMask(int width) {
+  if (width < 2 || width > 64) {
+    throw std::invalid_argument("Alfsr: width out of range");
+  }
+  return width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+}
 }  // namespace
 
 std::vector<int> primitiveTaps(int width) {
@@ -39,13 +48,7 @@ Alfsr::Alfsr(int width, std::uint64_t seed)
     : Alfsr(width, primitiveTaps(width), seed) {}
 
 Alfsr::Alfsr(int width, std::vector<int> taps, std::uint64_t seed)
-    : mask_(width >= 64 ? ~std::uint64_t{0}
-                        : ((std::uint64_t{1} << width) - 1)),
-      taps_(std::move(taps)),
-      state_(seed & mask_) {
-  if (width < 2 || width > 64) {
-    throw std::invalid_argument("Alfsr: width out of range");
-  }
+    : mask_(alfsrMask(width)), taps_(std::move(taps)), state_(seed & mask_) {
   for (const int t : taps_) {
     if (t < 0 || t >= width) throw std::invalid_argument("Alfsr: bad tap");
   }

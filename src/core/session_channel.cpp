@@ -56,7 +56,6 @@ SessionChannel::SessionChannel(Soc& soc, int tam_index,
 }
 
 CoreReport SessionChannel::testCore(const CorePlan& p,
-                                    const FsimBackendOptions& coverage_backend,
                                     ObserverList& observers) {
   const Soc::CoreTopology& topo = soc_.topology(p.core_index);
   if (topo.tam != tam_index_) {
@@ -121,7 +120,6 @@ CoreReport SessionChannel::testCore(const CorePlan& p,
   if (report.end_test_seen) {
     // Upload each MISR signature through the Output Selector.
     report.verdict = CoreVerdict::kPass;
-    if (p.coverage_target > 0.0) report.coverage_target = p.coverage_target;
     for (int m = 0; m < core.moduleCount(); ++m) {
       ate_.sendCommand(BistCommand::kSelectResult,
                        static_cast<std::uint16_t>(m));
@@ -132,14 +130,6 @@ CoreReport SessionChannel::testCore(const CorePlan& p,
       // (module content, patterns).
       verdict.golden = artifacts_.goldenSignature(core, m, p.patterns);
       if (!verdict.pass()) report.verdict = CoreVerdict::kSignatureMismatch;
-      if (p.coverage_target > 0.0) {
-        // Memoized per (module content, patterns) too: coverage is
-        // backend-invariant, so the backend only steers how a miss is
-        // computed.
-        verdict.coverage = artifacts_.signatureCoverage(core, m, p.patterns,
-                                                        coverage_backend);
-        if (verdict.coverage < p.coverage_target) report.coverage_met = false;
-      }
       report.modules.push_back(verdict);
     }
   } else {

@@ -33,8 +33,8 @@ class ArtifactStore;
 /// Structured failure of the test-access infrastructure under one core's
 /// session — the channel (replica TAP/TAM/ATE plumbing), not the core under
 /// test, is what failed. The service treats it as recoverable: reopen a
-/// fresh channel, retry the core, and quarantine after the plan's retry
-/// budget (TestPlan::max_shard_retries) instead of failing the campaign.
+/// fresh channel, retry the core, and quarantine the core after its two
+/// reopens instead of failing the campaign (service/service.cpp).
 /// Raised today by the `channel.attempt` / `channel.poll` failpoint sites
 /// (chaos testing); a real flaky-fixture transport would throw it from the
 /// same places.
@@ -42,13 +42,7 @@ class SessionChannelError : public std::runtime_error {
  public:
   SessionChannelError(int core_index, const std::string& detail)
       : std::runtime_error("SessionChannel: core " +
-                           std::to_string(core_index) + ": " + detail),
-        core_index_(core_index) {}
-
-  [[nodiscard]] int coreIndex() const noexcept { return core_index_; }
-
- private:
-  int core_index_;
+                           std::to_string(core_index) + ": " + detail) {}
 };
 
 class SessionChannel {
@@ -57,20 +51,17 @@ class SessionChannel {
   /// attaches the same top-level wrappers under the same slot numbers as
   /// the chip TAM, so CoreTopology select paths are valid verbatim.
   /// `artifacts` (not owned, must outlive the channel) serves golden
-  /// signatures and coverage values from the shared content-keyed cache
-  /// instead of recomputing them per campaign; a hit is
-  /// fingerprint-invisible — the cache key covers every input the value
-  /// depends on (see service/artifacts.hpp).
+  /// signatures from the shared content-keyed cache instead of
+  /// recomputing them per campaign; a hit is fingerprint-invisible — the
+  /// cache key covers every input the value depends on (see
+  /// service/artifacts.hpp).
   SessionChannel(Soc& soc, int tam_index, ArtifactStore& artifacts);
 
   /// Run one resolved plan entry's full protocol (all attempts) and
   /// report. `entry.core_index` must name a core served by this channel's
-  /// TAM — the campaign layout guarantees it; a mismatch throws. A coverage
-  /// probe (entry.coverage_target > 0) computes a cache miss on
-  /// `coverage_backend`; `observers` receive the core's events.
-  CoreReport testCore(const CorePlan& entry,
-                      const FsimBackendOptions& coverage_backend,
-                      ObserverList& observers);
+  /// TAM — the campaign layout guarantees it; a mismatch throws.
+  /// `observers` receive the core's events.
+  CoreReport testCore(const CorePlan& entry, ObserverList& observers);
 
  private:
   Soc& soc_;

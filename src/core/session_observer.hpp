@@ -45,12 +45,11 @@ class SessionObserver {
                              bool /*will_retry*/) {}
   /// The core's session channel failed (`failures` so far, 1-based). When
   /// `will_retry` the service reopens a fresh channel and re-runs the
-  /// core; otherwise the core is about to be quarantined (or the error
-  /// rethrown, when the plan disables degradation).
+  /// core; otherwise the core is about to be quarantined.
   virtual void onChannelFailure(int /*core_index*/, int /*failures*/,
                                 bool /*will_retry*/) {}
-  /// The core exhausted its channel retry budget and was excluded from the
-  /// campaign with CoreVerdict::kQuarantined.
+  /// The core's channel failed through the service's two reopens, and the
+  /// core was excluded from the campaign with CoreVerdict::kQuarantined.
   virtual void onCoreQuarantined(int /*core_index*/, int /*failures*/) {}
   virtual void onCoreFinish(const CoreReport& /*report*/) {}
   virtual void onCampaignFinish(const SessionReport& /*report*/) {}

@@ -31,10 +31,8 @@ std::string CoreReport::summary() const {
     return os.str();
   } else if (verdict == CoreVerdict::kTimeout) {
     os << "TIMEOUT after " << attempts << " attempt(s)";
-  } else if (verdict == CoreVerdict::kSignatureMismatch) {
-    os << "FAIL";
   } else {
-    os << "FAIL (coverage below target)";
+    os << "FAIL";
   }
   if (!modules.empty()) {
     os << " (";
@@ -124,18 +122,13 @@ void writeCore(JsonWriter& w, const CoreReport& c, bool include_timing) {
       .field("tap_clocks", c.tap_clocks)
       .field("bist_cycles", c.bist_cycles);
   if (include_timing) w.field("seconds", c.seconds, 4);
-  if (c.coverage_target > 0.0) {
-    w.field("coverage_target", c.coverage_target, 2)
-        .field("coverage_met", c.coverage_met);
-  }
   w.key("modules").beginArray();
   for (const ModuleVerdict& v : c.modules) {
     w.beginObject()
         .field("signature", hex16(v.signature))
         .field("golden", hex16(v.golden))
-        .field("pass", v.pass());
-    if (v.coverage >= 0.0) w.field("coverage", v.coverage, 3);
-    w.endObject();
+        .field("pass", v.pass())
+        .endObject();
   }
   w.endArray().endObject();
 }

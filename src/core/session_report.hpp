@@ -23,17 +23,14 @@ namespace corebist {
 struct ModuleVerdict {
   std::uint16_t signature = 0;
   std::uint16_t golden = 0;
-  /// Signature-qualified stuck-at coverage (%) including aliasing losses;
-  /// < 0 when the plan did not request coverage measurement.
-  double coverage = -1.0;
   [[nodiscard]] bool pass() const noexcept { return signature == golden; }
 };
 
 /// How a core's test concluded. kTimeout means end_test was never observed
 /// within the plan's poll budget (on any attempt) — the signatures were
 /// never uploaded and the modules list is empty. kQuarantined means the
-/// core's session *channel* kept failing past the plan's retry budget
-/// (TestPlan::max_shard_retries) and the service excluded the core to
+/// core's session *channel* kept failing through the service's two
+/// reopens (service/service.cpp) and the service excluded the core to
 /// protect the campaign — the core itself was never conclusively tested,
 /// so its record carries identity and `channel_failures` only.
 enum class CoreVerdict : std::uint8_t {
@@ -61,8 +58,6 @@ struct CoreReport {
   std::size_t tap_clocks = 0;   // TCKs this core's session cost
   std::size_t bist_cycles = 0;  // commanded Run-Test/Idle (at-speed) clocks
   double seconds = 0.0;         // wall time (excluded from fingerprints)
-  double coverage_target = 0.0;  // 0 = no target requested
-  bool coverage_met = true;      // false only when a target was missed
   /// Session-channel failures this core survived (transient) or succumbed
   /// to (kQuarantined). How often infrastructure fails is an execution
   /// artifact like utilization, so fingerprints exclude it; a core that
@@ -70,7 +65,7 @@ struct CoreReport {
   /// a never-failed run.
   int channel_failures = 0;
   [[nodiscard]] bool pass() const noexcept {
-    return verdict == CoreVerdict::kPass && coverage_met;
+    return verdict == CoreVerdict::kPass;
   }
   [[nodiscard]] std::string summary() const;
 };
@@ -96,13 +91,13 @@ struct ChannelLoad {
 /// Per-TAM slice of a campaign: which cores ran over this TAM (in plan
 /// order — deterministic, unlike completion order), the TCK/at-speed
 /// totals they cost, and how busy the TAM's channels were. The channel
-/// cap, utilization and the predicted/actual placement accounting depend
-/// on scheduling, so fingerprints exclude them (like `threads` and wall
-/// times).
+/// count, utilization and the predicted/actual placement accounting
+/// depend on scheduling, so fingerprints exclude them (like `threads` and
+/// wall times).
 struct TamReport {
   int tam_index = 0;
   std::string name;
-  int channels = 1;            // concurrent-channel cap applied
+  int channels = 1;  // channels the placement opened: min(workers, trees)
   std::vector<int> core_order;  // core indices in plan order
   std::size_t tap_clocks = 0;
   std::size_t bist_cycles = 0;

@@ -1,8 +1,9 @@
 // Backend selection for fault-simulation campaigns.
 //
 // One enum + factory pair behind which every fault-sim consumer (ATPG batch
-// grading, the SoC scheduler's coverage probes, the benches) picks its
-// execution backend per campaign instead of hard-coding an engine class:
+// grading, BistEngine::signatureCoverage, the benches and corebench) picks
+// its execution backend per campaign instead of hard-coding an engine
+// class:
 //
 //   kSerial    - the prototype engine itself (one process, one thread)
 //   kThreaded  - ShardedFaultSim's thread executor: fault shards graded on

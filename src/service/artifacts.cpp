@@ -35,8 +35,8 @@ void mixString(std::uint64_t& h, std::string_view s) {
 /// map, and each constraint generator's description plus its value stream
 /// over the counter's reachable cycle range (capped at 4096 — the default
 /// 12-bit counter capacity — so hashing stays O(patterns) once per module).
-/// Two hookups with equal keys produce identical stimulus, golden
-/// signatures and coverage by construction.
+/// Two hookups with equal keys produce identical stimulus and golden
+/// signatures by construction.
 std::uint64_t moduleContentKey(const WrappedCore& core, int m) {
   const BistEngine& engine = core.engine();
   const Netlist& nl = engine.module(m);
@@ -137,20 +137,6 @@ const LintReport& ArtifactStore::lint(const WrappedCore& core, int m) {
   return a.lint;
 }
 
-std::span<const Fault> ArtifactStore::stuckAtFaults(const WrappedCore& core,
-                                                    int m) {
-  ModuleArtifacts& a = bundleFor(core, m);
-  const std::lock_guard<std::mutex> lock(a.mu);
-  if (a.faults_done) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    a.faults = enumerateStuckAt(core.engine().module(m)).faults;
-    a.faults_done = true;
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return a.faults;
-}
-
 std::uint16_t ArtifactStore::goldenSignature(const WrappedCore& core, int m,
                                              int patterns) {
   ModuleArtifacts& a = bundleFor(core, m);
@@ -164,35 +150,6 @@ std::uint16_t ArtifactStore::goldenSignature(const WrappedCore& core, int m,
   a.goldens.emplace(patterns, sig);
   misses_.fetch_add(1, std::memory_order_relaxed);
   return sig;
-}
-
-double ArtifactStore::signatureCoverage(const WrappedCore& core, int m,
-                                        int patterns,
-                                        const FsimBackendOptions& bopts) {
-  ModuleArtifacts& a = bundleFor(core, m);
-  // Fault enumeration goes through the cache too (its own hit/miss), but
-  // only when the coverage value itself is a miss.
-  {
-    const std::lock_guard<std::mutex> lock(a.mu);
-    const auto it = a.coverages.find(patterns);
-    if (it != a.coverages.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  const std::span<const Fault> faults = stuckAtFaults(core, m);
-  const std::lock_guard<std::mutex> lock(a.mu);
-  const auto it = a.coverages.find(patterns);  // raced compute: reuse theirs
-  if (it != a.coverages.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-  }
-  const double coverage =
-      core.engine().signatureCoverage(m, faults, patterns, bopts)
-          .misrCoverage();
-  a.coverages.emplace(patterns, coverage);
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return coverage;
 }
 
 ArtifactStats ArtifactStore::stats() const {

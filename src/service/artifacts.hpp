@@ -1,12 +1,11 @@
 // Immutable, content-keyed campaign artifacts shared across campaigns.
 //
 // A campaign built from scratch derives the same state every time:
-// structural lint of each module netlist at plan-resolve time, the
-// stuck-at fault universe of every module a coverage probe touches, and —
-// dominating all of it — the golden MISR signature of every module, which
-// runs a full good-machine sequential simulation per core per campaign.
-// All of that is a pure function of state that never changes after a core
-// is attached to the SoC:
+// structural lint of each module netlist at plan-resolve time and —
+// dominating it — the golden MISR signature of every module, which runs a
+// full good-machine sequential simulation per core per campaign. Both are
+// a pure function of state that never changes after a core is attached to
+// the SoC:
 //
 //   * `BistEngine::module(m)` returns the engine's OWNED reference copy of
 //     the module netlist (attachModule deep-copies). Defect injection
@@ -47,19 +46,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 
 #include "analyze/lint.hpp"
 #include "core/wrapped_core.hpp"
-#include "fault/backend.hpp"
-#include "fault/fault.hpp"
 
 namespace corebist {
 
 /// Cache-economy counters. `hits` / `misses` count product requests
-/// (lint, fault universe, golden signature, coverage) served from vs
-/// computed into the cache; `modules_built` counts distinct artifact
+/// (lint, golden signature) served from vs computed into the cache; `modules_built` counts distinct artifact
 /// bundles constructed and `modules_shared` counts registrations that
 /// deduplicated onto an existing bundle via the content key.
 struct ArtifactStats {
@@ -84,22 +79,10 @@ class ArtifactStore {
   /// the store's lifetime.
   const LintReport& lint(const WrappedCore& core, int m);
 
-  /// Full stuck-at fault universe of module `m`'s reference netlist.
-  /// Span valid for the store's lifetime.
-  std::span<const Fault> stuckAtFaults(const WrappedCore& core, int m);
-
   /// Fault-free MISR signature of module `m` after `patterns` cycles —
   /// the good-machine sequential simulation every uncached campaign pays
   /// per core. Memoized per (module content, patterns).
   std::uint16_t goldenSignature(const WrappedCore& core, int m, int patterns);
-
-  /// Signature-qualified stuck-at coverage (%) of module `m` under
-  /// `patterns` cycles. Memoized per (module content, patterns): coverage
-  /// results are backend-invariant (byte-identical across serial, threaded,
-  /// process and resilient orchestrators — pinned by the backend suites),
-  /// so `bopts` only steers how a *miss* is computed, never the value.
-  double signatureCoverage(const WrappedCore& core, int m, int patterns,
-                           const FsimBackendOptions& bopts);
 
   [[nodiscard]] ArtifactStats stats() const;
 
@@ -109,10 +92,7 @@ class ArtifactStore {
     std::mutex mu;  // serializes product computation for this bundle
     bool lint_done = false;
     LintReport lint;
-    bool faults_done = false;
-    std::vector<Fault> faults;
-    std::map<int, std::uint16_t> goldens;    // patterns -> signature
-    std::map<int, double> coverages;         // patterns -> misrCoverage()
+    std::map<int, std::uint16_t> goldens;  // patterns -> signature
   };
 
   ModuleArtifacts& bundleFor(const WrappedCore& core, int m);

@@ -31,7 +31,8 @@ void lintCoreModules(Soc& soc, int core_index, ArtifactStore& artifacts) {
 }
 
 /// Concretize a plan entry against the plan-wide defaults and validate it
-/// against the SoC (existence, TAM assignment, counter capacity).
+/// against the SoC (existence, TAM assignment, counter capacity) and the
+/// protocol (poll budget, poll idle, retries).
 CorePlan resolveEntry(const TestPlan& plan, const CorePlan& entry, Soc& soc,
                       ArtifactStore& artifacts) {
   CorePlan r = entry;
@@ -52,7 +53,6 @@ CorePlan resolveEntry(const TestPlan& plan, const CorePlan& entry, Soc& soc,
   if (r.poll_budget <= 0) r.poll_budget = plan.poll_budget;
   if (r.poll_idle <= 0) r.poll_idle = plan.poll_idle;
   if (r.max_retries < 0) r.max_retries = plan.max_retries;
-  if (r.coverage_target < 0.0) r.coverage_target = plan.coverage_target;
   if (r.warmup_idle < 0) r.warmup_idle = r.patterns + 4;
   const int max_patterns =
       soc.core(r.core_index).controlUnit().maxPatterns();
@@ -62,6 +62,20 @@ CorePlan resolveEntry(const TestPlan& plan, const CorePlan& entry, Soc& soc,
         std::to_string(r.patterns) + " outside [1, " +
         std::to_string(max_patterns) + "] (the WCDR count would truncate)");
   }
+  // Only plan-wide defaults can get here out of range: every sentinel
+  // CorePlan value inherits. A budget below 1 polls nothing, a negative
+  // idle wraps to an endless Run-Test/Idle dwell, and negative retries run
+  // no attempt at all.
+  const auto require_at_least = [&](const char* field, int value, int min) {
+    if (value < min) {
+      throw std::invalid_argument(
+          "TestPlan: core " + std::to_string(r.core_index) + " " + field +
+          " " + std::to_string(value) + " below " + std::to_string(min));
+    }
+  };
+  require_at_least("poll_budget", r.poll_budget, 1);
+  require_at_least("poll_idle", r.poll_idle, 0);
+  require_at_least("max_retries", r.max_retries, 0);
   return r;
 }
 
@@ -93,40 +107,6 @@ std::vector<CorePlan> resolvePlan(const TestPlan& plan, Soc& soc,
   return entries;
 }
 
-/// Per-TAM concurrent-channel caps: plan-wide default overridden per TAM.
-/// 0 = uncapped (bounded by the worker budget and the available work).
-std::vector<int> resolveChannelLimits(const TestPlan& plan, Soc& soc) {
-  if (plan.channels_per_tam < 0 ||
-      plan.channels_per_tam > TestPlan::kMaxChannelsPerTam) {
-    throw std::invalid_argument(
-        "TestPlan: channels_per_tam " + std::to_string(plan.channels_per_tam) +
-        " outside [0, " + std::to_string(TestPlan::kMaxChannelsPerTam) + "]");
-  }
-  std::vector<int> limits(static_cast<std::size_t>(soc.tamCount()),
-                          plan.channels_per_tam);
-  std::vector<char> overridden(limits.size(), 0);
-  for (const TamChannelLimit& l : plan.tam_channels) {
-    if (l.tam < 0 || l.tam >= soc.tamCount()) {
-      throw std::invalid_argument("TestPlan: no TAM with index " +
-                                  std::to_string(l.tam));
-    }
-    if (l.channels < 1 || l.channels > TestPlan::kMaxChannelsPerTam) {
-      throw std::invalid_argument(
-          "TestPlan: TAM " + std::to_string(l.tam) + " channel limit " +
-          std::to_string(l.channels) + " outside [1, " +
-          std::to_string(TestPlan::kMaxChannelsPerTam) + "]");
-    }
-    char& flag = overridden[static_cast<std::size_t>(l.tam)];
-    if (flag != 0) {
-      throw std::invalid_argument("TestPlan: TAM " + std::to_string(l.tam) +
-                                  " channel limit listed more than once");
-    }
-    flag = 1;
-    limits[static_cast<std::size_t>(l.tam)] = l.channels;
-  }
-  return limits;
-}
-
 std::vector<TreeGroup> groupByTree(const std::vector<CorePlan>& entries,
                                    Soc& soc) {
   std::vector<TreeGroup> groups;
@@ -150,13 +130,6 @@ P1500Ate::SessionCost predictEntryCost(Soc& soc, const CorePlan& e) {
   return P1500Ate::predictSessionCost(
       soc.tap().irWidth(), topo.depth(), soc.core(e.core_index).moduleCount(),
       e.patterns, e.warmup_idle, e.poll_budget, e.poll_idle);
-}
-
-/// Channels a TAM's trees spread over: the per-TAM limit (0 = uncapped),
-/// the worker budget and the available work all cap it. Matches the
-/// `TamReport::channels` accounting the report layer always used.
-int channelCount(int limit, int threads, int tam_groups) {
-  return std::min(limit > 0 ? limit : threads, std::min(tam_groups, threads));
 }
 
 /// Greedy pass shared by both candidates: walk `order` (group ids), placing
@@ -268,12 +241,6 @@ CampaignLayout layoutCampaign(const TestPlan& plan, Soc& soc,
                               int worker_budget, ArtifactStore& artifacts) {
   CampaignLayout layout;
   layout.entries = resolvePlan(plan, soc, artifacts);
-  layout.policy.backend = plan.coverage_backend;
-  layout.policy.num_workers = plan.coverage_workers;
-  layout.policy.max_shard_retries = plan.max_shard_retries;
-  layout.policy.backoff_base_ms = plan.backoff_base_ms;
-  layout.policy.degrade_on_failure = plan.degrade_on_failure;
-  const std::vector<int> limits = resolveChannelLimits(plan, soc);
   layout.groups = groupByTree(layout.entries, soc);
 
   layout.entry_costs.reserve(layout.entries.size());
@@ -291,7 +258,7 @@ CampaignLayout layoutCampaign(const TestPlan& plan, Soc& soc,
   layout.threads =
       std::max(1, trees == 0 ? worker_budget : std::min(worker_budget, trees));
 
-  layout.channels_per_tam.assign(static_cast<std::size_t>(soc.tamCount()), 0);
+  layout.channels_by_tam.assign(static_cast<std::size_t>(soc.tamCount()), 0);
   for (int t = 0; t < soc.tamCount(); ++t) {
     std::vector<int> tam_group_ids;
     for (std::size_t g = 0; g < layout.groups.size(); ++g) {
@@ -299,9 +266,8 @@ CampaignLayout layoutCampaign(const TestPlan& plan, Soc& soc,
     }
     if (tam_group_ids.empty()) continue;
     const int channels =
-        channelCount(limits[static_cast<std::size_t>(t)], layout.threads,
-                     static_cast<int>(tam_group_ids.size()));
-    layout.channels_per_tam[static_cast<std::size_t>(t)] = channels;
+        std::min(layout.threads, static_cast<int>(tam_group_ids.size()));
+    layout.channels_by_tam[static_cast<std::size_t>(t)] = channels;
     std::vector<std::vector<int>> assignment =
         placeTamGroups(tam_group_ids, layout.groups, channels);
     for (int ch = 0; ch < channels; ++ch) {
@@ -353,11 +319,11 @@ PlanForecast forecastFromLayout(const CampaignLayout& layout, Soc& soc) {
   }
 
   for (int t = 0; t < soc.tamCount(); ++t) {
-    if (layout.channels_per_tam[static_cast<std::size_t>(t)] == 0) continue;
+    if (layout.channels_by_tam[static_cast<std::size_t>(t)] == 0) continue;
     TamForecast tf;
     tf.tam_index = t;
     tf.name = soc.tamName(t);
-    tf.channels = layout.channels_per_tam[static_cast<std::size_t>(t)];
+    tf.channels = layout.channels_by_tam[static_cast<std::size_t>(t)];
     for (const ChannelUnit& unit : layout.units) {
       if (unit.tam != t) continue;
       ChannelLoad cl = channelLoad(layout, unit);
@@ -392,7 +358,7 @@ void aggregateSessionReport(SessionReport& report,
   report.predicted_makespan_tcks = 0;
   report.actual_makespan_tcks = 0;
   for (int t = 0; t < soc.tamCount(); ++t) {
-    if (layout.channels_per_tam[static_cast<std::size_t>(t)] == 0) continue;
+    if (layout.channels_by_tam[static_cast<std::size_t>(t)] == 0) continue;
     TamReport tr;
     tr.tam_index = t;
     tr.name = soc.tamName(t);
@@ -404,7 +370,7 @@ void aggregateSessionReport(SessionReport& report,
       tr.busy_seconds += report.cores[i].seconds;
       tr.predicted_tap_clocks += layout.entry_costs[i].tap_clocks;
     }
-    tr.channels = layout.channels_per_tam[static_cast<std::size_t>(t)];
+    tr.channels = layout.channels_by_tam[static_cast<std::size_t>(t)];
     if (report.wall_seconds > 0.0 && tr.channels > 0) {
       tr.utilization = jsonFinite(
           tr.busy_seconds / (report.wall_seconds * tr.channels));

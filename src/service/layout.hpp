@@ -2,13 +2,11 @@
 //
 // The one resolution + placement pass behind CampaignService::submit() and
 // predict(): concretize plan entries against the SoC (sentinel
-// inheritance, validation, artifact-gated structural lint), resolve the
-// plan-wide campaign policy (coverage backend, channel retry budget,
-// backoff, degradation) once, group entries by core tree (cores sharing a
-// top-level ancestor share one wrapper chain and clock domain — the unit
-// of placement), predict every entry's TCK cost with the P1500Ate cost
-// model, and partition each TAM's trees over its channels so as to
-// minimize the predicted makespan. The resulting ChannelUnits are the
+// inheritance, validation, artifact-gated structural lint), group entries
+// by core tree (cores sharing a top-level ancestor share one wrapper chain
+// and clock domain — the unit of placement), predict every entry's TCK
+// cost with the P1500Ate cost model, and partition each TAM's trees over
+// min(workers, trees) channels so as to minimize the predicted makespan. The resulting ChannelUnits are the
 // service's unit of scheduling: one unit = one TAM channel's serial work
 // list, claimed whole by a reactor worker. Running them is the service's
 // job (service.cpp); nothing here opens a channel.
@@ -29,7 +27,6 @@
 #include "core/session_report.hpp"
 #include "core/soc.hpp"
 #include "core/test_plan.hpp"
-#include "fault/backend.hpp"
 #include "tam/ate.hpp"
 
 namespace corebist {
@@ -90,19 +87,16 @@ struct ChannelUnit {
 };
 
 /// Everything execution and prediction share: the resolved entries, their
-/// predicted costs, the tree groups, the channel placement and the
-/// campaign policy.
+/// predicted costs, the tree groups and the channel placement.
 struct CampaignLayout {
   std::vector<CorePlan> entries;
   std::vector<P1500Ate::SessionCost> entry_costs;  // parallel to entries
   std::vector<TreeGroup> groups;
   std::vector<ChannelUnit> units;  // ascending (tam, channel)
-  std::vector<int> channels_per_tam;  // 0 for TAMs with no work
+  /// Per TAM index: channels opened, min(threads, the TAM's trees); 0 for
+  /// TAMs with no work.
+  std::vector<int> channels_by_tam;
   int threads = 1;  // worker budget capped by the available work
-  /// The plan's coverage backend and workers, and its retry budget,
-  /// backoff and degradation, which both a kResilient coverage probe's
-  /// shards and the service's channel reopen loop follow.
-  FsimBackendOptions policy;
 
   /// Summed predicted TCKs over every entry — the admission-control load
   /// number quotas are charged against.
@@ -112,9 +106,10 @@ struct CampaignLayout {
 /// Resolve + validate `plan` against `soc` and place its work under a
 /// budget of `worker_budget` concurrent workers. Throws
 /// std::invalid_argument for plans that name unknown or duplicated cores,
-/// assign a core to a TAM that does not serve it, carry invalid channel
-/// limits, request pattern budgets beyond a core's counter capacity, or
-/// reference a module failing structural lint. `artifacts` serves the
+/// assign a core to a TAM that does not serve it, request pattern budgets
+/// beyond a core's counter capacity, resolve to a poll budget below 1, a
+/// negative poll idle or negative retries, or reference a module failing
+/// structural lint. `artifacts` serves the
 /// lint gate from the shared cache.
 [[nodiscard]] CampaignLayout layoutCampaign(const TestPlan& plan, Soc& soc,
                                             int worker_budget,

@@ -52,28 +52,31 @@ struct CampaignService::Campaign {
 
 namespace {
 
+/// Channel reopens a core gets before it is quarantined, and the base of
+/// the exponential backoff before each (backoffMs: reopen k sleeps
+/// base << (k-1) ms).
+constexpr int kChannelReopens = 2;
+constexpr int kReopenBackoffBaseMs = 1;
+
 /// Run one core with channel-level self-healing. A SessionChannelError
 /// means the test-access plumbing (not the core) failed, so the suspect
 /// channel is dropped, a fresh replica is opened, and the core is re-run
 /// from the top — CoreReport attempts/polls reset with the channel, which
 /// is what keeps a recovered core's fingerprint identical to a never-failed
-/// run. After `policy.max_shard_retries` reopens the core is quarantined
-/// (verdict kQuarantined, identity fields only, zero TCK/at-speed
-/// accounting so campaign totals stay deterministic) — or, when the plan
-/// sets degrade_on_failure=false, the error propagates and fails the
-/// campaign. All other exception types propagate untouched.
+/// run. After kChannelReopens reopens the core is quarantined (verdict
+/// kQuarantined, identity fields only, zero TCK/at-speed accounting so
+/// campaign totals stay deterministic). All other exception types
+/// propagate untouched.
 CoreReport testCoreResilient(Soc& soc, ArtifactStore& artifacts,
                              std::unique_ptr<SessionChannel>& ch,
-                             const CorePlan& entry,
-                             const FsimBackendOptions& policy,
-                             ObserverList& observers) {
+                             const CorePlan& entry, ObserverList& observers) {
   int failures = 0;
   for (;;) {
     if (ch == nullptr) {
       ch = std::make_unique<SessionChannel>(soc, entry.tam, artifacts);
     }
     try {
-      CoreReport r = ch->testCore(entry, policy, observers);
+      CoreReport r = ch->testCore(entry, observers);
       r.channel_failures = failures;
       return r;
     } catch (const SessionChannelError&) {
@@ -81,15 +84,14 @@ CoreReport testCoreResilient(Soc& soc, ArtifactStore& artifacts,
       // The replica TAP/TAM state behind a failed channel is suspect;
       // reopening rebuilds it from the SoC, like respawning a dead worker.
       ch.reset();
-      const bool will_retry = failures <= policy.max_shard_retries;
+      const bool will_retry = failures <= kChannelReopens;
       observers.notify([&](SessionObserver& o) {
         o.onChannelFailure(entry.core_index, failures, will_retry);
       });
       if (will_retry) {
-        failpointSleepMs(backoffMs(policy.backoff_base_ms, failures));
+        failpointSleepMs(backoffMs(kReopenBackoffBaseMs, failures));
         continue;
       }
-      if (!policy.degrade_on_failure) throw;
       CoreReport q;
       q.core_index = entry.core_index;
       q.core_name = soc.core(entry.core_index).name();
@@ -286,9 +288,8 @@ void CampaignService::runUnit(Campaign& c, std::size_t u) {
       auto ch = std::make_unique<SessionChannel>(soc_, unit.tam, artifacts_);
       for (const std::size_t i : grp.entry_idx) {
         if (c.cancel_requested.load(std::memory_order_relaxed)) return;
-        c.report.cores[i] =
-            testCoreResilient(soc_, artifacts_, ch, c.layout.entries[i],
-                              c.layout.policy, c.observers);
+        c.report.cores[i] = testCoreResilient(
+            soc_, artifacts_, ch, c.layout.entries[i], c.observers);
         c.cores_done.fetch_add(1, std::memory_order_relaxed);
       }
     }

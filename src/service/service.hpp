@@ -5,15 +5,17 @@
 // It is constructed once, stays resident, and multiplexes any number of
 // concurrent campaigns over shared state:
 //
-//   * artifact layer (service/artifacts.hpp) — lint reports, fault
-//     universes, golden signatures and coverage values are immutable,
-//     content-keyed artifacts built once and shared by reference across
-//     every campaign the service ever runs; the service owns its store;
+//   * artifact layer (service/artifacts.hpp) — lint reports and golden
+//     signatures are immutable, content-keyed artifacts built once and
+//     shared by reference across every campaign the service ever runs; the
+//     service owns its store;
 //   * reactor layer — a fixed pool of worker threads claims ChannelUnits
 //     (service/layout.hpp) from any admitted campaign. Campaigns on
 //     different core trees interleave freely; units touching the same tree
 //     serialize on a per-root mutex, because cores sharing a top-level
-//     ancestor share one wrapper chain and one clock domain;
+//     ancestor share one wrapper chain and one clock domain. A channel
+//     that fails (SessionChannelError) is reopened twice, with a 1-ms
+//     exponential backoff base, before its core is quarantined;
 //   * service API — submit(plan) admits a campaign and returns a
 //     CampaignHandle; await/cancel/status manage it. Admission control is
 //     driven by the same P1500Ate cost model predict() uses: each tenant is
@@ -178,9 +180,9 @@ class CampaignService {
 
   /// Admit a campaign. Resolution/validation errors throw
   /// std::invalid_argument (unknown or duplicated cores, a core assigned
-  /// to a TAM that does not serve it, channel limits outside [1,
-  /// TestPlan::kMaxChannelsPerTam], pattern budgets beyond a core's
-  /// counter capacity, a module failing structural lint); quota violations
+  /// to a TAM that does not serve it, pattern budgets beyond a core's
+  /// counter capacity, a poll budget below 1, a negative poll idle or
+  /// negative retries, a module failing structural lint); quota violations
   /// throw AdmissionError. On return the campaign is
   /// registered, its tenant charged, its start/placement events delivered,
   /// and its units queued to the reactor. An observer that throws from a

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <random>
+#include <stdexcept>
 
 #include "bist/constraint_gen.hpp"
 #include "bist/control_unit.hpp"
@@ -33,6 +34,15 @@ INSTANTIATE_TEST_SUITE_P(Widths, AlfsrPeriodTest,
 TEST(Alfsr, ZeroSeedIsRepaired) {
   Alfsr lfsr(8, 0);
   EXPECT_NE(lfsr.state(), 0u);
+}
+
+TEST(Alfsr, OutOfRangeWidthsThrowBeforeTheMaskShift) {
+  // Custom taps skip primitiveTaps' own width check, so the constructor's
+  // range check must run before the mask is shifted by the width.
+  for (const int width : {-1, 1, 65}) {
+    EXPECT_THROW(Alfsr(width, {0}, 1), std::invalid_argument)
+        << "width " << width;
+  }
 }
 
 TEST(Alfsr, StatesAreReasonablyBalanced) {

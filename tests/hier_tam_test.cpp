@@ -1,8 +1,8 @@
 // Hierarchical multi-TAM SoC campaigns: randomized topologies (1-4 TAMs,
 // nesting depth <= 3, mixed core sizes) prove campaigns fingerprint-
-// identical to the one-worker path under every TAM / pool-size /
-// channel-limit combination, plus negative tests for plans and topologies
-// the resolver must reject. Style follows tests/wide_fsim_test.cpp: a
+// identical to the one-worker path under every TAM / pool-size
+// combination, plus negative tests for plans and topologies the resolver
+// must reject. Style follows tests/wide_fsim_test.cpp: a
 // deterministic generator seeded per case, one reference run, then
 // equivalence sweeps.
 #include <gtest/gtest.h>
@@ -103,8 +103,7 @@ RandomSoc buildRandomSoc(int case_id) {
 }
 
 /// Campaign over every core in a shuffled (but case-deterministic) order,
-/// with some entries starved into timeouts/retries and random per-TAM
-/// channel caps.
+/// with some entries starved into timeouts/retries.
 TestPlan makeRandomPlan(const RandomSoc& r, int case_id) {
   std::mt19937 rng(0xF00D + static_cast<unsigned>(case_id));
   std::vector<int> order(static_cast<std::size_t>(r.soc->coreCount()));
@@ -126,11 +125,6 @@ TestPlan makeRandomPlan(const RandomSoc& r, int case_id) {
       plan.addCore(core);
     }
   }
-  for (int t = 0; t < r.tam_count; ++t) {
-    if (rng() % 2 == 0) {
-      plan.withTamChannels(t, 1 + static_cast<int>(rng() % 3));
-    }
-  }
   return plan;
 }
 
@@ -146,7 +140,9 @@ TEST(HierTam, RandomizedTopologiesAreFingerprintIdenticalToSerial) {
     const std::string reference = runCampaign(*ref.soc, base).fingerprint();
     if (ref.tam_count >= 2 && ref.max_depth >= 2) ++multi_tam_nested_cases;
 
-    for (const int workers : {2, 8}) {
+    // Each TAM opens min(workers, its trees) channels: 2, 3 and 8 workers
+    // give every TAM one to three channels, or one per tree.
+    for (const int workers : {2, 3, 8}) {
       RandomSoc fresh = buildRandomSoc(case_id);  // identical initial state
       const SessionReport report = runCampaign(*fresh.soc, base, workers);
       ASSERT_EQ(report.fingerprint(), reference)
@@ -243,31 +239,44 @@ TEST(HierTam, PlanAssigningACoreToTheWrongTamIsRejected) {
             CoreVerdict::kPass);
 }
 
-TEST(HierTam, OverLimitChannelConfigsAreRejected) {
-  Soc soc("limits");
-  const int a = soc.attachCore(makeCore("a", 1, 9));
-  (void)a;
+TEST(HierTam, OutOfRangeProtocolDefaultsAreRejected) {
+  // Every sentinel CorePlan field inherits, so only a plan-wide default can
+  // resolve out of range. Each plan keeps the default warmup, which covers
+  // the whole run: were a plan admitted, its campaign would still finish.
+  Soc soc("protocol");
+  (void)soc.attachCore(makeCore("a", 1, 9));
   CampaignService service(soc, CampaignServiceConfig{.workers = 1});
-
-  EXPECT_THROW((void)service.submit(TestPlan{}.withTamChannels(0, 0)),
-               std::invalid_argument);
-  EXPECT_THROW((void)service.submit(TestPlan{}.withTamChannels(
-                   0, TestPlan::kMaxChannelsPerTam + 1)),
-               std::invalid_argument);
-  EXPECT_THROW((void)service.submit(TestPlan{}.withTamChannels(5, 2)),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)service.submit(TestPlan{}.withTamChannels(0, 2).withTamChannels(
-          0, 3)),
-      std::invalid_argument);
-  TestPlan bad_default;
-  bad_default.channels_per_tam = -1;
-  EXPECT_THROW((void)service.submit(bad_default), std::invalid_argument);
-  // A valid cap runs and is reported.
-  const SessionReport ok = service.await(
-      service.submit(TestPlan{}.withPatterns(64).withTamChannels(0, 1)));
-  ASSERT_EQ(ok.tams.size(), 1u);
-  EXPECT_EQ(ok.tams[0].channels, 1);
+  const auto rejected = [&](const char* field, const TestPlan& plan) {
+    for (const bool run : {false, true}) {
+      try {
+        if (run) {
+          (void)service.await(service.submit(plan));
+        } else {
+          (void)service.predict(plan);
+        }
+        ADD_FAILURE() << field << " accepted by "
+                      << (run ? "submit()" : "predict()");
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+    }
+  };
+  TestPlan no_polls = TestPlan{}.withPatterns(64);
+  no_polls.poll_budget = 0;
+  rejected("poll_budget", no_polls);
+  TestPlan negative_idle = TestPlan{}.withPatterns(64);
+  negative_idle.poll_idle = -5;
+  rejected("poll_idle", negative_idle);
+  TestPlan negative_retries = TestPlan{}.withPatterns(64);
+  negative_retries.max_retries = -1;
+  rejected("max_retries", negative_retries);
+  // The smallest allowances are valid: one poll, no idle, no retries.
+  TestPlan tight = TestPlan{}.withPatterns(64);
+  tight.poll_budget = 1;
+  tight.poll_idle = 0;
+  tight.max_retries = 0;
+  EXPECT_TRUE(service.await(service.submit(tight)).pass());
 }
 
 TEST(HierTam, BrokenHierarchiesAreRejectedAtBuildTime) {
@@ -309,7 +318,7 @@ TEST(HierTam, ChannelRefusesCoresOfOtherTams) {
   SessionChannel channel(soc, 0, artifacts);
   ObserverList observers;
   EXPECT_THROW(
-      (void)channel.testCore(CorePlan{.core_index = b, .patterns = 64}, {},
+      (void)channel.testCore(CorePlan{.core_index = b, .patterns = 64},
                              observers),
       std::logic_error);
 }

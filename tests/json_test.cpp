@@ -227,12 +227,9 @@ SessionReport hostileReport() {
   ok.core_name = "dsp\n\"core\"\ttab\x01\x1f\\";
   ok.verdict = CoreVerdict::kPass;
   ok.end_test_seen = true;
-  ok.modules = {{0xBEEF, 0xBEEF, 97.125}, {0x0001, 0xFFFF, nan},
-                {0x1234, 0x1234, -1.0}};
+  ok.modules = {{0xBEEF, 0xBEEF}, {0x0001, 0xFFFF}, {0x1234, 0x1234}};
   ok.tap_clocks = std::numeric_limits<std::size_t>::max();
   ok.seconds = inf;
-  ok.coverage_target = 95.5;
-  ok.coverage_met = false;
   ok.channel_failures = 2;
   CoreReport quarantined;
   quarantined.core_index = 3;
@@ -243,7 +240,6 @@ SessionReport hostileReport() {
   CoreReport timeout;
   timeout.core_index = 4;
   timeout.verdict = CoreVerdict::kTimeout;
-  timeout.coverage_target = inf;
 
   SessionReport r;
   r.soc_name = "soc \"A\"\\path\r";
@@ -268,7 +264,7 @@ LintReport hostileLint() {
   lr.netlist = "net\"list\n";
   lr.diagnostics.push_back(
       {Severity::kError, "comb-loop", "loop \"x\"\\y\x02", {1, 2, 3}, {3, 2}});
-  lr.diagnostics.push_back({Severity::kInfo, "r\"", "", {}, {}});
+  lr.diagnostics.push_back({Severity::kWarning, "r\"", "", {}, {}});
   return lr;
 }
 

@@ -7,7 +7,7 @@
 // core's report slice stays field-identical to a healthy run, and a
 // transient channel failure is invisible in the campaign fingerprint. A
 // service campaign whose tenant abandoned its report stream survives the
-// stream's failed writes beside fork fleets and keeps its fingerprint, and
+// stream's failed writes and keeps its fingerprint, and
 // a core attached after the service was built is tested like the others
 // (checked in a forked child under a deadline, since the failure mode is a
 // hang).
@@ -402,10 +402,7 @@ std::unique_ptr<Soc> makeSoc() {
   return soc;                                        // along with the chaos
 }
 
-TestPlan makePlan() {
-  return TestPlan{}.withPatterns(300).withResilience(/*shard_retries=*/2,
-                                                     /*backoff_ms=*/0);
-}
+TestPlan makePlan() { return TestPlan{}.withPatterns(300); }
 
 void expectSameCore(const CoreReport& a, const CoreReport& b) {
   EXPECT_EQ(a.core_index, b.core_index);
@@ -440,7 +437,7 @@ TEST_F(Resilience, PersistentChannelFailureQuarantinesOnlyThatCore) {
   ASSERT_NE(q, nullptr);
   EXPECT_EQ(q->verdict, CoreVerdict::kQuarantined);
   EXPECT_FALSE(q->pass());
-  EXPECT_EQ(q->channel_failures, 3);  // initial try + 2 reopen retries
+  EXPECT_EQ(q->channel_failures, 3);  // initial try + the service's 2 reopens
   EXPECT_TRUE(q->modules.empty());
   EXPECT_EQ(q->tap_clocks, 0u);  // never conclusively tested: no accounting
   EXPECT_EQ(q->attempts, 0);
@@ -501,47 +498,11 @@ TEST_F(Resilience, TransientChannelFailuresAreInvisibleInTheFingerprint) {
   EXPECT_EQ(report.core(4)->channel_failures, 1);
 }
 
-TEST_F(Resilience, DegradationDisabledFailsTheCampaignWithTheChannelError) {
-  FailpointRegistry::instance().arm("channel.attempt",
-                                    action(FailpointAction::Kind::kError),
-                                    /*match_index=*/3, /*match_seq=*/-1,
-                                    /*skip=*/0, /*count=*/-1);
-  auto soc = makeSoc();
-  TestPlan plan = TestPlan{}.withPatterns(300).withResilience(
-      /*shard_retries=*/1, /*backoff_ms=*/0, /*degrade=*/false);
-  try {
-    (void)runCampaign(*soc, plan);
-    FAIL() << "expected SessionChannelError";
-  } catch (const SessionChannelError& e) {
-    EXPECT_EQ(e.coreIndex(), 3);
-  }
-}
-
-TEST_F(Resilience, CoverageOnTheResilientBackendMatchesSerial) {
-  auto serial_soc = makeSoc();
-  TestPlan serial_plan =
-      makePlan().withCoverageTarget(30.0).withCoverageBackend(
-          FsimBackend::kSerial);
-  const std::string serial_fp =
-      runCampaign(*serial_soc, serial_plan).fingerprint();
-  EXPECT_NE(serial_fp.find("coverage"), std::string::npos);
-
-  auto soc = makeSoc();
-  TestPlan plan = makePlan().withCoverageTarget(30.0).withCoverageBackend(
-      FsimBackend::kResilient, /*workers=*/2);
-  const SessionReport report = runCampaign(*soc, plan);
-  EXPECT_EQ(report.fingerprint(), serial_fp);
-  EXPECT_TRUE(noZombies());
-}
-
 TEST_F(Resilience, AbandonedStreamNeverFailsItsCampaign) {
   // The tenant closes its stream's reader before submitting, so the
-  // stream's writes hit EPIPE while kResilient coverage probes run fork
-  // fleets on both service workers. Neither may let SIGPIPE kill the
-  // process, and the campaign ends as if it had no stream.
-  const TestPlan plan =
-      fixtures::makeMixedPlan().withCoverageTarget(30.0).withCoverageBackend(
-          FsimBackend::kResilient, /*workers=*/2);
+  // stream's writes hit EPIPE on both service workers. SIGPIPE may not kill
+  // the process, and the campaign ends as if it had no stream.
+  const TestPlan plan = fixtures::makeMixedPlan();
   const CampaignServiceConfig cfg{.workers = 2};
   std::string reference;
   {
@@ -549,7 +510,6 @@ TEST_F(Resilience, AbandonedStreamNeverFailsItsCampaign) {
     CampaignService service(*soc, cfg);
     reference = service.await(service.submit(plan)).fingerprint();
   }
-  EXPECT_NE(reference.find("coverage"), std::string::npos);
 
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
@@ -679,12 +639,11 @@ TEST_F(ResilienceChaos, CampaignConvergesByteIdenticallyUnderEnvSchedule) {
 }
 
 TEST_F(ResilienceChaos, SocCampaignFingerprintSurvivesEnvSchedule) {
-  // A campaign with kResilient coverage probes under the env schedule: its
-  // fingerprint must equal a clean-registry run of the same plan.
+  // A campaign under the env schedule: its fingerprint must equal a
+  // clean-registry run of the same plan.
   auto clean_soc = makeSoc();
   FailpointRegistry::instance().disarmAll();
-  TestPlan plan = makePlan().withCoverageTarget(30.0).withCoverageBackend(
-      FsimBackend::kResilient, /*workers=*/2);
+  const TestPlan plan = makePlan();
   const std::string clean_fp = runCampaign(*clean_soc, plan).fingerprint();
 
   EXPECT_EQ(FailpointRegistry::instance().armFromEnv(), armed_);

@@ -1,6 +1,6 @@
 // Plan-driven SoC test campaigns through the CampaignService: determinism
-// across pool sizes, timeout/retry policy, coverage targets, observer
-// streaming, JSON export and plan validation.
+// across pool sizes, timeout/retry policy, observer streaming, JSON export
+// and plan validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -95,34 +95,6 @@ TEST(SocScheduler, TimeoutIsDistinguishedFromMismatchAndRetried) {
   const CoreReport recovered =
       testCore(service, CorePlan{.core_index = 2, .patterns = 500});
   EXPECT_EQ(recovered.verdict, CoreVerdict::kPass) << recovered.summary();
-}
-
-TEST(SocScheduler, CoverageTargetIsMeasuredAndEnforced) {
-  auto soc = makeSoc();
-  CampaignService service(*soc, CampaignServiceConfig{.workers = 1});
-  const CoreReport measured = testCore(
-      service,
-      CorePlan{.core_index = 0, .patterns = 128, .coverage_target = 5.0});
-  EXPECT_EQ(measured.verdict, CoreVerdict::kPass);
-  ASSERT_EQ(measured.modules.size(), 1u);
-  EXPECT_GE(measured.modules[0].coverage, 5.0);
-  EXPECT_LE(measured.modules[0].coverage, 100.0);
-  EXPECT_TRUE(measured.coverage_met);
-  EXPECT_TRUE(measured.pass());
-
-  // An unreachable target fails the core even though the signature matched.
-  const CoreReport missed = testCore(
-      service,
-      CorePlan{.core_index = 0, .patterns = 128, .coverage_target = 100.5});
-  EXPECT_EQ(missed.verdict, CoreVerdict::kPass);
-  EXPECT_FALSE(missed.coverage_met);
-  EXPECT_FALSE(missed.pass());
-
-  // Without a target, coverage is not measured.
-  const CoreReport plain =
-      testCore(service, CorePlan{.core_index = 0, .patterns = 128});
-  ASSERT_EQ(plain.modules.size(), 1u);
-  EXPECT_LT(plain.modules[0].coverage, 0.0);
 }
 
 class CountingObserver final : public SessionObserver {
