@@ -54,9 +54,10 @@
 namespace corebist {
 
 /// Cache-economy counters. `hits` / `misses` count product requests
-/// (lint, golden signature) served from vs computed into the cache; `modules_built` counts distinct artifact
-/// bundles constructed and `modules_shared` counts registrations that
-/// deduplicated onto an existing bundle via the content key.
+/// (lint, golden signature) served from vs computed into the cache;
+/// `modules_built` counts distinct artifact bundles constructed and
+/// `modules_shared` counts registrations that deduplicated onto an
+/// existing bundle via the content key.
 struct ArtifactStats {
   std::uint64_t modules_built = 0;
   std::uint64_t modules_shared = 0;

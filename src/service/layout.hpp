@@ -6,10 +6,11 @@
 // by core tree (cores sharing a top-level ancestor share one wrapper chain
 // and clock domain — the unit of placement), predict every entry's TCK
 // cost with the P1500Ate cost model, and partition each TAM's trees over
-// min(workers, trees) channels so as to minimize the predicted makespan. The resulting ChannelUnits are the
-// service's unit of scheduling: one unit = one TAM channel's serial work
-// list, claimed whole by a reactor worker. Running them is the service's
-// job (service.cpp); nothing here opens a channel.
+// min(workers, trees) channels so as to minimize the predicted makespan.
+// The resulting ChannelUnits are the service's unit of scheduling: one
+// unit = one TAM channel's serial work list, claimed whole by a reactor
+// worker. Running them is the service's job (service.cpp); nothing here
+// opens a channel.
 //
 // Everything here is a pure function of (plan, SoC topology, cost model,
 // worker budget): deterministic tie-breaks, no wall-clock feedback. The

@@ -2,9 +2,8 @@
 // nesting depth <= 3, mixed core sizes) prove campaigns fingerprint-
 // identical to the one-worker path under every TAM / pool-size
 // combination, plus negative tests for plans and topologies the resolver
-// must reject. Style follows tests/wide_fsim_test.cpp: a
-// deterministic generator seeded per case, one reference run, then
-// equivalence sweeps.
+// must reject. Style follows tests/wide_fsim_test.cpp: a deterministic
+// generator seeded per case, one reference run, then equivalence sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -7,10 +7,9 @@
 // core's report slice stays field-identical to a healthy run, and a
 // transient channel failure is invisible in the campaign fingerprint. A
 // service campaign whose tenant abandoned its report stream survives the
-// stream's failed writes and keeps its fingerprint, and
-// a core attached after the service was built is tested like the others
-// (checked in a forked child under a deadline, since the failure mode is a
-// hang).
+// stream's failed writes and keeps its fingerprint, and a core attached
+// after the service was built is tested like the others (checked in a
+// forked child under a deadline, since the failure mode is a hang).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
